@@ -202,6 +202,11 @@ type Engine struct {
 	heaps   map[uint32]*heap.File
 	pkTrees map[uint32]*index
 	secs    map[string]*index
+	// tables is what transactions read instead of the three maps above: an
+	// immutable name → runtime map, rebuilt and republished by every DDL
+	// (publishTables), so Tx.Get/Update/Insert/Scan take no lock and
+	// allocate nothing to resolve a table.
+	tables atomic.Pointer[map[string]*tableRuntime]
 
 	nextXID atomic.Uint64
 
@@ -300,6 +305,7 @@ func newEngine(cfg Config, durable []*wal.Segments, startLSNs []wal.LSN) *Engine
 		jobs:     make(chan job),
 		stopping: make(chan struct{}),
 	}
+	e.publishTables()
 	e.lm = lockmgr.New(lockmgr.Config{
 		SLI:             cfg.SLI,
 		SLIHotThreshold: cfg.SLIHotThreshold,
@@ -690,8 +696,16 @@ func (e *Engine) runOnce(w *worker, fn func(*Tx) error) (<-chan error, error) {
 	if w != nil {
 		agent, prof = w.agent, w.prof
 	}
-	start := time.Now()
-	before := prof.Snapshot()
+	// The clock and the profiler snapshots are for the time breakdown and the
+	// completion hook; an attempt with neither reads no clock at all.
+	hook := e.txHook.Load()
+	timed := prof != nil || hook != nil
+	var start time.Time
+	var before profiler.Breakdown
+	if timed {
+		start = time.Now()
+		before = prof.Snapshot()
+	}
 
 	tx := &Tx{
 		e:     e,
@@ -708,6 +722,9 @@ func (e *Engine) runOnce(w *worker, fn func(*Tx) error) (<-chan error, error) {
 		ack, err = tx.preCommit()
 	} else {
 		tx.abort()
+	}
+	if !timed {
+		return ack, err
 	}
 
 	// Attribute the transaction-body time not already accounted to a
@@ -729,10 +746,10 @@ func (e *Engine) runOnce(w *worker, fn func(*Tx) error) (<-chan error, error) {
 		}
 	}
 	// The observability completion hook (duration histogram, slow-tx
-	// tracer). One atomic pointer load when no observer is installed; the
-	// hook itself is wait-free unless the attempt enters the slow set — no
-	// lock is added to the commit path either way.
-	if hook := e.txHook.Load(); hook != nil {
+	// tracer), loaded once above: one atomic pointer load when no observer
+	// is installed; the hook itself is wait-free unless the attempt enters
+	// the slow set — no lock is added to the commit path either way.
+	if hook != nil {
 		(*hook)(TxCompletion{
 			XID:       tx.xid,
 			Start:     start,
@@ -771,6 +788,7 @@ func (e *Engine) CreateTable(name string, schema *record.Schema, primaryKey []st
 		e.mu.Lock()
 		delete(e.heaps, tbl.ID)
 		delete(e.pkTrees, tbl.ID)
+		e.publishTables()
 		e.mu.Unlock()
 		return err
 	}
@@ -783,6 +801,7 @@ func (e *Engine) installTable(tbl *catalog.Table) {
 	e.mu.Lock()
 	e.heaps[tbl.ID] = heap.NewFile(tbl.ID, e.pool)
 	e.pkTrees[tbl.ID] = &index{tree: newIndexTree()}
+	e.publishTables()
 	e.mu.Unlock()
 }
 
@@ -804,6 +823,7 @@ func (e *Engine) CreateIndex(name, table string, columns []string, unique bool) 
 		e.cat.RemoveIndex(ix.Name)
 		e.mu.Lock()
 		delete(e.secs, ix.Name)
+		e.publishTables()
 		e.mu.Unlock()
 		return err
 	}
@@ -818,6 +838,9 @@ func (e *Engine) installIndex(ix *catalog.Index) error {
 	e.mu.Lock()
 	e.secs[ix.Name] = idx
 	hf := e.heaps[ix.TableID]
+	// Published before the backfill, so a concurrent insert maintains the
+	// index from the moment the scan below could miss its row.
+	e.publishTables()
 	e.mu.Unlock()
 	var err error
 	serr := hf.Scan(nil, func(rid heap.RID, rec []byte) bool {
@@ -852,7 +875,8 @@ func (e *Engine) logDDL(typ wal.RecType, meta []byte) error {
 	return e.log.Flush(lsn)
 }
 
-// table bundle lookups used by Tx.
+// tableRuntime bundles what a transaction needs to operate on one table. It
+// is immutable once published.
 type tableRuntime struct {
 	meta *catalog.Table
 	hf   *heap.File
@@ -860,16 +884,33 @@ type tableRuntime struct {
 	secs []*index
 }
 
+// publishTables rebuilds the name → runtime map from the catalog and the
+// engine's heap and index maps and publishes it. Every DDL calls it — after
+// installing a table or index, and again after removing one whose DDL record
+// could not be logged — with e.mu held for writing (newEngine, before the
+// engine is shared, needs none), so concurrent DDLs publish in the order they
+// took effect.
+func (e *Engine) publishTables() {
+	m := make(map[string]*tableRuntime)
+	for _, tbl := range e.cat.Tables() {
+		hf := e.heaps[tbl.ID]
+		if hf == nil {
+			continue // in the catalog, not installed yet
+		}
+		rt := &tableRuntime{meta: tbl, hf: hf, pk: e.pkTrees[tbl.ID]}
+		for _, ix := range e.cat.TableIndexes(tbl.ID) {
+			if sec := e.secs[ix.Name]; sec != nil {
+				rt.secs = append(rt.secs, sec)
+			}
+		}
+		m[tbl.Name] = rt
+	}
+	e.tables.Store(&m)
+}
+
 func (e *Engine) tableRuntime(name string) (*tableRuntime, error) {
-	tbl, ok := e.cat.Table(name)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown table %q", name)
+	if rt := (*e.tables.Load())[name]; rt != nil {
+		return rt, nil
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	rt := &tableRuntime{meta: tbl, hf: e.heaps[tbl.ID], pk: e.pkTrees[tbl.ID]}
-	for _, ix := range e.cat.TableIndexes(tbl.ID) {
-		rt.secs = append(rt.secs, e.secs[ix.Name])
-	}
-	return rt, nil
+	return nil, fmt.Errorf("core: unknown table %q", name)
 }

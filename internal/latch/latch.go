@@ -52,36 +52,43 @@ func (s StatsSnapshot) ContentionRatio() float64 {
 }
 
 // Mutex is an exclusive latch. It is implemented as a try-then-block wrapper
-// around sync.Mutex: the fast path is a single TryLock; on failure the
-// acquisition is recorded as contended and the caller blocks on the
-// underlying mutex (the Go runtime parks the goroutine, which behaves well
-// even when the number of agents greatly exceeds GOMAXPROCS).
+// around sync.Mutex: the fast path is a single TryLock and nothing else; on
+// failure the acquisition is recorded as contended and the caller blocks on
+// the underlying mutex (the Go runtime parks the goroutine, which behaves
+// well even when the number of agents greatly exceeds GOMAXPROCS).
+//
+// The acquisition count is a plain field written only while the latch is
+// held, so counting costs the uncontended path no atomic operation; the
+// contention counters are atomics touched on the contended path only.
 //
 // The zero value is an unlocked latch.
 type Mutex struct {
-	mu    sync.Mutex
-	stats Stats
+	mu        sync.Mutex
+	acquires  uint64 // guarded by mu
+	contended atomic.Uint64
+	waitNanos atomic.Uint64
 }
 
 // Lock acquires the latch, blocking if necessary. It reports whether the
 // acquisition was contended and how long the caller waited.
 func (m *Mutex) Lock() (contended bool, wait time.Duration) {
-	m.stats.Acquires.Add(1)
 	if m.mu.TryLock() {
+		m.acquires++
 		return false, 0
 	}
-	m.stats.Contended.Add(1)
 	start := time.Now()
 	m.mu.Lock()
+	m.acquires++
 	wait = time.Since(start)
-	m.stats.WaitNanos.Add(uint64(wait))
+	m.contended.Add(1)
+	m.waitNanos.Add(uint64(wait))
 	return true, wait
 }
 
 // TryLock attempts to acquire the latch without blocking.
 func (m *Mutex) TryLock() bool {
 	if m.mu.TryLock() {
-		m.stats.Acquires.Add(1)
+		m.acquires++
 		return true
 	}
 	return false
@@ -90,8 +97,15 @@ func (m *Mutex) TryLock() bool {
 // Unlock releases the latch. It must only be called by the current holder.
 func (m *Mutex) Unlock() { m.mu.Unlock() }
 
-// Stats exposes the latch's acquisition counters.
-func (m *Mutex) Stats() *Stats { return &m.stats }
+// Stats returns a copy of the latch's acquisition counters. It takes the
+// latch for an instant to read the acquisition count, so it must not be
+// called by the current holder.
+func (m *Mutex) Stats() StatsSnapshot {
+	m.mu.Lock()
+	n := m.acquires
+	m.mu.Unlock()
+	return StatsSnapshot{Acquires: n, Contended: m.contended.Load(), WaitNanos: m.waitNanos.Load()}
+}
 
 // RWLatch is a reader-writer latch used for structures that are read far more
 // often than written, such as buffer-pool frames and B+tree nodes. Like
@@ -191,6 +205,31 @@ func (w *ContentionWindow) Ratio() float64 {
 		return 0
 	}
 	return float64(w.ones) / float64(w.fill)
+}
+
+// HotThresholds precomputes, for a hot-ness threshold, the least number of
+// contended acquisitions at every fill level for which Ratio() >= threshold
+// holds, so the per-acquisition verdict (Hot) is one integer comparison
+// instead of a float division. A fill level that can never be hot maps to
+// WindowSize+1.
+func HotThresholds(threshold float64) (min [WindowSize + 1]uint8) {
+	for fill := range min {
+		min[fill] = WindowSize + 1
+		for ones := fill; ones >= 0; ones-- {
+			w := ContentionWindow{fill: uint8(fill), ones: uint8(ones)}
+			if w.Ratio() < threshold {
+				break
+			}
+			min[fill] = uint8(ones)
+		}
+	}
+	return min
+}
+
+// Hot reports whether Ratio() is at or above the threshold min was built
+// for by HotThresholds.
+func (w *ContentionWindow) Hot(min *[WindowSize + 1]uint8) bool {
+	return w.ones >= min[w.fill]
 }
 
 // Reset clears the window.

@@ -17,7 +17,7 @@ func TestMutexBasic(t *testing.T) {
 		t.Fatalf("uncontended acquisition reported wait %v", wait)
 	}
 	m.Unlock()
-	if got := m.Stats().Snapshot().Acquires; got != 1 {
+	if got := m.Stats().Acquires; got != 1 {
 		t.Fatalf("acquires = %d, want 1", got)
 	}
 }
@@ -55,7 +55,7 @@ func TestMutexContentionDetected(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	m.Unlock()
 	<-done
-	snap := m.Stats().Snapshot()
+	snap := m.Stats()
 	if snap.Contended != 1 {
 		t.Fatalf("contended = %d, want 1", snap.Contended)
 	}
@@ -251,4 +251,20 @@ func BenchmarkMutexContended(b *testing.B) {
 			m.Unlock()
 		}
 	})
+}
+
+// TestHotThresholdsMatchRatio holds the integer hot-ness verdict to the float
+// one it replaces, for every window state and a spread of thresholds.
+func TestHotThresholdsMatchRatio(t *testing.T) {
+	for _, threshold := range []float64{0.01, 0.1, 0.25, 0.3, 1.0 / 3, 0.5, 0.75, 1} {
+		min := HotThresholds(threshold)
+		for fill := 0; fill <= WindowSize; fill++ {
+			for ones := 0; ones <= fill; ones++ {
+				w := ContentionWindow{fill: uint8(fill), ones: uint8(ones)}
+				if got, want := w.Hot(&min), w.Ratio() >= threshold; got != want {
+					t.Errorf("threshold %v, %d/%d contended: Hot = %v, Ratio() >= threshold = %v", threshold, ones, fill, got, want)
+				}
+			}
+		}
+	}
 }

@@ -8,7 +8,7 @@ import (
 
 // waitBlocked polls until the owner is parked in waitFor and returns the
 // request it is blocked on.
-func waitBlocked(t *testing.T, o *Owner) *Request {
+func waitBlocked(t testing.TB, o *Owner) *Request {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -54,15 +54,15 @@ func TestBlockersOfConvertingOwnerDeduped(t *testing.T) {
 
 	cDone := make(chan error, 1)
 	go func() { cDone <- c.Lock(id, S) }()
-	cReq := waitBlocked(t, c)
+	waitBlocked(t, c)
 
-	blockers := m.blockersOf(cReq)
+	blockers := m.blockersOf(waitEdge{c, c.id.Load()})
 	if blockers == nil {
 		t.Fatal("blockersOf returned nil (lock-head latch busy) in a quiescent state")
 	}
 	count := 0
-	for _, o := range blockers {
-		if o == a {
+	for _, e := range blockers {
+		if e.owner == a {
 			count++
 		}
 	}
@@ -70,8 +70,8 @@ func TestBlockersOfConvertingOwnerDeduped(t *testing.T) {
 		t.Fatalf("converting owner A appears %d times in blockers %v, want exactly 1", count, blockers)
 	}
 	// B's IS is compatible with C's S; it must not be listed.
-	for _, o := range blockers {
-		if o == b {
+	for _, e := range blockers {
+		if e.owner == b {
 			t.Fatal("owner B (compatible IS holder) listed as a blocker")
 		}
 	}

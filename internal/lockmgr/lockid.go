@@ -19,20 +19,14 @@ const (
 	LevelRecord
 )
 
+var levelNames = [...]string{"database", "table", "page", "record"}
+
 // String returns the human-readable name of the level.
 func (l Level) String() string {
-	switch l {
-	case LevelDatabase:
-		return "database"
-	case LevelTable:
-		return "table"
-	case LevelPage:
-		return "page"
-	case LevelRecord:
-		return "record"
-	default:
+	if int(l) >= len(levelNames) {
 		return fmt.Sprintf("level(%d)", uint8(l))
 	}
+	return levelNames[l]
 }
 
 // CoarserOrEqual reports whether l is at or above (coarser than) other in
@@ -109,35 +103,17 @@ func (id LockID) String() string {
 	case LevelRecord:
 		return fmt.Sprintf("rec(%d.%d.%d.%d)", id.DB, id.Table, id.Page, id.Slot)
 	default:
-		return fmt.Sprintf("lock(%+v)", struct {
-			L Level
-			D uint32
-			T uint32
-			P uint64
-			S uint32
-		}{id.Lvl, id.DB, id.Table, id.Page, id.Slot})
+		return fmt.Sprintf("lock(%d:%d.%d.%d.%d)", id.Lvl, id.DB, id.Table, id.Page, id.Slot)
 	}
 }
 
-// hash returns a well-distributed hash of the LockID used to pick a lock
-// table partition and bucket (FNV-1a over the components).
+// hash returns a well-distributed 64-bit hash of the LockID: three
+// multiply-xorshift rounds over its words (splitmix64's constants). Lock
+// computes it once per request, for the owner's lock cache, the lock-table
+// partition (low bits) and the slot within it (the bits above them).
 func (id LockID) hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(uint64(id.Lvl))
-	mix(uint64(id.DB))
-	mix(uint64(id.Table))
-	mix(id.Page)
-	mix(uint64(id.Slot))
-	return h
+	h := (uint64(id.Lvl)<<32 | uint64(id.DB)) * 0x9E3779B97F4A7C15
+	h = (h ^ h>>32 ^ (uint64(id.Table)<<32 | uint64(id.Slot))) * 0xBF58476D1CE4E5B9
+	h = (h ^ h>>29 ^ id.Page) * 0x94D049BB133111EB
+	return h ^ h>>32
 }

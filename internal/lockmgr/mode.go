@@ -7,26 +7,41 @@
 //
 // The lock manager provides:
 //
-//   - Gray/Reuter hierarchical lock modes (NL, IS, IX, S, SIX, U, X) with
-//     the standard compatibility and supremum matrices.
-//   - A four-level lock hierarchy: database → table → page → record.
-//     Requesting a lock automatically acquires the appropriate intention
-//     locks on all ancestors.
-//   - A partitioned hash lock table. Each active lock is represented by a
-//     lock head holding a latch, the aggregate granted mode, and a FIFO
-//     queue of requests (granted, converting, waiting, inherited).
+//   - Gray/Reuter hierarchical lock modes (NL, IS, IX, S, SIX, U, X) and a
+//     four-level hierarchy, database → table → page → record; requesting a
+//     lock acquires the intention locks on all ancestors automatically.
+//   - A partitioned hash lock table of lock heads, each holding a latch and a
+//     FIFO queue of requests (granted, converting, waiting, inherited). Heads
+//     persist when their queue drains and are found with a lock-free probe;
+//     a per-partition sweep retires idle ones.
 //   - Lock conversions (upgrades), FIFO granting, wait-for-graph deadlock
 //     detection with a timeout fallback.
-//   - Per-lock hot-ness tracking based on latch contention, the trigger for
-//     SLI (paper §4.2 criterion 2).
-//   - Speculative Lock Inheritance itself: eligibility testing at release
-//     time, per-agent inherited lists, compare-and-swap reclaim without
-//     entering the lock manager, invalidation by conflicting requests, and
-//     lazy garbage collection of invalidated requests.
+//   - Per-lock hot-ness tracking based on latch contention (§4.2 criterion
+//     2) and SLI itself: eligibility testing at release time, per-agent
+//     inherited lists, latch-free inherit and reclaim, invalidation by
+//     conflicting requests.
 //
-// Transactions interact with the lock manager through an Owner (one per
-// transaction), and agent threads through an Agent (one per worker thread),
-// mirroring Shore-MT's transaction and agent structures.
+// Transactions use the lock manager through an Owner (one per transaction)
+// and agent threads through an Agent (one per worker thread), mirroring
+// Shore-MT's transaction and agent structures.
+//
+// On short transactions the lock manager is the cost, so a warm, uncontended
+// acquire and release (lockFast, reclaim, inherit, release) allocates
+// nothing, reads no clock unless the owner is profiled, and writes no memory
+// another agent writes except the lock head itself. What a transaction's
+// locking needs belongs to its Agent and is reused by the agent's next
+// transaction: one Owner (with its held list and hash-indexed lock cache), a
+// free list of Requests, and a shard of the event counters. Hence:
+//
+//   - An *Owner is valid from NewOwner until its ReleaseAll returns; after
+//     that it is the agent's next transaction. Owner.id is the generation:
+//     the deadlock detector records it with every wait-for edge and drops an
+//     edge whose Owner has moved on.
+//   - A *Request returns to its agent's free list only once unlinked from its
+//     head's queue under the latch; only the owning agent, or a queue walker
+//     holding the latch, may hold one.
+//   - A lock head found without the partition mutex may have been retired by
+//     a sweep: whoever latches it re-checks its dead flag.
 package lockmgr
 
 // Mode is a hierarchical lock mode as defined by Gray & Reuter,
@@ -58,26 +73,14 @@ const (
 	numModes
 )
 
+var modeNames = [numModes]string{"NL", "IS", "IX", "S", "SIX", "U", "X"}
+
 // String returns the conventional two-letter name of the mode.
 func (m Mode) String() string {
-	switch m {
-	case NL:
-		return "NL"
-	case IS:
-		return "IS"
-	case IX:
-		return "IX"
-	case S:
-		return "S"
-	case SIX:
-		return "SIX"
-	case U:
-		return "U"
-	case X:
-		return "X"
-	default:
+	if !m.Valid() {
 		return "?"
 	}
+	return modeNames[m]
 }
 
 // Valid reports whether m is one of the defined lock modes.

@@ -4,12 +4,11 @@ import (
 	"sync/atomic"
 )
 
-// Request status values. Transitions are documented next to each status; the
-// interesting ones for SLI are granted → inherited (at release time, under
-// the lock-head latch), inherited → granted (reclaim by the next transaction
-// on the agent, a single compare-and-swap with no latch — the "fast path" of
-// paper §4.1), and inherited → invalid (a conflicting requester or the
-// owning agent retires the speculation).
+// Request status values. The interesting transitions for SLI are granted →
+// inherited (at release time) and inherited → granted (reclaim by the
+// agent's next transaction) — each a single atomic operation with no latch,
+// the "fast path" of paper §4.1 — and inherited → invalid (a conflicting
+// requester or the owning agent retires the speculation).
 const (
 	// statusWaiting: the request is queued behind incompatible holders.
 	statusWaiting int32 = iota
@@ -27,86 +26,69 @@ const (
 	statusInvalid
 )
 
+var statusNames = [...]string{"waiting", "converting", "granted", "inherited", "invalid"}
+
 func statusName(s int32) string {
-	switch s {
-	case statusWaiting:
-		return "waiting"
-	case statusConverting:
-		return "converting"
-	case statusGranted:
-		return "granted"
-	case statusInherited:
-		return "inherited"
-	case statusInvalid:
-		return "invalid"
-	default:
+	if s < 0 || int(s) >= len(statusNames) {
 		return "unknown"
 	}
+	return statusNames[s]
 }
 
 // Request represents one transaction's (or, while inherited, one agent's)
 // interest in a lock. Requests are linked into their lock head's FIFO queue;
 // all structural queue changes happen under the lock-head latch, while the
-// status field is manipulated with atomic operations so that SLI reclaim can
-// bypass the latch entirely.
+// status field is manipulated with atomic operations so that SLI can bypass
+// the latch entirely.
+//
+// Requests are recycled: the agent that allocated one takes it back onto its
+// free list once it has been unlinked under the head latch and reuses it.
+// Nobody else may keep a *Request across a latch release; the deadlock
+// detector, which has to, first finds the pointer in the head's queue again.
 type Request struct {
 	id   LockID
 	head *lockHead
 
-	// owner is the transaction currently holding or waiting for the lock.
-	// It is nil while the request is inherited (owned by an agent thread)
-	// and is only read for deadlock detection and debugging; it is written
-	// under the lock-head latch or before the request is published.
+	// owner is the transaction holding or waiting for the lock (while the
+	// request is inherited, still the one that passed it on). Deadlock
+	// detection reads it under the head latch; it is written before the
+	// request is published, or by a reclaiming owner that differs.
 	owner atomic.Pointer[Owner]
 
-	// agent is the agent thread whose transactions have used this request.
-	// It is set when the request is created and never changes; it is used
-	// for SLI bookkeeping and statistics.
+	// agent allocated the request and owns the free list it returns to; nil
+	// for requests of detached owners.
 	agent *Agent
 
 	// mode is the currently granted mode (for granted/converting/inherited
-	// requests) or the requested mode (for waiting requests). It is written
-	// only under the lock-head latch or before the request is published,
-	// with one exception: the owner reading its own granted request.
-	mode Mode
+	// requests) or the requested mode (for waiting requests), written only
+	// under the lock-head latch or before the request is published. convMode
+	// is the target of an in-progress conversion (status converting).
+	mode, convMode Mode
 
-	// convMode is the target mode of an in-progress conversion; only
-	// meaningful while status == statusConverting.
-	convMode Mode
+	// cand marks an SLI candidate during its owner's ReleaseAll; unclaimed
+	// an inherited request seeded into the current transaction and not yet
+	// reclaimed. Both are private to the owning agent.
+	cand, unclaimed bool
 
 	status atomic.Int32
 
-	// ready delivers the grant (nil) or an abort error to a waiting owner.
-	// Buffered so granters never block.
+	// ready delivers the grant to a waiting owner; buffered so granters
+	// never block.
 	ready chan error
 
-	// wasInherited records that this request was at some point passed via
-	// SLI, for Figure 9 accounting of discarded (inherited but unused)
-	// requests.
-	wasInherited bool
-
+	// prev and next link the head's queue; next also the agent's free list.
 	prev, next *Request
 }
 
-// newRequest allocates a request for owner o on head h.
-func newRequest(h *lockHead, o *Owner, mode Mode, status int32) *Request {
-	r := &Request{id: h.id, head: h, agent: o.agent, mode: mode}
-	r.owner.Store(o)
-	r.status.Store(status)
-	if status == statusWaiting || status == statusConverting {
-		r.ready = make(chan error, 1)
+// set initialises a fresh or recycled request for owner o on head h. The
+// request is not visible to anyone else until it is pushed onto h's queue.
+func (r *Request) set(o *Owner, h *lockHead, mode Mode, status int32) {
+	r.id, r.head, r.mode, r.convMode = h.id, h, mode, NL
+	if r.owner.Load() != o {
+		r.owner.Store(o)
 	}
-	return r
+	r.status.Store(status)
 }
-
-// Mode returns the currently granted (or requested) mode.
-func (r *Request) Mode() Mode { return r.mode }
-
-// ID returns the lock this request refers to.
-func (r *Request) ID() LockID { return r.id }
-
-// Status returns the request's current status name, for debugging and tests.
-func (r *Request) Status() string { return statusName(r.status.Load()) }
 
 // requestQueue is an intrusive doubly-linked FIFO list of requests. All
 // mutations require the enclosing lock head's latch.

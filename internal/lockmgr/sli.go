@@ -1,41 +1,89 @@
 package lockmgr
 
-import (
-	"time"
+import "slidb/internal/profiler"
 
-	"slidb/internal/profiler"
-)
+// This file implements Speculative Lock Inheritance (paper §4): seeding a new
+// transaction with its agent's inherited requests (attach), the
+// lock-manager-free reclaim path (reclaim), and the decision of which locks a
+// committing transaction passes to its agent thread (selectSLICandidates +
+// inherit). Speculations that did not pay off are retired by retire (the
+// owning agent) and invalidateIncompatible (conflicting requesters).
 
-// This file implements Speculative Lock Inheritance (paper §4): the decision
-// of which locks a committing transaction passes to its agent thread
-// (selectSLICandidates + inherit), the lock-manager-free reclaim path used by
-// the agent's next transaction (reclaim), and retirement of speculations that
-// did not pay off (discardInherited; invalidation by conflicting requesters
-// lives in Manager.invalidateIncompatible).
+// attach seeds a new transaction's lock cache with the agent's inherited
+// requests (§4.1), recycling those invalidated while the agent was between
+// transactions. If SLI has been turned off they are all retired instead.
+func (m *Manager) attach(o *Owner) {
+	start := o.clock()
+	a := o.agent
+	sli := m.SLIEnabled()
+	o.inherited, a.pending = a.pending, o.inherited[:0]
+	kept := o.inherited[:0]
+	for _, req := range o.inherited {
+		if !sli || req.status.Load() != statusInherited {
+			m.retire(o, req, ctrSLIDiscarded)
+			continue
+		}
+		if o.cache.full() {
+			o.cache.grow()
+		}
+		o.cache.put(req)
+		req.unclaimed = true
+		kept = append(kept, req)
+	}
+	o.inherited = kept
+	o.charge(profiler.SLIWork, start, 0)
+}
+
+// reclaim is the SLI fast path (§4.1): the transaction finds an inherited
+// request in its lock cache and claims it with a single compare-and-swap,
+// "without calling into the lock manager, allocating requests, or updating
+// latch-protected lock state" — beyond the status word it touches only the
+// agent's own lists and counters. It returns false, leaving the request
+// alone, if the inherited mode does not cover the wanted one or the
+// speculation has been invalidated; lockSlow then retires it and makes a
+// normal request. The caller has made room in o.held.
+//
+//slint:hotpath
+func (m *Manager) reclaim(o *Owner, req *Request, want Mode) bool {
+	if !Covers(req.mode, want) {
+		return false
+	}
+	start := o.clock()
+	ok := req.status.CompareAndSwap(statusInherited, statusGranted)
+	if ok {
+		if req.owner.Load() != o {
+			req.owner.Store(o)
+		}
+		req.unclaimed = false
+		n := len(o.held)
+		o.held = o.held[:n+1]
+		o.held[n] = req
+		// Inherited locks are hot by construction (criterion 2).
+		o.stats.classify(req.id, want, true, true)
+	}
+	o.charge(profiler.SLIWork, start, 0)
+	return ok
+}
 
 // selectSLICandidates evaluates the five eligibility criteria of §4.2 over
-// the owner's held locks and returns the set of requests that should be
-// inherited rather than released. Criteria 1 (page level or higher), 2 (hot)
-// and 3 (shared mode) are evaluated here; criterion 4 (no waiters) and a
-// re-check of 2 happen under the lock-head latch in inherit; criterion 5
-// (the parent is also eligible) is enforced by requiring the parent — which
-// always precedes its children in the acquisition-ordered held list — to
-// already be a candidate.
-//
-// It returns nil when SLI is disabled, the transaction ran without an agent,
-// or nothing is eligible.
-func (m *Manager) selectSLICandidates(o *Owner) map[*Request]bool {
+// the owner's held locks, marking (Request.cand) the requests that should be
+// inherited rather than released, and reports whether there are any.
+// Criteria 1 (page level or higher), 2 (hot) and 3 (shared mode) are
+// evaluated here; criterion 4 (no waiters) and a re-check of 2 in inherit;
+// criterion 5 (the parent is also eligible) by requiring the parent to
+// already be a candidate. Nothing is eligible when SLI is disabled or the
+// transaction ran without an agent.
+func (m *Manager) selectSLICandidates(o *Owner) bool {
 	if !m.SLIEnabled() || o.agent == nil || len(o.held) == 0 {
-		return nil
+		return false
 	}
-	start := time.Now()
-
-	// o.held is in acquisition order and the lock manager always acquires an
-	// object's ancestors before the object itself, so by the time a lock is
-	// considered here its parent (if held) has already been classified —
-	// criterion 5 can be checked with a single cache lookup, no sorting.
-	var cands map[*Request]bool
+	start := o.clock()
+	// o.held is in acquisition order and an object's ancestors are always
+	// acquired before it, so a lock's parent has been classified by the time
+	// the lock is: criterion 5 is a single cache lookup, no sorting.
+	any := false
 	for _, r := range o.held {
+		r.cand = false
 		id := r.id
 		if !id.Lvl.CoarserOrEqual(m.cfg.SLIMinLevel) {
 			continue // criterion 1: too fine-grained (e.g. row locks)
@@ -43,7 +91,7 @@ func (m *Manager) selectSLICandidates(o *Owner) map[*Request]bool {
 		hot := r.head.hot.Load()
 		if !r.mode.Shared() {
 			if hot {
-				m.stats.SLIIneligibleMode.Add(1)
+				o.stats.inc(ctrSLIIneligibleMode)
 			}
 			continue // criterion 3: only share-mode locks may be passed on
 		}
@@ -51,104 +99,46 @@ func (m *Manager) selectSLICandidates(o *Owner) map[*Request]bool {
 			continue // criterion 2: cold locks are not worth tracking
 		}
 		if parent, ok := id.Parent(); ok {
-			pr := o.cache[parent]
-			if pr == nil || !cands[pr] {
-				m.stats.SLIIneligibleParent.Add(1)
+			if pr := o.cache.find(parent, parent.hash()); pr == nil || !pr.cand {
+				o.stats.inc(ctrSLIIneligibleParent)
 				continue // criterion 5: parent must also be passed on
 			}
 		}
-		if cands == nil {
-			cands = make(map[*Request]bool, 4)
-		}
-		cands[r] = true
+		r.cand, any = true, true
 	}
-	o.prof.Add(profiler.SLIWork, time.Since(start))
-	return cands
+	o.charge(profiler.SLIWork, start, 0)
+	return any
 }
 
 // inherit attempts to pass a granted request to the owner's agent thread
-// instead of releasing it. It re-verifies, under the lock-head latch, that
-// the lock is still hot and has no waiters (criteria 2 and 4), then flips
-// the request from granted to inherited and parks it on the agent.
+// instead of releasing it, without latching the lock head: it re-verifies
+// that the lock has no waiters and is still hot (criteria 4 and 2), flips
+// the request from granted to inherited and parks it on the agent. A
+// requester that queued up between check and flip is caught by looking at
+// waiters once more (announceWaiter is the other half of the handshake): the
+// inheritance is taken back, unless that requester has already retired it.
 // It returns false if the lock must be released normally instead.
 func (m *Manager) inherit(o *Owner, req *Request) bool {
-	start := time.Now()
+	start := o.clock()
+	defer o.charge(profiler.SLIWork, start, 0)
 	h := req.head
-	contended, wait := h.latch.Lock()
-	if wait > 0 {
-		o.prof.Add(profiler.SLIContention, wait)
+	if h.hasWaiters() {
+		o.stats.inc(ctrSLIIneligibleWaiter) // criterion 4
+		return false
 	}
-	if contended {
-		m.stats.LatchContended.Add(1)
+	if !h.hot.Load() {
+		return false // cooled down since the candidate pass
 	}
-	ok := false
-	switch {
-	case h.hasWaiters():
-		m.stats.SLIIneligibleWaiter.Add(1) // criterion 4
-	case !h.hot.Load():
-		// cooled down since the candidate pass; release normally
-	case req.status.Load() != statusGranted:
-		// cannot happen for requests on the held list, but be defensive
-	default:
-		if req.status.CompareAndSwap(statusGranted, statusInherited) {
-			req.owner.Store(nil)
-			req.wasInherited = true
-			ok = true
-		}
-	}
-	h.latch.Unlock()
-	if ok {
-		o.agent.pending = append(o.agent.pending, req)
-		m.stats.SLIPassed.Add(1)
-	}
-	o.prof.Add(profiler.SLIWork, time.Since(start)-wait)
-	return ok
-}
-
-// reclaim is the SLI fast path (§4.1): the transaction finds an inherited
-// request in its lock cache and claims it with a single compare-and-swap,
-// "without calling into the lock manager, allocating requests, or updating
-// latch-protected lock state". If the inherited mode does not cover the
-// wanted mode, or the speculation has already been invalidated, the request
-// falls back to the normal acquisition path.
-func (m *Manager) reclaim(o *Owner, req *Request, want Mode) error {
-	start := time.Now()
-	if Covers(req.mode, want) {
+	req.status.Store(statusInherited)
+	if h.hasWaiters() {
 		if req.status.CompareAndSwap(statusInherited, statusGranted) {
-			req.owner.Store(o)
-			delete(o.inherited, req.id)
-			o.held = append(o.held, req)
-			m.stats.SLIReclaimed.Add(1)
-			// Inherited locks are hot by construction (criterion 2).
-			m.stats.classify(req.id, want, true)
-			o.prof.Add(profiler.SLIWork, time.Since(start))
-			return nil
+			o.stats.inc(ctrSLIIneligibleWaiter)
+			return false
 		}
-	} else {
-		// The transaction needs a stronger mode than it inherited; retire the
-		// speculation and make a normal (possibly converting) request.
-		if req.status.CompareAndSwap(statusInherited, statusInvalid) {
-			m.unlinkInvalid(o, req)
-			m.stats.SLIInvalidated.Add(1)
-		}
+		// Passed on and invalidated in the same instant.
+		m.retire(o, req, ctrSLIInvalidated)
+		return true
 	}
-	// Speculation failed: either another transaction invalidated the request
-	// or we just did. Fall back to a normal acquisition.
-	delete(o.cache, req.id)
-	delete(o.inherited, req.id)
-	o.prof.Add(profiler.SLIWork, time.Since(start))
-	return m.lockSlow(o, req.id, want)
-}
-
-// discardInherited retires an inherited request that the finishing
-// transaction never used. The cost of the release that the previous
-// transaction avoided is paid here (and attributed to SLI, as in the
-// paper's Figure 10 accounting).
-func (m *Manager) discardInherited(o *Owner, req *Request) {
-	start := time.Now()
-	if req.status.CompareAndSwap(statusInherited, statusInvalid) {
-		m.unlinkInvalid(o, req)
-		m.stats.SLIDiscarded.Add(1)
-	}
-	o.prof.Add(profiler.SLIWork, time.Since(start))
+	o.agent.pending = append(o.agent.pending, req)
+	return true
 }

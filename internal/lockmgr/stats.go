@@ -1,152 +1,211 @@
 package lockmgr
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// Stats holds the lock manager's event counters. They are the
-// scheduler-independent metrics used to reproduce Figures 8 and 9 of the
-// paper (lock-acquisition breakdowns and SLI outcome breakdowns) and to
-// corroborate the time-based profiler results.
-//
-// All counters are cumulative and safe for concurrent use. Use Snapshot to
-// read them consistently enough for reporting and Diff to compute
+// counter indexes one event counter within a statShard.
+type counter uint8
+
+const (
+	ctrCacheHits counter = iota
+	ctrConversions
+	ctrLatchContended
+	ctrWaits
+	ctrDeadlocks
+	ctrDeadlockLocalProbes
+	ctrDeadlockEscalations
+	ctrTimeouts
+	ctrSLIPassed
+	ctrSLIInvalidated
+	ctrSLIDiscarded
+	ctrSLIIneligibleWaiter
+	ctrSLIIneligibleMode
+	ctrSLIIneligibleParent
+	ctrELRReleases
+	ctrTransactions
+	// ctrAcquire is the first of 32 acquisition-class counters indexed by
+	// level<<3 | reclaimed<<2 | shared<<1 | hot: classifying an acquisition
+	// for the Figure-8 breakdown, SLI reclaims included, is one increment.
+	ctrAcquire
+	numCounters = ctrAcquire + 32
+)
+
+// statShard is one agent's set of counters, so counting an event never
+// writes memory another agent writes; detached owners share one.
+type statShard struct {
+	c [numCounters]atomic.Uint64
+	_ [64]byte
+}
+
+func (s *statShard) inc(c counter) { s.c[c].Add(1) }
+
+// classify records one lock acquisition in the Figure-8 breakdown counters;
+// reclaimed marks it as an SLI reclaim rather than a lock-table acquisition.
+func (s *statShard) classify(id LockID, mode Mode, hot, reclaimed bool) {
+	c := ctrAcquire + counter(id.Lvl)<<3
+	if reclaimed {
+		c += 4
+	}
+	if mode.Shared() {
+		c += 2
+	}
+	if hot {
+		c++
+	}
+	s.c[c].Add(1)
+}
+
+// Stats holds the lock manager's event counters: the scheduler-independent
+// metrics behind Figures 8 and 9 of the paper (lock-acquisition and SLI
+// outcome breakdowns) that corroborate the time-based profiler results. They
+// are cumulative and sharded per agent; Snapshot sums the shards into a
+// StatsSnapshot (whose fields document each counter) and Diff computes
 // per-interval figures.
 type Stats struct {
+	mu     sync.Mutex
+	shards []*statShard // one per agent ever created, one for detached owners
+}
+
+// newShard registers and returns a shard for a new agent.
+func (s *Stats) newShard() *statShard {
+	sh := &statShard{}
+	s.mu.Lock()
+	s.shards = append(s.shards, sh)
+	s.mu.Unlock()
+	return sh
+}
+
+// StatsSnapshot is a plain-value copy of Stats.
+type StatsSnapshot struct {
 	// Acquisition counters (Figure 8).
 
-	// Acquires counts every lock acquisition that reached the lock manager
-	// or was satisfied from the transaction's lock cache, by level.
-	Acquires [4]atomic.Uint64
+	// AcquiresByLevel counts every lock acquisition that reached the lock
+	// manager (cache hits excluded, SLI reclaims included), by level.
+	AcquiresByLevel [4]uint64
 	// SharedAcquires counts acquisitions in SLI-heritable modes (S, IS, IX).
-	SharedAcquires atomic.Uint64
+	SharedAcquires uint64
 	// ExclusiveAcquires counts acquisitions in X, SIX or U mode.
-	ExclusiveAcquires atomic.Uint64
+	ExclusiveAcquires uint64
 	// HotHeritable counts acquisitions of locks that were hot at acquisition
 	// time and satisfied SLI criteria 1 and 3 (page level or higher, shared
 	// mode): the locks SLI targets.
-	HotHeritable atomic.Uint64
+	HotHeritable uint64
 	// HotNonHeritable counts acquisitions of hot locks that SLI cannot pass
 	// on (row-level or exclusive-mode).
-	HotNonHeritable atomic.Uint64
+	HotNonHeritable uint64
 	// ColdHeritable counts acquisitions of high-level shared locks that were
 	// not hot at acquisition time.
-	ColdHeritable atomic.Uint64
+	ColdHeritable uint64
 	// ColdOther counts all remaining acquisitions (cold and either row-level
 	// or exclusive).
-	ColdOther atomic.Uint64
+	ColdOther uint64
 	// CacheHits counts acquisitions satisfied entirely from the
 	// transaction's private lock cache (already held in a covering mode).
-	CacheHits atomic.Uint64
+	CacheHits uint64
 	// Conversions counts lock upgrades (e.g. IS→IX).
-	Conversions atomic.Uint64
+	Conversions uint64
 	// LatchContended counts lock-head latch acquisitions that found the
 	// latch held — the physical-contention signal of §1.1.
-	LatchContended atomic.Uint64
+	LatchContended uint64
 	// Waits counts requests that blocked on a logical lock conflict.
-	Waits atomic.Uint64
+	Waits uint64
 	// Deadlocks counts requests aborted by deadlock detection.
-	Deadlocks atomic.Uint64
+	Deadlocks uint64
 	// DeadlockLocalProbes counts wait-for-graph probes confined to the
 	// blocked request's lock-table partition — the cheap, every-tick search.
-	DeadlockLocalProbes atomic.Uint64
+	DeadlockLocalProbes uint64
 	// DeadlockEscalations counts probes that escalated to the full
 	// cross-partition wait-for search because a local probe hit an edge
 	// leaving its partition. A high escalation:probe ratio means the
 	// workload's conflicts do not respect the partitioning.
-	DeadlockEscalations atomic.Uint64
+	DeadlockEscalations uint64
 	// Timeouts counts requests aborted by lock wait timeout.
-	Timeouts atomic.Uint64
+	Timeouts uint64
 
 	// SLI counters (Figure 9).
 
 	// SLIPassed counts lock requests passed from a committing transaction to
 	// its agent thread (inherited) instead of being released.
-	SLIPassed atomic.Uint64
+	SLIPassed uint64
 	// SLIReclaimed counts inherited requests successfully reclaimed
 	// (CAS inherited→granted) by a subsequent transaction — successful
 	// speculation.
-	SLIReclaimed atomic.Uint64
+	SLIReclaimed uint64
 	// SLIInvalidated counts inherited requests invalidated by a conflicting
 	// request (or by an incompatible reclaim attempt) before reuse.
-	SLIInvalidated atomic.Uint64
+	SLIInvalidated uint64
 	// SLIDiscarded counts inherited requests that the next transaction never
 	// used and therefore released at commit time.
-	SLIDiscarded atomic.Uint64
+	SLIDiscarded uint64
 	// SLIIneligibleWaiter counts hot locks that could not be inherited
 	// because another transaction was waiting on them (criterion 4).
-	SLIIneligibleWaiter atomic.Uint64
+	SLIIneligibleWaiter uint64
 	// SLIIneligibleMode counts hot locks that could not be inherited because
 	// they were held in an exclusive mode (criterion 3).
-	SLIIneligibleMode atomic.Uint64
+	SLIIneligibleMode uint64
 	// SLIIneligibleParent counts locks that met every criterion except that
 	// their parent was not itself eligible (criterion 5).
-	SLIIneligibleParent atomic.Uint64
+	SLIIneligibleParent uint64
 
 	// ELRReleases counts transactions whose locks were released early (at
 	// commit-record append, before the log force) by Early Lock Release.
-	ELRReleases atomic.Uint64
+	ELRReleases uint64
 
 	// Transactions counts ReleaseAll calls, i.e. completed transactions,
 	// used to compute average locks per transaction.
-	Transactions atomic.Uint64
+	Transactions uint64
 }
 
-// StatsSnapshot is a plain-value copy of Stats.
-type StatsSnapshot struct {
-	AcquiresByLevel     [4]uint64
-	SharedAcquires      uint64
-	ExclusiveAcquires   uint64
-	HotHeritable        uint64
-	HotNonHeritable     uint64
-	ColdHeritable       uint64
-	ColdOther           uint64
-	CacheHits           uint64
-	Conversions         uint64
-	LatchContended      uint64
-	Waits               uint64
-	Deadlocks           uint64
-	DeadlockLocalProbes uint64
-	DeadlockEscalations uint64
-	Timeouts            uint64
-	SLIPassed           uint64
-	SLIReclaimed        uint64
-	SLIInvalidated      uint64
-	SLIDiscarded        uint64
-	SLIIneligibleWaiter uint64
-	SLIIneligibleMode   uint64
-	SLIIneligibleParent uint64
-	ELRReleases         uint64
-	Transactions        uint64
+// counters lists the snapshot's fields, the directly counted ones (in
+// counter order) first.
+func (s *StatsSnapshot) counters() []*uint64 {
+	return []*uint64{&s.CacheHits, &s.Conversions, &s.LatchContended, &s.Waits, &s.Deadlocks,
+		&s.DeadlockLocalProbes, &s.DeadlockEscalations, &s.Timeouts, &s.SLIPassed, &s.SLIInvalidated,
+		&s.SLIDiscarded, &s.SLIIneligibleWaiter, &s.SLIIneligibleMode, &s.SLIIneligibleParent,
+		&s.ELRReleases, &s.Transactions,
+		&s.SLIReclaimed, &s.SharedAcquires, &s.ExclusiveAcquires, &s.HotHeritable, &s.HotNonHeritable,
+		&s.ColdHeritable, &s.ColdOther, &s.AcquiresByLevel[0], &s.AcquiresByLevel[1],
+		&s.AcquiresByLevel[2], &s.AcquiresByLevel[3]}
 }
 
-// Snapshot returns a point-in-time copy of all counters.
-func (s *Stats) Snapshot() StatsSnapshot {
-	var out StatsSnapshot
-	for i := range s.Acquires {
-		out.AcquiresByLevel[i] = s.Acquires[i].Load()
+// Snapshot returns a point-in-time sum of all counters over every shard.
+func (s *Stats) Snapshot() (out StatsSnapshot) {
+	var c [numCounters]uint64
+	s.mu.Lock()
+	for _, sh := range s.shards {
+		for i := range c {
+			c[i] += sh.c[i].Load()
+		}
 	}
-	out.SharedAcquires = s.SharedAcquires.Load()
-	out.ExclusiveAcquires = s.ExclusiveAcquires.Load()
-	out.HotHeritable = s.HotHeritable.Load()
-	out.HotNonHeritable = s.HotNonHeritable.Load()
-	out.ColdHeritable = s.ColdHeritable.Load()
-	out.ColdOther = s.ColdOther.Load()
-	out.CacheHits = s.CacheHits.Load()
-	out.Conversions = s.Conversions.Load()
-	out.LatchContended = s.LatchContended.Load()
-	out.Waits = s.Waits.Load()
-	out.Deadlocks = s.Deadlocks.Load()
-	out.DeadlockLocalProbes = s.DeadlockLocalProbes.Load()
-	out.DeadlockEscalations = s.DeadlockEscalations.Load()
-	out.Timeouts = s.Timeouts.Load()
-	out.SLIPassed = s.SLIPassed.Load()
-	out.SLIReclaimed = s.SLIReclaimed.Load()
-	out.SLIInvalidated = s.SLIInvalidated.Load()
-	out.SLIDiscarded = s.SLIDiscarded.Load()
-	out.SLIIneligibleWaiter = s.SLIIneligibleWaiter.Load()
-	out.SLIIneligibleMode = s.SLIIneligibleMode.Load()
-	out.SLIIneligibleParent = s.SLIIneligibleParent.Load()
-	out.ELRReleases = s.ELRReleases.Load()
-	out.Transactions = s.Transactions.Load()
+	s.mu.Unlock()
+	for i, f := range out.counters()[:ctrAcquire] {
+		*f = c[i]
+	}
+	for class, n := range c[ctrAcquire:] {
+		lvl, shared, hot := Level(class>>3), class&2 != 0, class&1 != 0
+		out.AcquiresByLevel[lvl] += n
+		if class&4 != 0 {
+			out.SLIReclaimed += n
+		}
+		if shared {
+			out.SharedAcquires += n
+		} else {
+			out.ExclusiveAcquires += n
+		}
+		heritable := shared && lvl.CoarserOrEqual(LevelPage)
+		switch {
+		case hot && heritable:
+			out.HotHeritable += n
+		case hot:
+			out.HotNonHeritable += n
+		case heritable:
+			out.ColdHeritable += n
+		default:
+			out.ColdOther += n
+		}
+	}
 	return out
 }
 
@@ -171,61 +230,12 @@ func (s StatsSnapshot) LocksPerTransaction() float64 {
 
 // Diff returns the counter deltas s - earlier, clamping at zero; it is used
 // to compute per-measurement-interval statistics.
-func (s StatsSnapshot) Diff(earlier StatsSnapshot) StatsSnapshot {
-	sub := func(a, b uint64) uint64 {
-		if a < b {
-			return 0
+func (s StatsSnapshot) Diff(earlier StatsSnapshot) (out StatsSnapshot) {
+	a, b := s.counters(), earlier.counters()
+	for i, f := range out.counters() {
+		if *a[i] > *b[i] {
+			*f = *a[i] - *b[i]
 		}
-		return a - b
 	}
-	var out StatsSnapshot
-	for i := range s.AcquiresByLevel {
-		out.AcquiresByLevel[i] = sub(s.AcquiresByLevel[i], earlier.AcquiresByLevel[i])
-	}
-	out.SharedAcquires = sub(s.SharedAcquires, earlier.SharedAcquires)
-	out.ExclusiveAcquires = sub(s.ExclusiveAcquires, earlier.ExclusiveAcquires)
-	out.HotHeritable = sub(s.HotHeritable, earlier.HotHeritable)
-	out.HotNonHeritable = sub(s.HotNonHeritable, earlier.HotNonHeritable)
-	out.ColdHeritable = sub(s.ColdHeritable, earlier.ColdHeritable)
-	out.ColdOther = sub(s.ColdOther, earlier.ColdOther)
-	out.CacheHits = sub(s.CacheHits, earlier.CacheHits)
-	out.Conversions = sub(s.Conversions, earlier.Conversions)
-	out.LatchContended = sub(s.LatchContended, earlier.LatchContended)
-	out.Waits = sub(s.Waits, earlier.Waits)
-	out.Deadlocks = sub(s.Deadlocks, earlier.Deadlocks)
-	out.DeadlockLocalProbes = sub(s.DeadlockLocalProbes, earlier.DeadlockLocalProbes)
-	out.DeadlockEscalations = sub(s.DeadlockEscalations, earlier.DeadlockEscalations)
-	out.Timeouts = sub(s.Timeouts, earlier.Timeouts)
-	out.SLIPassed = sub(s.SLIPassed, earlier.SLIPassed)
-	out.SLIReclaimed = sub(s.SLIReclaimed, earlier.SLIReclaimed)
-	out.SLIInvalidated = sub(s.SLIInvalidated, earlier.SLIInvalidated)
-	out.SLIDiscarded = sub(s.SLIDiscarded, earlier.SLIDiscarded)
-	out.SLIIneligibleWaiter = sub(s.SLIIneligibleWaiter, earlier.SLIIneligibleWaiter)
-	out.SLIIneligibleMode = sub(s.SLIIneligibleMode, earlier.SLIIneligibleMode)
-	out.SLIIneligibleParent = sub(s.SLIIneligibleParent, earlier.SLIIneligibleParent)
-	out.ELRReleases = sub(s.ELRReleases, earlier.ELRReleases)
-	out.Transactions = sub(s.Transactions, earlier.Transactions)
 	return out
-}
-
-// classify records one lock acquisition in the Figure-8 breakdown counters.
-func (s *Stats) classify(id LockID, mode Mode, hot bool) {
-	s.Acquires[id.Lvl].Add(1)
-	shared := mode.Shared()
-	if shared {
-		s.SharedAcquires.Add(1)
-	} else {
-		s.ExclusiveAcquires.Add(1)
-	}
-	heritable := shared && id.Lvl.CoarserOrEqual(LevelPage)
-	switch {
-	case hot && heritable:
-		s.HotHeritable.Add(1)
-	case hot:
-		s.HotNonHeritable.Add(1)
-	case heritable:
-		s.ColdHeritable.Add(1)
-	default:
-		s.ColdOther.Add(1)
-	}
 }
