@@ -13,10 +13,10 @@
 //	slibench -workload ndbb/mix -agents 16 -sli -duration 5s
 //	slibench -workload tpcb/tpcb -sli -elr -async     # scalable commit pipeline
 //	slibench -workload tpcb/tpcb -datadir /tmp/slidb  # durable run (real fsyncs)
-//	slibench -ablation log-tail -datadir /tmp/slidb   # adaptive group commit x publish fence grid
+//	slibench -ablation log-tail -datadir /tmp/slidb   # fixed vs adaptive group commit
 //	slibench -workload tpcb/tpcb -datadir /tmp/slidb -adaptivegc -prealloc  # self-tuning log tail
 //	slibench -ablation log-shards -datadir /tmp/slidb  # 1/2/4 sharded virtual logs
-//	slibench -workload tpcb/tpcb -logshards 4 -autologbuf -sli -elr -async  # sharded logs, auto-sized buffers
+//	slibench -workload tpcb/tpcb -logshards 4 -sli -elr -async  # sharded logs
 //	slibench -recover /tmp/slidb/tpcb_tpcb-1234       # replay a data directory
 //	slibench -benchout BENCH_quick.json    # baseline vs SLI vs SLI+ELR, JSON artifact
 //	slibench -list                         # show available workloads
@@ -41,7 +41,7 @@ import (
 func main() {
 	var (
 		figureN     = flag.Int("figure", 0, "paper figure to regenerate (1, 6, 7, 8, 9, 10, 11); 0 = none")
-		ablation    = flag.String("ablation", "", "ablation study to run (hot-threshold, levels, bimodal, roving-hotspot, sli-elr, log-buffer, log-lsn, log-tail, abort-elr, log-shards)")
+		ablation    = flag.String("ablation", "", "ablation study to run (hot-threshold, levels, bimodal, roving-hotspot, sli-elr, log-tail, abort-elr, log-shards)")
 		wl          = flag.String("workload", "", "single workload to run, e.g. ndbb/mix, tpcb/tpcb, tpcc/Payment")
 		scale       = flag.String("scale", "quick", "dataset/measurement scale: quick, default, or paper")
 		agents      = flag.Int("agents", 0, "agent (worker) count for -workload runs; 0 = scale default")
@@ -50,16 +50,12 @@ func main() {
 		elr         = flag.Bool("elr", false, "enable Early Lock Release on both the commit and abort paths (locks released at outcome-record append, not after the fsync)")
 		elrAborts   = flag.Bool("elraborts", false, "enable Early Lock Release on the abort path only (see -elr; the two knobs are independent in core.Config)")
 		async       = flag.Bool("async", false, "enable flush pipelining (agents run ahead of the log force, bounded by the pipeline depth)")
-		mutexLog    = flag.Bool("mutexlog", false, "use the legacy mutex-per-append WAL path instead of the consolidated log buffer (ablation baseline)")
-		latchedLog  = flag.Bool("latchedlog", false, "reserve log space under the PR-3 latch instead of the fetch-and-add on the virtual head (log-lsn ablation baseline)")
 		abortRate   = flag.Float64("abortrate", 0, "fraction of transactions forced to abort after doing their work (exercises the CLR rollback path; used by -workload and as the -ablation abort-elr rate)")
 		adaptiveGC  = flag.Bool("adaptivegc", false, "replace the fixed group-commit window with the self-tuning controller (bounds set by -gcmin/-gcmax)")
 		gcMin       = flag.Duration("gcmin", 0, "lower bound for the adaptive group-commit window; 0 = engine default")
 		gcMax       = flag.Duration("gcmax", 0, "upper bound for the adaptive group-commit window; 0 = engine default")
 		prealloc    = flag.Bool("prealloc", false, "preallocate durable WAL segments at creation (fallocate, falling back to truncate); only meaningful with -datadir")
 		logShards   = flag.Int("logshards", 0, "number of sharded virtual logs (cross-shard commits pay a two-phase flush rendezvous); 0 = single log, or auto-detect when reopening a sharded -datadir")
-		autoLogBuf  = flag.Bool("autologbuf", false, "auto-size the log buffer from the profiler's buffer-full signal instead of the fixed LogBufferBytes")
-		strictFence = flag.Bool("strictfence", false, "use the strict in-order spin publish fence instead of the relaxed completion-tracking fence (log-tail ablation baseline)")
 		gcWindow    = flag.Duration("gcwindow", 0, "group-commit window for -workload/-benchout engines")
 		flushDelay  = flag.Duration("flushdelay", 0, "simulated log-force latency for -workload/-benchout engines")
 		duration    = flag.Duration("duration", 0, "override measurement duration")
@@ -110,16 +106,12 @@ func main() {
 	opt.EarlyLockRelease = *elr
 	opt.EarlyLockReleaseAborts = *elr || *elrAborts
 	opt.AsyncCommit = *async
-	opt.MutexLog = *mutexLog
-	opt.LatchedLog = *latchedLog
 	opt.GroupCommitWindow = *gcWindow
 	opt.AdaptiveGroupCommit = *adaptiveGC
 	opt.GroupCommitMin = *gcMin
 	opt.GroupCommitMax = *gcMax
 	opt.PreallocateSegments = *prealloc
-	opt.StrictFence = *strictFence
 	opt.LogShards = *logShards
-	opt.AutoSizeLogBuffer = *autoLogBuf
 	opt.LogFlushDelay = *flushDelay
 	opt.Clients = *clients
 	opt.AbortRate = *abortRate
@@ -206,9 +198,9 @@ func runSingle(wl string, opt figures.Options, agents int, sli bool) {
 	exitOn(err)
 	s := res.Breakdown.GroupedShares()
 	ls := res.LockStats
-	fmt.Printf("%s  (sli=%v elr=%v elraborts=%v async=%v mutexlog=%v latchedlog=%v adaptivegc=%v strictfence=%v prealloc=%v abortrate=%.2f)\n",
-		wl, sli, opt.EarlyLockRelease, opt.EarlyLockReleaseAborts, opt.AsyncCommit, opt.MutexLog, opt.LatchedLog,
-		opt.AdaptiveGroupCommit, opt.StrictFence, opt.PreallocateSegments, opt.AbortRate)
+	fmt.Printf("%s  (sli=%v elr=%v elraborts=%v async=%v adaptivegc=%v prealloc=%v abortrate=%.2f)\n",
+		wl, sli, opt.EarlyLockRelease, opt.EarlyLockReleaseAborts, opt.AsyncCommit,
+		opt.AdaptiveGroupCommit, opt.PreallocateSegments, opt.AbortRate)
 	fmt.Printf("  throughput        %.1f tps (%d committed, %d failed, %d errors)\n",
 		res.Throughput, res.Committed, res.Failed, res.Errors)
 	fmt.Printf("  avg latency       %v\n", res.AvgLatency.Round(time.Microsecond))

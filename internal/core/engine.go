@@ -63,11 +63,6 @@ type Config struct {
 	// values default to 10µs and 2ms. Ignored unless AdaptiveGroupCommit.
 	GroupCommitMin time.Duration
 	GroupCommitMax time.Duration
-	// StrictFence selects the in-order publish fence in the WAL buffer (each
-	// appender spins until every earlier byte is published) instead of the
-	// default completion-tracking publish. It exists as the baseline arm of
-	// the log-tail ablation; leave it off otherwise.
-	StrictFence bool
 	// EarlyLockRelease makes a committing transaction release its locks (and
 	// perform SLI inheritance) as soon as its commit record is appended to
 	// the log, instead of holding them across the group-commit fsync. Lock
@@ -108,28 +103,6 @@ type Config struct {
 	// DropLogAfterFlush discards flushed log records instead of retaining
 	// them in memory; enable for long benchmark runs.
 	DropLogAfterFlush bool
-	// MutexLog selects the legacy centralized WAL append path (one mutex per
-	// Append, per-record encode at flush) instead of the consolidated
-	// reserve/fill/publish log buffer. It exists as the baseline arm of the
-	// log-buffer ablation; leave it off otherwise.
-	MutexLog bool
-	// LatchedLog keeps the consolidated log buffer but reserves under a
-	// short mutex (the PR-3 protocol) instead of the lock-free fetch-and-add
-	// on the virtual head. It exists as the baseline arm of the log-lsn
-	// ablation; leave it off otherwise. Ignored under MutexLog.
-	LatchedLog bool
-	// LogBufferBytes sizes the consolidated log buffer; zero uses the WAL
-	// default (4 MiB).
-	LogBufferBytes int64
-	// AutoSizeLogBuffer lets each log shard's flusher grow its buffer
-	// (power-of-two, up to LogBufferMaxBytes) when appenders spend a
-	// significant fraction of wall time blocked on a full buffer. The
-	// profiler's log-buffer-full-wait signal drives the decision; see
-	// wal.Config.AutoSizeBuffer.
-	AutoSizeLogBuffer bool
-	// LogBufferMaxBytes caps the auto-sizer; zero uses the WAL default
-	// (64 MiB). Ignored unless AutoSizeLogBuffer.
-	LogBufferMaxBytes int64
 	// LogShards splits the write-ahead log into this many independent
 	// virtual logs, each with its own reserve/fill/publish buffer, flusher
 	// goroutine and segment directory (shard-NN/). Records are routed by the
@@ -334,15 +307,9 @@ func newEngine(cfg Config, durable []*wal.Segments, startLSNs []wal.LSN) *Engine
 			AdaptiveGroupCommit: cfg.AdaptiveGroupCommit,
 			GroupCommitMin:      cfg.GroupCommitMin,
 			GroupCommitMax:      cfg.GroupCommitMax,
-			StrictFence:         cfg.StrictFence,
 			DropAfterFlush:      dropAfterFlush,
 			Durable:             sink,
 			StartLSN:            startLSN,
-			MutexLog:            cfg.MutexLog,
-			LatchedLog:          cfg.LatchedLog,
-			BufferBytes:         cfg.LogBufferBytes,
-			AutoSizeBuffer:      cfg.AutoSizeLogBuffer,
-			BufferMaxBytes:      cfg.LogBufferMaxBytes,
 		})
 	}
 	e.log = e.logs[0]

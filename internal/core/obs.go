@@ -41,8 +41,6 @@ func (e *Engine) LogTail() obs.LogTailStats {
 		lt.FenceWaitSeconds += one.FenceWaitSeconds
 		lt.ReserveWaitSeconds += one.ReserveWaitSeconds
 		lt.BufferFullWaitSeconds += one.BufferFullWaitSeconds
-		lt.BufferBytes += one.BufferBytes
-		lt.BufferGrows += one.BufferGrows
 		lt.SinkWrites += one.SinkWrites
 		lt.Rotations += one.Rotations
 		lt.Preallocs += one.Preallocs
@@ -66,8 +64,6 @@ func (e *Engine) LogTailAt(s int) obs.LogTailStats {
 		FenceWaitSeconds:      ts.FenceWait.Seconds(),
 		ReserveWaitSeconds:    ts.ReserveWait.Seconds(),
 		BufferFullWaitSeconds: ts.BufferFullWait.Seconds(),
-		BufferBytes:           ts.BufferBytes,
-		BufferGrows:           ts.BufferGrows,
 	}
 	if len(e.segs) > 0 {
 		ss := e.segs[s].Stats()

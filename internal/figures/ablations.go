@@ -384,186 +384,15 @@ func AblationAbortELR(o Options) (Table, error) {
 	return t, nil
 }
 
-// AblationLogBuffer measures the consolidated reserve/fill/publish log
-// buffer against the legacy mutex-per-append log on TPC-B, crossed with the
-// SLI + ELR commit pipeline, at one agent and at the peak agent count. The
-// log is the last centralized service on the commit path once SLI and ELR
-// have decentralized the lock side, so the interesting cell is the peak-
-// agent SLI+ELR row: there every append contends on the log and the
-// consolidated buffer's short reservation latch replaces the full mutex-
-// across-encode critical section. The reserve-wait column shows exactly
-// that serialization cost; buffer-full-wait is backpressure from an
-// undersized buffer, not latch contention.
-func AblationLogBuffer(o Options) (Table, error) {
-	o = o.withDefaults()
-	if o.LogFlushDelay == 0 {
-		o.LogFlushDelay = 500 * time.Microsecond
-	}
-	if o.GroupCommitWindow == 0 {
-		o.GroupCommitWindow = 100 * time.Microsecond
-	}
-	userClients := o.Clients != 0
-	if !userClients {
-		// Overcommit clients so the SLI+ELR rows can fill the AsyncCommit
-		// pipeline (see AblationSLIELR).
-		o.Clients = 4 * o.PeakAgents
-	}
-	t := Table{
-		Title:   "Ablation: consolidated log buffer vs mutex log, x SLI+ELR (TPC-B)",
-		Columns: []string{"agents", "tps", "reserve-us/xct", "buffull-us/xct", "log-flush-%"},
-	}
-	grid := []struct {
-		name     string
-		mutexLog bool
-		pipeline bool // SLI + ELR + AsyncCommit
-	}{
-		{"mutex-log", true, false},
-		{"consolidated", false, false},
-		{"mutex-log +SLI+ELR", true, true},
-		{"consolidated +SLI+ELR", false, true},
-	}
-	for _, agents := range []int{1, o.PeakAgents} {
-		for _, g := range grid {
-			oo := o
-			if agents == 1 && !userClients {
-				// Scale the default overcommit down with the agent count; an
-				// explicit -clients setting applies to every cell unchanged.
-				oo.Clients = 4
-			}
-			e, gen, err := buildTPCBWithEngineConfig(oo, core.Config{
-				SLI:                    g.pipeline,
-				EarlyLockRelease:       g.pipeline,
-				EarlyLockReleaseAborts: g.pipeline,
-				AsyncCommit:            g.pipeline,
-				MutexLog:               g.mutexLog,
-				Agents:                 agents,
-				Profile:                true,
-				BufferFrames:           oo.BufferFrames,
-				GroupCommitWindow:      oo.GroupCommitWindow,
-				LogFlushDelay:          oo.LogFlushDelay,
-				IODelay:                oo.IODelay,
-			})
-			if err != nil {
-				return t, err
-			}
-			res := oo.run(e, gen, agents)
-			e.Close()
-			perXct := func(c profiler.Category) float64 {
-				n := res.Completed()
-				if n == 0 {
-					return 0
-				}
-				return res.Breakdown.Get(c).Seconds() * 1e6 / float64(n)
-			}
-			t.Rows = append(t.Rows, Row{
-				Label: fmt.Sprintf("%s a=%d", g.name, agents),
-				Values: []float64{
-					float64(agents),
-					res.Throughput,
-					perXct(profiler.LogReserveWait),
-					perXct(profiler.LogBufferFullWait),
-					100 * res.Breakdown.GroupedShares().LogFlush,
-				},
-			})
-		}
-	}
-	return t, nil
-}
-
-// AblationLogLSN measures what byte-offset LSNs buy on the reservation path:
-// the same consolidated reserve/fill/publish buffer, with the reservation
-// performed either under the PR-3 latch (LSN and offset assigned inside a
-// short mutex) or as the lock-free fetch-and-add that byte-offset LSNs make
-// possible (the LSN IS the offset, so one CAS on the virtual head does
-// both). Run on TPC-B with the full SLI+ELR pipeline — the configuration in
-// which PR 3 showed the log to be the last centralized service on the
-// commit path — at one agent and at the peak agent count. The reserve-wait
-// column is the direct measurement: it contains the latch acquisition (or
-// CAS retries plus the in-order publish fence), so the latched arm's growth
-// with agent count is exactly the serialization the fetch-and-add removes.
-// Honors Options.DataDir, so `slibench -ablation log-lsn -datadir ...`
-// measures it with real fsyncs on real segment files.
-func AblationLogLSN(o Options) (Table, error) {
-	o = o.withDefaults()
-	if o.LogFlushDelay == 0 {
-		o.LogFlushDelay = 500 * time.Microsecond
-	}
-	if o.GroupCommitWindow == 0 {
-		o.GroupCommitWindow = 100 * time.Microsecond
-	}
-	userClients := o.Clients != 0
-	if !userClients {
-		// Overcommit clients so the pipeline stays full (see AblationSLIELR).
-		o.Clients = 4 * o.PeakAgents
-	}
-	t := Table{
-		Title:   "Ablation: log reservation protocol — latched (PR-3) vs fetch-and-add byte-offset LSNs (TPC-B, SLI+ELR)",
-		Columns: []string{"agents", "tps", "reserve-us/xct", "buffull-us/xct", "log-flush-%"},
-	}
-	arms := []struct {
-		name    string
-		latched bool
-	}{
-		{"latched", true},
-		{"fetch-and-add", false},
-	}
-	for _, agents := range []int{1, o.PeakAgents} {
-		for _, a := range arms {
-			oo := o
-			if agents == 1 && !userClients {
-				oo.Clients = 4
-			}
-			e, gen, err := buildTPCBWithEngineConfig(oo, core.Config{
-				SLI:                    true,
-				EarlyLockRelease:       true,
-				EarlyLockReleaseAborts: true,
-				AsyncCommit:            true,
-				LatchedLog:             a.latched,
-				Agents:                 agents,
-				Profile:                true,
-				BufferFrames:           oo.BufferFrames,
-				GroupCommitWindow:      oo.GroupCommitWindow,
-				LogFlushDelay:          oo.LogFlushDelay,
-				IODelay:                oo.IODelay,
-			})
-			if err != nil {
-				return t, err
-			}
-			res := oo.run(e, gen, agents)
-			e.Close()
-			perXct := func(c profiler.Category) float64 {
-				n := res.Completed()
-				if n == 0 {
-					return 0
-				}
-				return res.Breakdown.Get(c).Seconds() * 1e6 / float64(n)
-			}
-			t.Rows = append(t.Rows, Row{
-				Label: fmt.Sprintf("%s a=%d", a.name, agents),
-				Values: []float64{
-					float64(agents),
-					res.Throughput,
-					perXct(profiler.LogReserveWait),
-					perXct(profiler.LogBufferFullWait),
-					100 * res.Breakdown.GroupedShares().LogFlush,
-				},
-			})
-		}
-	}
-	return t, nil
-}
-
 // AblationLogTail measures the self-tuning log tail on TPC-B with the full
-// SLI+ELR pipeline: fixed vs adaptive group-commit window crossed with the
-// strict (in-order spin) vs relaxed (completion-tracking) publish fence, at
-// one agent and at the peak agent count. The adaptive controller should match
-// the fixed window at a single agent (it shrinks toward GroupCommitMin, so a
-// lone committer is not held for a full fixed window) and at peak load (it
-// widens only while subscriptions keep arriving); the fence-us/xct column
-// shows the serialization the relaxed fence removes when out-of-order fillers
-// would otherwise spin. Honors Options.DataDir, where the writes/cycle column
-// becomes meaningful: the vectored flush path lands a whole cycle in one
-// segment write, so the value should sit near 1.
+// SLI+ELR pipeline: fixed vs adaptive group-commit window, at one agent and
+// at the peak agent count. The adaptive controller should match the fixed
+// window at a single agent (it shrinks toward GroupCommitMin, so a lone
+// committer is not held for a full fixed window) and at peak load (it widens
+// only while subscriptions keep arriving); the fence-us/xct column is the
+// publish fence's share of the append path. Honors Options.DataDir, where
+// the writes/cycle column becomes meaningful: the vectored flush path lands
+// a whole cycle in one segment write, so the value should sit near 1.
 func AblationLogTail(o Options) (Table, error) {
 	o = o.withDefaults()
 	if o.LogFlushDelay == 0 {
@@ -578,18 +407,15 @@ func AblationLogTail(o Options) (Table, error) {
 		o.Clients = 4 * o.PeakAgents
 	}
 	t := Table{
-		Title:   "Ablation: log tail — fixed vs adaptive group commit, x strict vs relaxed publish fence (TPC-B, SLI+ELR)",
+		Title:   "Ablation: log tail — fixed vs adaptive group commit (TPC-B, SLI+ELR)",
 		Columns: []string{"agents", "tps", "avg-window-us", "final-window-us", "writes/cycle", "fence-us/xct"},
 	}
 	grid := []struct {
 		name     string
 		adaptive bool
-		strict   bool
 	}{
-		{"fixed+strict", false, true},
-		{"fixed+relaxed", false, false},
-		{"adaptive+strict", true, true},
-		{"adaptive+relaxed", true, false},
+		{"fixed", false},
+		{"adaptive", true},
 	}
 	for _, agents := range []int{1, o.PeakAgents} {
 		for _, g := range grid {
@@ -609,7 +435,6 @@ func AblationLogTail(o Options) (Table, error) {
 				AdaptiveGroupCommit:    g.adaptive,
 				GroupCommitMin:         oo.GroupCommitMin,
 				GroupCommitMax:         oo.GroupCommitMax,
-				StrictFence:            g.strict,
 				PreallocateSegments:    oo.PreallocateSegments,
 				LogFlushDelay:          oo.LogFlushDelay,
 				IODelay:                oo.IODelay,
@@ -696,7 +521,6 @@ func AblationLogShards(o Options) (Table, error) {
 				GroupCommitMin:         oo.GroupCommitMin,
 				GroupCommitMax:         oo.GroupCommitMax,
 				PreallocateSegments:    oo.PreallocateSegments,
-				AutoSizeLogBuffer:      oo.AutoSizeLogBuffer,
 				LogFlushDelay:          oo.LogFlushDelay,
 				IODelay:                oo.IODelay,
 				LogShards:              nShards,
@@ -845,10 +669,6 @@ func Ablation(name string, o Options) (Table, error) {
 		return AblationRovingHotspot(o)
 	case "sli-elr":
 		return AblationSLIELR(o)
-	case "log-buffer":
-		return AblationLogBuffer(o)
-	case "log-lsn":
-		return AblationLogLSN(o)
 	case "log-tail":
 		return AblationLogTail(o)
 	case "log-shards":
@@ -856,13 +676,13 @@ func Ablation(name string, o Options) (Table, error) {
 	case "abort-elr":
 		return AblationAbortELR(o)
 	default:
-		return Table{}, fmt.Errorf("figures: unknown ablation %q (use hot-threshold, levels, bimodal, roving-hotspot, sli-elr, log-buffer, log-lsn, log-tail, log-shards, abort-elr)", name)
+		return Table{}, fmt.Errorf("figures: unknown ablation %q (use hot-threshold, levels, bimodal, roving-hotspot, sli-elr, log-tail, log-shards, abort-elr)", name)
 	}
 }
 
 // Ablations lists the available ablation study names.
 func Ablations() []string {
-	return []string{"hot-threshold", "levels", "bimodal", "roving-hotspot", "sli-elr", "log-buffer", "log-lsn", "log-tail", "log-shards", "abort-elr"}
+	return []string{"hot-threshold", "levels", "bimodal", "roving-hotspot", "sli-elr", "log-tail", "log-shards", "abort-elr"}
 }
 
 // quickOptions shrinks an Options for smoke tests; exported for reuse from

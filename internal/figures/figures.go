@@ -69,31 +69,18 @@ type Options struct {
 	// that ELR removes from the lock hold time visible on in-memory engines.
 	GroupCommitWindow time.Duration
 	LogFlushDelay     time.Duration
-	// MutexLog selects the legacy centralized WAL append path instead of the
-	// consolidated reserve/fill/publish log buffer (the baseline arm of the
-	// log-buffer ablation). LatchedLog keeps the consolidated buffer but
-	// reserves under the PR-3 latch instead of the fetch-and-add (the
-	// baseline arm of the log-lsn ablation).
-	MutexLog   bool
-	LatchedLog bool
 	// AdaptiveGroupCommit replaces the fixed group-commit window with the
 	// self-tuning controller, bounded by GroupCommitMin/GroupCommitMax
-	// (engine defaults apply when zero). StrictFence keeps the in-order
-	// spin publish fence instead of the relaxed completion-tracking fence
-	// (the baseline arm of the log-tail ablation). PreallocateSegments
-	// preallocates durable segment files at creation (see core.Config).
+	// (engine defaults apply when zero). PreallocateSegments preallocates
+	// durable segment files at creation (see core.Config).
 	AdaptiveGroupCommit bool
 	GroupCommitMin      time.Duration
 	GroupCommitMax      time.Duration
-	StrictFence         bool
 	PreallocateSegments bool
 	// LogShards splits the write-ahead log into that many independent
 	// virtual logs (see core.Config.LogShards); 0 or 1 keeps the single
-	// log. AutoSizeLogBuffer lets each shard's ring grow itself from the
-	// buffer-full-wait profiler signal instead of staying at the configured
-	// size (see core.Config.AutoSizeLogBuffer).
-	LogShards         int
-	AutoSizeLogBuffer bool
+	// log.
+	LogShards int
 	// Clients is the number of closed-loop client goroutines driving the
 	// engine; zero means one per agent. Overcommitting clients (> agents)
 	// is required to exercise AsyncCommit's flush pipelining: with exactly
@@ -302,15 +289,11 @@ func (o Options) buildEngine(key string, sli bool, agents int) (*core.Engine, wo
 		AsyncCommit:            o.AsyncCommit,
 		GroupCommitWindow:      o.GroupCommitWindow,
 		LogFlushDelay:          o.LogFlushDelay,
-		MutexLog:               o.MutexLog,
-		LatchedLog:             o.LatchedLog,
 		AdaptiveGroupCommit:    o.AdaptiveGroupCommit,
 		GroupCommitMin:         o.GroupCommitMin,
 		GroupCommitMax:         o.GroupCommitMax,
-		StrictFence:            o.StrictFence,
 		PreallocateSegments:    o.PreallocateSegments,
 		LogShards:              o.LogShards,
-		AutoSizeLogBuffer:      o.AutoSizeLogBuffer,
 	}
 	// NDBB is the in-memory dataset; TPC-B and TPC-C are "disk-resident" and
 	// pay the artificial I/O penalty (paper §5.2).

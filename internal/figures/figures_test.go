@@ -29,7 +29,7 @@ func TestOptionsDefaults(t *testing.T) {
 	if len(AllWorkloads()) < 10 {
 		t.Fatal("workload list unexpectedly short")
 	}
-	if len(ShortWorkloads()) == 0 || len(Ablations()) != 10 {
+	if len(ShortWorkloads()) == 0 || len(Ablations()) != 8 {
 		t.Fatal("helper listings wrong")
 	}
 	p := PaperOptions()
@@ -131,7 +131,7 @@ func TestAblationsSmoke(t *testing.T) {
 }
 
 // TestAblationLogTailSmoke runs the log-tail grid durably (real segment
-// files) at tiny scale: all eight cells must produce rows, and the durable
+// files) at tiny scale: all four cells must produce rows, and the durable
 // vectored flush path must stay near one physical write per flush cycle.
 func TestAblationLogTailSmoke(t *testing.T) {
 	if testing.Short() {
@@ -144,8 +144,8 @@ func TestAblationLogTailSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 8 {
-		t.Fatalf("log-tail grid produced %d rows, want 8", len(tbl.Rows))
+	if len(tbl.Rows) != 4 {
+		t.Fatalf("log-tail grid produced %d rows, want 4", len(tbl.Rows))
 	}
 	wpcCol := -1
 	for i, c := range tbl.Columns {

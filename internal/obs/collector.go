@@ -74,16 +74,11 @@ type LogTailStats struct {
 	Rotations         uint64
 	Preallocs         uint64
 	PreallocFallbacks uint64
-	// ReserveWaitSeconds is the cumulative time appenders spent blocked
-	// entering the log buffer's reservation critical section, and
-	// BufferFullWaitSeconds the time they spent stalled on a full buffer
-	// (the auto-sizer's growth signal).
+	// ReserveWaitSeconds is the cumulative time profiled appenders spent on
+	// the log buffer's reservation protocol, and BufferFullWaitSeconds the
+	// time appenders spent stalled on a full buffer.
 	ReserveWaitSeconds    float64
 	BufferFullWaitSeconds float64
-	// BufferBytes is the log buffer's current size and BufferGrows how many
-	// times the auto-sizer doubled it.
-	BufferBytes int64
-	BufferGrows uint64
 }
 
 // lockLevelNames maps lockmgr levels to stable label values, indexed like
@@ -174,10 +169,10 @@ func RegisterEngine(r *Registry, e EngineSource) {
 		}
 	}
 	r.LabeledCounterFunc("slidb_log_shard_reserve_wait_seconds_total",
-		"Cumulative appender time blocked entering each log shard's reservation critical section.", "shard",
+		"Cumulative appender time spent on each log shard's reservation protocol.", "shard",
 		shardSamples(func(lt LogTailStats) float64 { return lt.ReserveWaitSeconds }))
 	r.LabeledCounterFunc("slidb_log_shard_buffer_full_wait_seconds_total",
-		"Cumulative appender time stalled on each log shard's full buffer (the auto-sizer's growth signal).", "shard",
+		"Cumulative appender time stalled on each log shard's full buffer.", "shard",
 		shardSamples(func(lt LogTailStats) float64 { return lt.BufferFullWaitSeconds }))
 	r.LabeledCounterFunc("slidb_log_shard_sink_writes_total",
 		"Physical write submissions per log shard's segment files.", "shard",
@@ -185,9 +180,6 @@ func RegisterEngine(r *Registry, e EngineSource) {
 	r.LabeledCounterFunc("slidb_log_shard_flush_cycles_total",
 		"Completed group-commit flush cycles per log shard.", "shard",
 		shardSamples(func(lt LogTailStats) float64 { return float64(lt.FlushCycles) }))
-	r.LabeledGaugeFunc("slidb_log_shard_buffer_bytes",
-		"Current log buffer size per shard (grows under AutoSizeLogBuffer).", "shard",
-		shardSamples(func(lt LogTailStats) float64 { return float64(lt.BufferBytes) }))
 
 	// Lock manager counters (the paper's Figure 8/9 surface). Each family
 	// snapshots the stats once per scrape.

@@ -46,14 +46,12 @@ type Category int
 // Lock Release removes from the lock hold time (the locks are released
 // before this wait when ELR is on).
 //
-// The old catch-all LogContention category is split in two so the log-buffer
-// ablation can show what the consolidated reserve/fill/publish buffer
-// removes: LogReserveWait is the time spent entering the log's reservation
-// critical section (the whole centralized log mutex under MutexLog; the
-// short reservation latch under the consolidated buffer) — the contention
-// the consolidated buffer attacks — while LogBufferFullWait is the time
-// blocked because the buffer had no space and the flusher had to drain it
-// first, a sizing/backpressure signal rather than latch contention.
+// Log-append waits are split in two: LogReserveWait is the serialization
+// cost of the log buffer's reservation protocol (CAS retries on the virtual
+// head plus the publish fence) — the contention a fetch-and-add reservation
+// keeps small — while LogBufferFullWait is the time blocked because the
+// buffer had no space and the flusher had to drain it first, a
+// sizing/backpressure signal rather than contention.
 //
 // The abort path gets its own attribution so the high-abort-rate ablation
 // can show what ELR-for-aborts removes from lock hold times: UndoWork is the

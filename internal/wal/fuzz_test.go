@@ -85,29 +85,26 @@ func routeShard(table uint32, page uint64, n int) int {
 
 // FuzzConcurrentReserveFillPublish drives the consolidated log buffer with
 // fuzzed concurrency parameters — appender count, records per appender,
-// payload sizes, buffer size, shard count, latched vs fetch-and-add
-// reservation — and requires every record to round-trip byte-identically
-// from the range-written stream at exactly the byte-offset LSN its Append
-// returned, on exactly the shard its routing key names. This is the torture
-// harness for the reserve/fill/publish protocol: wraparound padding,
-// buffer-full waits, publish-fence ordering and flusher consumption all
-// happen here depending on the fuzzed shape. The strict dimension crosses it
-// with both publish-fence implementations — the in-order spin fence and the
-// relaxed completion-tracking fence must both deliver every record, and
-// neither may ever expose unfilled bytes to the flusher (which would surface
-// here as a decode failure or mismatch). The shards dimension crosses it
-// with a sharded virtual log: appenders route each record by hash across
-// independent logs, and every shard's stream must hold exactly its routed
-// records — shards share appender goroutines but nothing else.
+// payload sizes, buffer size, shard count — and requires every record to
+// round-trip byte-identically from the range-written stream at exactly the
+// byte-offset LSN its Append returned, on exactly the shard its routing key
+// names. This is the torture harness for the reserve/fill/publish protocol:
+// wraparound padding, buffer-full waits, out-of-order publication and
+// flusher consumption all happen here depending on the fuzzed shape, and the
+// publish fence may never expose unfilled bytes to the flusher (which would
+// surface here as a decode failure or mismatch). The shards dimension
+// crosses it with a sharded virtual log: appenders route each record by hash
+// across independent logs, and every shard's stream must hold exactly its
+// routed records — shards share appender goroutines but nothing else.
 func FuzzConcurrentReserveFillPublish(f *testing.F) {
-	f.Add(uint8(4), uint8(50), uint16(64), uint16(7), uint16(4096), false, false, uint8(0))
-	f.Add(uint8(1), uint8(1), uint16(0), uint16(0), uint16(0), false, false, uint8(0))
-	f.Add(uint8(8), uint8(30), uint16(900), uint16(333), uint16(5000), false, false, uint8(0))
-	f.Add(uint8(8), uint8(30), uint16(900), uint16(333), uint16(5000), true, false, uint8(1))
-	f.Add(uint8(8), uint8(30), uint16(900), uint16(333), uint16(5000), false, true, uint8(3))
-	f.Add(uint8(6), uint8(40), uint16(200), uint16(90), uint16(4096), false, true, uint8(2))
-	f.Add(uint8(5), uint8(20), uint16(128), uint16(48), uint16(4096), false, false, uint8(3))
-	f.Fuzz(func(t *testing.T, appenders, perAppender uint8, sizeA, sizeB, bufBytes uint16, latched, strict bool, shards uint8) {
+	f.Add(uint8(4), uint8(50), uint16(64), uint16(7), uint16(4096), uint8(0))
+	f.Add(uint8(1), uint8(1), uint16(0), uint16(0), uint16(0), uint8(0))
+	f.Add(uint8(8), uint8(30), uint16(900), uint16(333), uint16(5000), uint8(0))
+	f.Add(uint8(8), uint8(30), uint16(900), uint16(333), uint16(5000), uint8(1))
+	f.Add(uint8(8), uint8(30), uint16(900), uint16(333), uint16(5000), uint8(3))
+	f.Add(uint8(6), uint8(40), uint16(200), uint16(90), uint16(4096), uint8(2))
+	f.Add(uint8(5), uint8(20), uint16(128), uint16(48), uint16(4096), uint8(3))
+	f.Fuzz(func(t *testing.T, appenders, perAppender uint8, sizeA, sizeB, bufBytes uint16, shards uint8) {
 		nApp := int(appenders)%8 + 1
 		nRec := int(perAppender)%64 + 1
 		nShards := int(shards)%4 + 1
@@ -119,8 +116,6 @@ func FuzzConcurrentReserveFillPublish(f *testing.F) {
 				Durable:        sinks[s],
 				DropAfterFlush: true,
 				BufferBytes:    int64(bufBytes), // clamped to the minimum internally
-				LatchedLog:     latched,
-				StrictFence:    strict,
 			})
 		}
 		var mu sync.Mutex
@@ -193,16 +188,14 @@ func FuzzConcurrentReserveFillPublish(f *testing.F) {
 	})
 }
 
-// FuzzReservationProtocolEquivalence is the byte-offset refactor's
+// FuzzReservationProtocolEquivalence is the reservation protocol's
 // differential fuzz target: a deterministic (single-goroutine) sequence of
-// fuzzed record sizes is appended under all three reservation protocols —
-// legacy mutex log, PR-3 latched buffer, and the fetch-and-add — and the
-// two buffered protocols must emit bit-identical streams (same frames, same
-// wraparound padding, same offsets), while the mutex log (which has no ring
-// and therefore no padding) must agree on every record and every LSN.
-// The shards dimension adds the sharded-log differential arm: the same
-// record stream routed by hash across n independent logs must leave each
-// shard's stream bit-identical to a fresh single log fed only that shard's
+// fuzzed record sizes is appended to the log, and its stream must be
+// bit-identical to referenceLog's — same frames, same wraparound padding,
+// same offsets — with every returned LSN equal to the reference's. The
+// shards dimension adds the sharded-log differential arm: the same record
+// stream routed by hash across n independent logs must leave each shard's
+// stream bit-identical to a fresh single log fed only that shard's
 // subsequence — one shard's traffic can never perturb another's bytes.
 func FuzzReservationProtocolEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, uint16(4096), uint8(0))
@@ -213,64 +206,29 @@ func FuzzReservationProtocolEquivalence(f *testing.F) {
 		if len(sizes) > 512 {
 			sizes = sizes[:512]
 		}
-		faaSink, latSink, mtxSink, strSink := &captureSink{}, &captureSink{}, &captureSink{}, &captureSink{}
+		faaSink := &captureSink{}
 		faa := New(Config{Durable: faaSink, DropAfterFlush: true, BufferBytes: int64(bufBytes)})
-		lat := New(Config{Durable: latSink, DropAfterFlush: true, BufferBytes: int64(bufBytes), LatchedLog: true})
-		mtx := New(Config{Durable: mtxSink, DropAfterFlush: true, MutexLog: true})
-		str := New(Config{Durable: strSink, DropAfterFlush: true, BufferBytes: int64(bufBytes), StrictFence: true})
-		var faaLSNs, latLSNs, mtxLSNs, strLSNs []LSN
+		var recs []Record
+		var faaLSNs []LSN
 		for i, sz := range sizes {
 			rec := Record{XID: uint64(i), Type: RecInsert, Table: 1, Page: uint64(sz),
 				After: bytes.Repeat([]byte{sz}, int(sz)*3)}
-			for _, arm := range []struct {
-				l    *Log
-				lsns *[]LSN
-			}{{faa, &faaLSNs}, {lat, &latLSNs}, {mtx, &mtxLSNs}, {str, &strLSNs}} {
-				lsn, err := arm.l.Append(rec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				*arm.lsns = append(*arm.lsns, lsn)
-			}
-		}
-		for _, l := range []*Log{faa, lat, mtx, str} {
-			if err := l.Close(); err != nil {
+			lsn, err := faa.Append(rec)
+			if err != nil {
 				t.Fatal(err)
 			}
+			recs = append(recs, rec)
+			faaLSNs = append(faaLSNs, lsn)
 		}
-		if !bytes.Equal(faaSink.bytes(), latSink.bytes()) {
-			t.Fatal("latched and fetch-and-add streams differ")
+		if err := faa.Close(); err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(faaLSNs, latLSNs) {
-			t.Fatal("latched and fetch-and-add LSNs differ")
+		stream, refLSNs := referenceLog(recs, faa.lb.size)
+		if !bytes.Equal(faaSink.bytes(), stream) {
+			t.Fatal("log stream differs from the reference stream")
 		}
-		// The publish fence orders publication, not reservation: with one
-		// appender the strict and relaxed fences must be indistinguishable,
-		// down to the bytes on disk.
-		if !bytes.Equal(faaSink.bytes(), strSink.bytes()) {
-			t.Fatal("strict-fence and relaxed-fence streams differ")
-		}
-		if !reflect.DeepEqual(faaLSNs, strLSNs) {
-			t.Fatal("strict-fence and relaxed-fence LSNs differ")
-		}
-		// The mutex log elides ring padding, so compare decoded records and
-		// confirm its offsets agree wherever no padding intervened (they
-		// always agree on the first record; beyond that, padding may shift
-		// buffered offsets upward, never downward).
-		faaRecs := decodeAll(t, faaSink.bytes(), 1)
-		mtxRecs := decodeAll(t, mtxSink.bytes(), 1)
-		if len(faaRecs) != len(mtxRecs) {
-			t.Fatalf("record counts differ: %d vs %d", len(faaRecs), len(mtxRecs))
-		}
-		for i := range faaRecs {
-			if faaRecs[i].LSN < mtxRecs[i].LSN {
-				t.Fatalf("record %d: buffered offset %d below padless offset %d", i, faaRecs[i].LSN, mtxRecs[i].LSN)
-			}
-			a, b := faaRecs[i], mtxRecs[i]
-			a.LSN, b.LSN = 0, 0
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("record %d differs between buffered and mutex streams", i)
-			}
+		if !reflect.DeepEqual(faaLSNs, refLSNs) {
+			t.Fatalf("log LSNs %v differ from reference LSNs %v", faaLSNs, refLSNs)
 		}
 
 		// Sharded arm: route the same stream across nShards logs, then replay

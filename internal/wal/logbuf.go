@@ -8,19 +8,15 @@ package wal
 //  1. reserves — a single compare-and-swap on the virtual head claims the
 //     record's byte range; the range's start offset is the record's LSN.
 //     No latch, no critical section: the fetch-and-add is the whole
-//     reservation (Config.LatchedLog keeps the PR-3 protocol — the same
-//     arithmetic under a short mutex — as the ablation baseline);
+//     reservation;
 //  2. fills   — encodes the record directly into its claimed range, with no
 //     lock held, concurrently with every other appender;
-//  3. publishes — makes its range consumable by the flusher. The default is
-//     completion tracking (Aether's hybrid idea applied to the fence): a
-//     filler that finishes out of order deposits its completed range in a
-//     small pending set and returns immediately; whichever filler (or
-//     successor) holds the watermark merges every contiguous completion
-//     forward. A preempted filler therefore delays only the watermark, never
-//     another publisher. Config.StrictFence keeps the PR-3 in-order
-//     compare-and-swap fence — each filler spins until every earlier byte is
-//     published — as the ablation baseline (-ablation log-tail).
+//  3. publishes — makes its range consumable by the flusher by completion
+//     tracking (Aether's hybrid idea applied to the fence): a filler that
+//     finishes out of order deposits its completed range in a small pending
+//     set and returns immediately; whichever filler (or successor) holds the
+//     watermark merges every contiguous completion forward. A preempted
+//     filler therefore delays only the watermark, never another publisher.
 //
 // The ring never splits a frame across its physical end: a reservation whose
 // frame would wrap claims the leftover tail bytes too and fills them with
@@ -29,13 +25,11 @@ package wal
 // every LSN equal to its stable on-disk byte offset.
 //
 // This is the log-side analogue of what SLI does to the lock manager, taken
-// to its endpoint: the last centralized section on the append path (PR 3's
-// reservation latch) is gone entirely.
+// to its endpoint: there is no centralized section left on the append path.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,10 +37,6 @@ import (
 
 // DefaultLogBufferBytes is the default size of the consolidated log buffer.
 const DefaultLogBufferBytes = 4 << 20
-
-// DefaultLogBufferMaxBytes is the default growth cap under
-// Config.AutoSizeBuffer.
-const DefaultLogBufferMaxBytes = 64 << 20
 
 // minLogBufferBytes bounds how small a configured buffer may be; tiny buffers
 // are allowed (tests use them to force wraparound and buffer-full waits) but
@@ -58,9 +48,8 @@ const minLogBufferBytes = 4 << 10
 // separately from useful log work.
 type AppendWaits struct {
 	// Reserve is the serialization cost of the reservation protocol: CAS
-	// retries on the virtual head plus the in-order publish fence (or, under
-	// LatchedLog/MutexLog, the time spent entering the reservation mutex).
-	// This is the contention the fetch-and-add reservation exists to remove.
+	// retries on the virtual head plus the publish fence. This is the
+	// contention the fetch-and-add reservation exists to remove.
 	Reserve time.Duration
 	// BufferFull is the time spent waiting for the flusher to drain the
 	// buffer because the reservation did not fit. It indicates an undersized
@@ -77,41 +66,23 @@ type reservation struct {
 	n   int64 // frame length in bytes
 }
 
-// flushRange is one physically contiguous run of published bytes — whole
-// frames plus any wraparound padding, ready to be handed to a RangeSink or
-// an io.Writer as-is. first is the virtual offset of data[0].
-type flushRange struct {
-	data  []byte
-	first LSN
+// Range is one physically contiguous run of published log bytes — whole
+// frames plus any wraparound padding — as handed to a DurableSink. First is
+// the virtual offset of Data[0].
+type Range struct {
+	Data  []byte
+	First LSN
 }
 
 // logBuffer is the consolidated buffer itself: a byte ring addressed by
 // monotonically increasing virtual offsets (phys = off % size). head is the
-// next offset to reserve, published the fence below which every fill has
-// completed, tail the oldest offset whose space is still in use. Reservers
-// synchronize only through head (and published, for the in-order fence);
-// the mutex exists for buffer-full waits, close, and the LatchedLog
-// ablation arm. The flusher is the single consumer.
+// next offset to reserve, published the watermark below which every fill
+// has completed, tail the oldest offset whose space is still in use.
+// Reservers synchronize only through head; the mutex exists for buffer-full
+// waits and close. The flusher is the single consumer.
 type logBuffer struct {
-	size    int64
-	buf     []byte
-	base    int64 // virtual offset mapped to buf[0]; moves only when the ring is regrown
-	latched bool  // ablation: reserve under mu instead of a head CAS
-	strict  bool  // ablation: in-order spin-CAS publish fence instead of completion tracking
-
-	// Auto-sizing (Config.AutoSizeBuffer): the flusher may replace the ring
-	// with a larger one, but only at a drained instant with no claim in
-	// flight. resizable is immutable; size/buf/base are plain fields whose
-	// writes are ordered against every reader by the protocol below (each
-	// reserver either finished — its active decrement precedes the flusher's
-	// active==0 read — or started after the swap — its resizeWanted load
-	// observes the flusher's store).
-	resizable    bool
-	maxSize      int64        // growth cap (immutable)
-	sizeA        atomic.Int64 // observer mirror of size (stats; hot paths read the plain field)
-	active       atomic.Int64 // claims in flight between reserve success and publish
-	resizeWanted atomic.Bool  // flusher wants the ring drained for a swap; reservers stand aside
-	grows        atomic.Int64 // completed ring growths
+	size int64
+	buf  []byte
 
 	head      atomic.Int64 // next virtual offset to reserve
 	published atomic.Int64 // fence: every byte below it is filled
@@ -123,14 +94,14 @@ type logBuffer struct {
 	fullWaiters atomic.Int32 // reservers blocked on a full buffer (flusher pressure signal)
 	wedged      atomic.Bool  // fast-path mirror of err != nil
 
-	fenceNanos   atomic.Int64 // cumulative time appenders spent blocked publishing
+	fenceNanos   atomic.Int64 // cumulative time appenders spent publishing (timed appends only)
 	reserveNanos atomic.Int64 // cumulative timed reserve wait (profiled appends only)
-	fullNanos    atomic.Int64 // cumulative buffer-full wait, timed unconditionally (auto-size signal)
+	fullNanos    atomic.Int64 // cumulative buffer-full wait, timed unconditionally
 
-	// pubMu guards the relaxed fence's completion tracking: pubPending maps a
-	// completed-but-unmergeable range's claim offset to its end. Under the
-	// relaxed fence every store to published happens with pubMu held (loads
-	// stay lock-free), so "published == claim" is an exact handoff test.
+	// pubMu guards the fence's completion tracking: pubPending maps a
+	// completed-but-unmergeable range's claim offset to its end. Every store
+	// to published happens with pubMu held (loads stay lock-free), so
+	// "published == claim" is an exact handoff test.
 	pubMu      sync.Mutex
 	pubPending map[int64]int64
 
@@ -139,22 +110,15 @@ type logBuffer struct {
 	err     error // set once by close: every later reserve fails with it
 }
 
-// newLogBuffer builds the ring. maxSize > size enables auto-sizing: the
-// flusher may grow the ring (power of two, capped at maxSize) when reservers
-// spend a threshold fraction of a flush cycle blocked on a full buffer.
-func newLogBuffer(size, maxSize int64, start LSN, latched, strict bool) *logBuffer {
+// newLogBuffer builds the ring, its virtual offsets starting at start.
+func newLogBuffer(size int64, start LSN) *logBuffer {
 	if size <= 0 {
 		size = DefaultLogBufferBytes
 	}
 	if size < minLogBufferBytes {
 		size = minLogBufferBytes
 	}
-	lb := &logBuffer{size: size, buf: make([]byte, size), latched: latched, strict: strict}
-	if maxSize > size {
-		lb.resizable = true
-		lb.maxSize = maxSize
-	}
-	lb.sizeA.Store(size)
+	lb := &logBuffer{size: size, buf: make([]byte, size)}
 	lb.notFull = sync.NewCond(&lb.mu)
 	lb.pubPending = make(map[int64]int64)
 	lb.head.Store(int64(start))
@@ -164,16 +128,7 @@ func newLogBuffer(size, maxSize int64, start LSN, latched, strict bool) *logBuff
 	return lb
 }
 
-func (lb *logBuffer) phys(off int64) int64 { return (off - lb.base) % lb.size }
-
-// sizeNow returns the current ring size for paths outside the reservation
-// protocol (which must not read the plain field while a grow may be racing).
-func (lb *logBuffer) sizeNow() int64 {
-	if lb.resizable {
-		return lb.sizeA.Load()
-	}
-	return lb.size
-}
+func (lb *logBuffer) phys(off int64) int64 { return off % lb.size }
 
 // padFor returns the zero bytes a frame of n bytes starting after offset
 // head must claim so that it does not wrap the physical end of the ring.
@@ -186,8 +141,8 @@ func (lb *logBuffer) padFor(head, n int64) int64 {
 
 // fits reports whether a frame of n bytes can be claimed at the given head
 // right now, and the padding the claim must include. It is the single
-// statement of the ring's admission rule, shared by the fetch-and-add arm,
-// the latched arm, and the full-buffer wait.
+// statement of the ring's admission rule, shared by the reservation and the
+// full-buffer wait.
 func (lb *logBuffer) fits(head, n int64) (pad int64, ok bool) {
 	pad = lb.padFor(head, n)
 	return pad, head+pad+n-lb.tail.Load() <= lb.size
@@ -201,34 +156,28 @@ func (lb *logBuffer) loadErr() error {
 }
 
 // reserve claims rec's byte range; the returned reservation's off is the
-// record's LSN. The default path is lock-free: one compare-and-swap on the
-// virtual head both assigns the LSN and allocates the buffer space, because
-// they are the same number. When the claim does not fit, the reserver counts
-// itself as a full-waiter, kicks the flusher (so draining happens even
-// before any durability subscription exists) and waits for released space.
-// timed gates the wait-clock reads so non-profiled appends pay no time.Now
-// on the hot path.
+// record's LSN. The path is lock-free: one compare-and-swap on the virtual
+// head both assigns the LSN and allocates the buffer space, because they are
+// the same number. When the claim does not fit, the reserver counts itself
+// as a full-waiter, kicks the flusher (so draining happens even before any
+// durability subscription exists) and waits for released space. timed gates
+// the wait-clock reads so non-profiled appends pay no time.Now on the hot
+// path.
 func (lb *logBuffer) reserve(rec Record, kick func(), timed bool) (reservation, AppendWaits, error) {
 	var w AppendWaits
 	n := int64(rec.EncodedSize())
-	if sz := lb.sizeNow(); n > maxFrameBytes || n > sz/2 {
+	if n > maxFrameBytes || n > lb.size/2 {
 		// A frame past maxFrameBytes is undecodable by every reader (the
 		// decoder treats it as corruption), and one past half the buffer
 		// could starve forever behind smaller reservations; reject at append
 		// time instead of corrupting the log.
-		return reservation{}, w, fmt.Errorf("wal: record frame of %d bytes exceeds log buffer capacity (max %d)", n, min(int64(maxFrameBytes), sz/2))
+		return reservation{}, w, fmt.Errorf("wal: record frame of %d bytes exceeds log buffer capacity (max %d)", n, min(int64(maxFrameBytes), lb.size/2))
 	}
 	var start time.Time
 	if timed {
 		start = time.Now()
 	}
-	var res reservation
-	var err error
-	if lb.latched {
-		res, err = lb.reserveLatched(n, kick, timed, &w)
-	} else {
-		res, err = lb.reserveAtomic(n, kick, timed, &w)
-	}
+	res, err := lb.reserveAtomic(n, kick, timed, &w)
 	if timed && err == nil {
 		w.Reserve = time.Since(start) - w.BufferFull
 		lb.reserveNanos.Add(int64(w.Reserve))
@@ -248,28 +197,9 @@ func (lb *logBuffer) reserveAtomic(n int64, kick func(), timed bool, w *AppendWa
 		if lb.wedged.Load() {
 			return reservation{}, lb.loadErr()
 		}
-		if lb.resizable {
-			// Announce the attempt before checking the resize flag (both
-			// sequentially consistent): the flusher stores the flag and THEN
-			// reads active, so either we see the flag and stand aside, or it
-			// sees our increment and keeps the old ring until we are done.
-			// The increment is released by fill/padOut (after publish) or by
-			// the retreat paths below.
-			lb.active.Add(1)
-			if lb.resizeWanted.Load() {
-				lb.active.Add(-1)
-				if err := lb.waitResize(kick, timed, w); err != nil {
-					return reservation{}, err
-				}
-				continue
-			}
-		}
 		head := lb.head.Load()
 		pad, ok := lb.fits(head, n)
 		if !ok {
-			if lb.resizable {
-				lb.active.Add(-1)
-			}
 			if err := lb.waitForSpace(n, kick, timed, w); err != nil {
 				return reservation{}, err
 			}
@@ -293,69 +223,7 @@ func (lb *logBuffer) reserveAtomic(n int64, kick func(), timed bool, w *AppendWa
 			}
 			return s, nil
 		}
-		if lb.resizable {
-			lb.active.Add(-1) // lost the CAS; re-enter the protocol from the top
-		}
 	}
-}
-
-// waitResize parks a reserver while the flusher regrows the ring. The wait is
-// charged to the buffer-full category — it is the same backpressure, being
-// fixed. Parked reservers count as full-waiters and kick the flusher: the
-// swap is the flusher's job, so it must keep cycling (workPendingLocked) as
-// long as anyone stands aside.
-func (lb *logBuffer) waitResize(kick func(), timed bool, w *AppendWaits) error {
-	lb.fullWaiters.Add(1)
-	defer lb.fullWaiters.Add(-1)
-	kick()
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	for lb.err == nil && lb.resizeWanted.Load() {
-		start := time.Now()
-		lb.notFull.Wait()
-		d := time.Since(start)
-		lb.fullNanos.Add(int64(d))
-		if timed {
-			w.BufferFull += d
-		}
-	}
-	return lb.err
-}
-
-// tryGrow swaps in a ring of newSize bytes, but only at a fully drained
-// instant: no claim in flight (active == 0, latched claims included) and
-// every published byte consumed and released (head == published == tail).
-// Flusher only, and only after resizeWanted has been set so new reservers
-// stand aside. Returns whether the swap happened; the caller retries on the
-// next cycle otherwise. On a wedged buffer the pending request is cancelled
-// so parked reservers drain out through their error path.
-func (lb *logBuffer) tryGrow(newSize int64) bool {
-	if lb.active.Load() != 0 {
-		return false
-	}
-	head := lb.head.Load()
-	if head != lb.published.Load() || head != lb.tail.Load() {
-		return false
-	}
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	if lb.err != nil {
-		lb.resizeWanted.Store(false)
-		lb.notFull.Broadcast()
-		return false
-	}
-	head = lb.head.Load()
-	if lb.active.Load() != 0 || head != lb.published.Load() || head != lb.tail.Load() {
-		return false
-	}
-	lb.buf = make([]byte, newSize)
-	lb.size = newSize
-	lb.base = head
-	lb.sizeA.Store(newSize)
-	lb.grows.Add(1)
-	lb.resizeWanted.Store(false)
-	lb.notFull.Broadcast()
-	return true
 }
 
 // padOut fills an already-claimed reservation entirely with padding bytes
@@ -369,40 +237,18 @@ func (lb *logBuffer) padOut(s reservation) {
 	p := lb.phys(s.off)
 	clear(lb.buf[p : p+s.n])
 	lb.publish(s.off-s.pad, s.off+s.n, false)
-	if lb.resizable {
-		lb.active.Add(-1)
-	}
 }
 
-// publish makes the filled claim [claim, end) consumable. Under the strict
-// fence it is the in-order CAS: spin until every earlier byte is published.
-// Under the relaxed (default) fence it never waits on other fillers: the
-// watermark holder merges forward through every contiguous completion already
-// deposited, and anyone else deposits its range and leaves — a preempted
-// filler stalls the watermark (the flusher simply sees fewer bytes this
-// cycle) but no longer stalls later publishers. The returned duration is the
-// time spent blocked; the cumulative total feeds the fence-wait stat.
+// publish makes the filled claim [claim, end) consumable. It never waits on
+// other fillers: the watermark holder merges forward through every
+// contiguous completion already deposited, and anyone else deposits its
+// range and leaves — a preempted filler stalls the watermark (the flusher
+// simply sees fewer bytes this cycle) but never stalls later publishers.
+// The returned duration is the time spent publishing when timed; the
+// cumulative total feeds the fence-wait stat.
 //
 //slint:hotpath
 func (lb *logBuffer) publish(claim, end int64, timed bool) time.Duration {
-	if lb.strict {
-		if lb.published.CompareAndSwap(claim, end) {
-			return 0
-		}
-		// Already off the fast path (a predecessor is mid-fill), so the spin
-		// is timed unconditionally: the strict arm's fence-wait total stays
-		// meaningful even in unprofiled runs.
-		fenceStart := time.Now()
-		for !lb.published.CompareAndSwap(claim, end) {
-			runtime.Gosched()
-		}
-		d := time.Since(fenceStart)
-		lb.fenceNanos.Add(int64(d))
-		if timed {
-			return d
-		}
-		return 0
-	}
 	var fenceStart time.Time
 	if timed {
 		fenceStart = time.Now()
@@ -431,73 +277,6 @@ func (lb *logBuffer) publish(claim, end int64, timed bool) time.Duration {
 	return 0
 }
 
-// reserveLatched is the PR-3 reservation protocol kept as the log-lsn
-// ablation baseline: the same offset arithmetic, but serialized on a short
-// mutex. Everything downstream (fill, publish fence, consume) is shared, so
-// the ablation isolates exactly the reservation protocol.
-func (lb *logBuffer) reserveLatched(n int64, kick func(), timed bool, w *AppendWaits) (reservation, error) {
-	lb.mu.Lock()
-	for {
-		if lb.err != nil {
-			err := lb.err
-			lb.mu.Unlock()
-			return reservation{}, err
-		}
-		if lb.resizable && lb.resizeWanted.Load() {
-			// Stand aside for a ring swap (claims under mu would keep the
-			// ring permanently non-drained under a steady append load). Count
-			// as a full-waiter and kick so the flusher keeps cycling until
-			// the swap lands.
-			lb.fullWaiters.Add(1)
-			lb.mu.Unlock()
-			kick()
-			lb.mu.Lock()
-			if lb.err == nil && lb.resizeWanted.Load() {
-				start := time.Now()
-				lb.notFull.Wait()
-				d := time.Since(start)
-				lb.fullNanos.Add(int64(d))
-				if timed {
-					w.BufferFull += d
-				}
-			}
-			lb.fullWaiters.Add(-1)
-			continue
-		}
-		head := lb.head.Load()
-		if pad, ok := lb.fits(head, n); ok {
-			lb.head.Store(head + pad + n)
-			if lb.resizable {
-				// Claimed under mu, so tryGrow (also under mu) either runs
-				// before this claim or sees the increment; released by fill.
-				lb.active.Add(1)
-			}
-			lb.mu.Unlock()
-			return reservation{off: head + pad, pad: pad, n: n}, nil
-		}
-		// Full. Wake the flusher without holding the latch, then wait for
-		// released space; the re-check under the lock avoids losing a
-		// broadcast that landed between kick and re-lock.
-		lb.fullWaiters.Add(1)
-		lb.mu.Unlock()
-		kick()
-		lb.mu.Lock()
-		if _, ok := lb.fits(lb.head.Load(), n); lb.err == nil && !ok {
-			// Timed unconditionally: the wait path already slept, and the
-			// cumulative total is the auto-sizing signal even in unprofiled
-			// runs.
-			fullStart := time.Now()
-			lb.notFull.Wait()
-			d := time.Since(fullStart)
-			lb.fullNanos.Add(int64(d))
-			if timed {
-				w.BufferFull += d
-			}
-		}
-		lb.fullWaiters.Add(-1)
-	}
-}
-
 // waitForSpace blocks until a frame of n bytes could fit (space may be
 // re-taken by a faster reserver before the caller's CAS — the caller just
 // retries) or the buffer wedges. The full-waiter count is raised before the
@@ -515,8 +294,9 @@ func (lb *logBuffer) waitForSpace(n int64, kick func(), timed bool, w *AppendWai
 		if _, ok := lb.fits(lb.head.Load(), n); ok {
 			return nil
 		}
-		// Timed unconditionally (see reserveLatched): this total is the
-		// auto-sizing grow signal.
+		// Timed unconditionally: this path already sleeps, and the
+		// cumulative total is the buffer-full metric even in unprofiled
+		// runs.
 		fullStart := time.Now()
 		lb.notFull.Wait()
 		d := time.Since(fullStart)
@@ -529,9 +309,8 @@ func (lb *logBuffer) waitForSpace(n int64, kick func(), timed bool, w *AppendWai
 
 // fill writes the reservation's bytes — zeroing any wraparound padding, then
 // encoding the record at its offset — entirely outside any latch, and then
-// publishes the claim (see publish for the strict/relaxed fence semantics).
-// The returned duration is the time spent blocked publishing (zero when
-// untimed or uncontended).
+// publishes the claim. The returned duration is the time spent publishing
+// (zero when untimed).
 //
 //slint:hotpath
 func (lb *logBuffer) fill(rec Record, s reservation, timed bool) time.Duration {
@@ -550,11 +329,7 @@ func (lb *logBuffer) fill(rec Record, s reservation, timed bool) time.Duration {
 	// skew (counted now, bytes consumed next cycle) self-corrects through
 	// the flusher's running delta.
 	lb.pubRecs.Add(1)
-	d := lb.publish(s.off-s.pad, s.off+s.n, timed)
-	if lb.resizable {
-		lb.active.Add(-1)
-	}
-	return d
+	return lb.publish(s.off-s.pad, s.off+s.n, timed)
 }
 
 // consume takes the published-but-unconsumed window of the virtual log and
@@ -566,16 +341,16 @@ func (lb *logBuffer) fill(rec Record, s reservation, timed bool) time.Duration {
 // space back to reservers. end == 0 means nothing was consumable. Single
 // consumer only. Padding is always published together with the record that
 // claimed it, so a non-empty window always holds at least one record.
-func (lb *logBuffer) consume(keepRecs bool) (ranges []flushRange, recs []Record, count int, end int64) {
+func (lb *logBuffer) consume(keepRecs bool) (ranges []Range, recs []Record, count int, end int64) {
 	pub := lb.published.Load()
 	if pub == lb.consumed {
 		return nil, nil, 0, 0
 	}
 	// The record count comes from the published-records counter, not a
-	// scan: on the fast path (range sink, no retention) consume touches no
-	// frame bytes at all. Fills increment pubRecs just before their fence,
-	// so the delta can transiently include a record whose bytes land next
-	// cycle (never the reverse); the running totals stay exact.
+	// scan: without retention consume touches no frame bytes at all. Fills
+	// increment pubRecs just before their fence, so the delta can
+	// transiently include a record whose bytes land next cycle (never the
+	// reverse); the running totals stay exact.
 	pr := lb.pubRecs.Load()
 	count = int(pr - lb.consRecs)
 	lb.consRecs = pr
@@ -583,11 +358,10 @@ func (lb *logBuffer) consume(keepRecs bool) (ranges []flushRange, recs []Record,
 		p := lb.phys(off)
 		runEnd := min(pub, off+(lb.size-p))
 		data := lb.buf[p : p+(runEnd-off)]
-		ranges = append(ranges, flushRange{data: data, first: LSN(off)})
-		// Materialize records only when something needs them (in-memory
-		// retention, or a sink without the range fast path). Consume
-		// windows never overlap, so even then every byte is decoded
-		// exactly once over the log's lifetime.
+		ranges = append(ranges, Range{Data: data, First: LSN(off)})
+		// Materialize records only for in-memory retention. Consume windows
+		// never overlap, so even then every byte is decoded exactly once
+		// over the log's lifetime.
 		for i := int64(0); keepRecs && i < int64(len(data)); {
 			if data[i] == 0 { // wraparound padding byte
 				i++

@@ -3,45 +3,31 @@ package wal
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 )
 
-// captureSink is an in-memory DurableSink + RangeSink that records exactly
-// the bytes it was handed, so tests can assert that the consolidated
-// buffer's range writes are byte-identical to the records' encodings laid
-// out at their byte-offset LSNs.
+// captureSink is an in-memory DurableSink that records exactly the bytes it
+// was handed, so tests can assert that the log's range writes are
+// byte-identical to the records' encodings laid out at their byte-offset
+// LSNs.
 type captureSink struct {
-	mu     sync.Mutex
-	data   bytes.Buffer
-	ranges int
-	syncs  int
+	mu   sync.Mutex
+	data bytes.Buffer
 }
 
-func (c *captureSink) WriteRecord(rec Record, encoded []byte) error {
+func (c *captureSink) WriteRanges(ranges []Range) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.data.Write(encoded)
+	for _, r := range ranges {
+		c.data.Write(r.Data)
+	}
 	return nil
 }
 
-func (c *captureSink) WriteRange(encoded []byte, first LSN) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.data.Write(encoded)
-	c.ranges++
-	return nil
-}
-
-func (c *captureSink) Sync() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.syncs++
-	return nil
-}
+func (c *captureSink) Sync() error { return nil }
 
 func (c *captureSink) bytes() []byte {
 	c.mu.Lock()
@@ -49,26 +35,26 @@ func (c *captureSink) bytes() []byte {
 	return append([]byte(nil), c.data.Bytes()...)
 }
 
-// recordSink is a DurableSink WITHOUT the range fast path (no WriteRange
-// method at all), forcing the flusher's per-record compatibility path.
-type recordSink struct {
-	mu   sync.Mutex
-	recs []Record
-}
-
-func (r *recordSink) WriteRecord(rec Record, encoded []byte) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.recs = append(r.recs, rec)
-	return nil
-}
-
-func (r *recordSink) Sync() error { return nil }
-
-func (r *recordSink) records() []Record {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Record(nil), r.recs...)
+// referenceLog is the specification of the byte stream one appender
+// produces: frames back to back from offset 1, except that a frame which
+// would cross a multiple of ringBytes (the ring's physical end) starts at
+// that multiple instead, the skipped bytes being zero padding. It returns
+// the stream and every record's LSN — the byte offset of its frame.
+func referenceLog(recs []Record, ringBytes int64) ([]byte, []LSN) {
+	var stream []byte
+	var lsns []LSN
+	at := int64(1)
+	for _, r := range recs {
+		frame := r.Encode()
+		if end := (at/ringBytes + 1) * ringBytes; at+int64(len(frame)) > end {
+			stream = append(stream, make([]byte, end-at)...)
+			at = end
+		}
+		lsns = append(lsns, LSN(at))
+		stream = append(stream, frame...)
+		at += int64(len(frame))
+	}
+	return stream, lsns
 }
 
 // decodeAll decodes every frame in data — a contiguous slice of the virtual
@@ -142,58 +128,54 @@ func verifyStream(t *testing.T, data []byte, want map[LSN]Record) {
 // the stream handed to the sink must decode to exactly the records appended,
 // each at the byte offset its Append returned.
 func TestConsolidatedConcurrentAppendsRoundTrip(t *testing.T) {
-	for _, latched := range []bool{false, true} {
-		t.Run(fmt.Sprintf("latched=%v", latched), func(t *testing.T) {
-			sink := &captureSink{}
-			l := New(Config{Durable: sink, DropAfterFlush: true, BufferBytes: 8 << 10, LatchedLog: latched})
-			const (
-				appenders  = 8
-				perAppend  = 200
-				totalRecs  = appenders * perAppend
-				maxPayload = 200
-			)
-			var mu sync.Mutex
-			want := make(map[LSN]Record, totalRecs)
-			var wg sync.WaitGroup
-			for g := 0; g < appenders; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < perAppend; i++ {
-						rec := Record{
-							XID:   uint64(g + 1),
-							Type:  RecUpdate,
-							Table: uint32(g),
-							Page:  uint64(i),
-							Slot:  uint32(i % 7),
-							After: bytes.Repeat([]byte{byte(g)}, 1+(g*31+i*17)%maxPayload),
-						}
-						lsn, err := l.Append(rec)
-						if err != nil {
-							t.Errorf("append: %v", err)
-							return
-						}
-						rec.LSN = lsn
-						mu.Lock()
-						want[lsn] = rec
-						mu.Unlock()
-						// Subscribe occasionally so flushing interleaves with appends.
-						if i%32 == 0 {
-							//slint:ignore errwedge the subscription only interleaves flushing with appends; the ack is irrelevant
-							l.FlushAsync(lsn)
-						}
-					}
-				}(g)
+	sink := &captureSink{}
+	l := New(Config{Durable: sink, DropAfterFlush: true, BufferBytes: 8 << 10})
+	const (
+		appenders  = 8
+		perAppend  = 200
+		totalRecs  = appenders * perAppend
+		maxPayload = 200
+	)
+	var mu sync.Mutex
+	want := make(map[LSN]Record, totalRecs)
+	var wg sync.WaitGroup
+	for g := 0; g < appenders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perAppend; i++ {
+				rec := Record{
+					XID:   uint64(g + 1),
+					Type:  RecUpdate,
+					Table: uint32(g),
+					Page:  uint64(i),
+					Slot:  uint32(i % 7),
+					After: bytes.Repeat([]byte{byte(g)}, 1+(g*31+i*17)%maxPayload),
+				}
+				lsn, err := l.Append(rec)
+				if err != nil {
+					t.Errorf("append: %v", err)
+					return
+				}
+				rec.LSN = lsn
+				mu.Lock()
+				want[lsn] = rec
+				mu.Unlock()
+				// Subscribe occasionally so flushing interleaves with appends.
+				if i%32 == 0 {
+					//slint:ignore errwedge the subscription only interleaves flushing with appends; the ack is irrelevant
+					l.FlushAsync(lsn)
+				}
 			}
-			wg.Wait()
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
-			verifyStream(t, sink.bytes(), want)
-			if got, wantEnd := l.DurableLSN(), l.LastLSN(); got != wantEnd {
-				t.Fatalf("DurableLSN = %d, want the drained end %d", got, wantEnd)
-			}
-		})
+		}(g)
+	}
+	wg.Wait()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	verifyStream(t, sink.bytes(), want)
+	if got, wantEnd := l.DurableLSN(), l.LastLSN(); got != wantEnd {
+		t.Fatalf("DurableLSN = %d, want the drained end %d", got, wantEnd)
 	}
 }
 
@@ -232,106 +214,39 @@ func TestConsolidatedBackpressureDrainsWithoutSubscriptions(t *testing.T) {
 	}
 }
 
-// TestConsolidatedMatchesPerRecordSink runs the same appends through a
-// range-capable sink and a records-only sink. The range stream carries the
-// wraparound padding bytes (they are part of the virtual log); the record
-// stream elides them but delivers every record with its byte-offset LSN —
-// decoding both must yield the identical record sequence at identical
-// addresses.
-func TestConsolidatedMatchesPerRecordSink(t *testing.T) {
-	fast := &captureSink{}
-	slow := &recordSink{}
-	lf := New(Config{Durable: fast, DropAfterFlush: true, BufferBytes: 4 << 10})
-	ls := New(Config{Durable: slow, DropAfterFlush: true, BufferBytes: 4 << 10})
-	for i := 0; i < 300; i++ {
-		rec := Record{XID: uint64(i % 5), Type: RecUpdate, Table: 2, Page: uint64(i),
-			Before: bytes.Repeat([]byte{1}, i%90), After: bytes.Repeat([]byte{2}, (i*3)%50)}
-		if _, err := lf.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ls.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lf.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ls.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if fast.ranges == 0 {
-		t.Fatal("range fast path never used despite RangeSink implementation")
-	}
-	fromRanges := decodeAll(t, fast.bytes(), 1)
-	fromRecords := slow.records()
-	if !reflect.DeepEqual(fromRanges, fromRecords) {
-		t.Fatalf("range-written stream decodes differently from per-record stream:\nranges:  %d recs\nrecords: %d recs", len(fromRanges), len(fromRecords))
-	}
-}
-
-// TestMutexLogModeMatchesConsolidated pins the ablation baselines: the
-// legacy mutex-per-append path and the PR-3 latched reservation must both
-// produce the same on-disk byte stream as the fetch-and-add buffer. (The
-// buffer is large enough that no wraparound padding occurs; the mutex path,
-// having no ring, never pads.)
-func TestMutexLogModeMatchesConsolidated(t *testing.T) {
-	legacy := &captureSink{}
-	latched := &captureSink{}
-	cons := &captureSink{}
-	ll := New(Config{Durable: legacy, DropAfterFlush: true, MutexLog: true})
-	lt := New(Config{Durable: latched, DropAfterFlush: true, LatchedLog: true})
-	lc := New(Config{Durable: cons, DropAfterFlush: true})
-	for i := 0; i < 100; i++ {
-		rec := Record{XID: 9, Type: RecInsert, Table: 1, Page: uint64(i), After: []byte("payload")}
-		for _, l := range []*Log{ll, lt, lc} {
-			if _, err := l.Append(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for _, l := range []*Log{ll, lt, lc} {
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if legacy.ranges != 0 {
-		t.Fatal("MutexLog mode must not use the range fast path")
-	}
-	if !bytes.Equal(legacy.bytes(), cons.bytes()) {
-		t.Fatal("MutexLog byte stream differs from fetch-and-add byte stream")
-	}
-	if !bytes.Equal(latched.bytes(), cons.bytes()) {
-		t.Fatal("latched-reservation byte stream differs from fetch-and-add byte stream")
-	}
-}
-
-// TestLatchedMatchesFetchAndAddAcrossWraparound extends the byte-identity
-// pin to a tiny ring: a deterministic single-threaded append sequence makes
-// identical reservation decisions — including wraparound padding placement —
-// under both protocols, so even the padding bytes must line up.
-func TestLatchedMatchesFetchAndAddAcrossWraparound(t *testing.T) {
-	faa := &captureSink{}
-	lat := &captureSink{}
-	lf := New(Config{Durable: faa, DropAfterFlush: true, BufferBytes: 4 << 10})
-	ll := New(Config{Durable: lat, DropAfterFlush: true, BufferBytes: 4 << 10, LatchedLog: true})
+// TestWraparoundMatchesReference pins padding placement on a tiny ring: a
+// deterministic single-threaded append sequence wraps the ring many times,
+// and the stream the sink receives — padding bytes included — and every
+// returned LSN must equal the reference stream exactly.
+func TestWraparoundMatchesReference(t *testing.T) {
+	sink := &captureSink{}
+	l := New(Config{Durable: sink, DropAfterFlush: true, BufferBytes: 4 << 10})
+	var recs []Record
+	var lsns []LSN
+	frames := 0
 	for i := 0; i < 400; i++ {
 		rec := Record{XID: uint64(i), Type: RecUpdate, Table: 3, Page: uint64(i),
 			After: bytes.Repeat([]byte{byte(i)}, (i*37)%257)}
-		if _, err := lf.Append(rec); err != nil {
+		lsn, err := l.Append(rec)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ll.Append(rec); err != nil {
-			t.Fatal(err)
-		}
+		recs = append(recs, rec)
+		lsns = append(lsns, lsn)
+		frames += rec.EncodedSize()
 	}
-	if err := lf.Close(); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ll.Close(); err != nil {
-		t.Fatal(err)
+	stream, wantLSNs := referenceLog(recs, 4<<10)
+	if len(stream) == frames {
+		t.Fatal("reference stream has no wraparound padding; the test pins nothing")
 	}
-	if !bytes.Equal(faa.bytes(), lat.bytes()) {
-		t.Fatal("fetch-and-add and latched reservation produced different byte streams")
+	if !bytes.Equal(sink.bytes(), stream) {
+		t.Fatal("log stream differs from the reference stream")
+	}
+	if !reflect.DeepEqual(lsns, wantLSNs) {
+		t.Fatal("appended LSNs differ from the reference LSNs")
 	}
 }
 
@@ -341,34 +256,30 @@ func TestLatchedMatchesFetchAndAddAcrossWraparound(t *testing.T) {
 // which clamp down to it — must acknowledge immediately instead of
 // registering a waiter that no flush cycle ever satisfies.
 func TestFlushAsyncReopenEdge(t *testing.T) {
-	for _, mutexLog := range []bool{false, true} {
-		t.Run(fmt.Sprintf("mutexLog=%v", mutexLog), func(t *testing.T) {
-			l := New(Config{StartLSN: 100, MutexLog: mutexLog})
-			for _, upTo := range []LSN{0, 1, 50, 99, 100, 1000} {
-				select {
-				case err := <-l.FlushAsync(upTo):
-					if err != nil {
-						t.Fatalf("FlushAsync(%d) on reopened empty log: %v", upTo, err)
-					}
-				case <-time.After(2 * time.Second):
-					t.Fatalf("FlushAsync(%d) on reopened empty log never acked (head == StartLSN edge)", upTo)
-				}
-			}
-			// The log still works normally past the recovered prefix.
-			lsn, err := l.Append(Record{XID: 1, Type: RecCommit})
+	l := New(Config{StartLSN: 100})
+	for _, upTo := range []LSN{0, 1, 50, 99, 100, 1000} {
+		select {
+		case err := <-l.FlushAsync(upTo):
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("FlushAsync(%d) on reopened empty log: %v", upTo, err)
 			}
-			if lsn != 100 {
-				t.Fatalf("first LSN after reopen = %d, want 100", lsn)
-			}
-			if err := l.Flush(lsn); err != nil {
-				t.Fatal(err)
-			}
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
+		case <-time.After(2 * time.Second):
+			t.Fatalf("FlushAsync(%d) on reopened empty log never acked (head == StartLSN edge)", upTo)
+		}
+	}
+	// The log still works normally past the recovered prefix.
+	lsn, err := l.Append(Record{XID: 1, Type: RecCommit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsn != 100 {
+		t.Fatalf("first LSN after reopen = %d, want 100", lsn)
+	}
+	if err := l.Flush(lsn); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -441,13 +352,7 @@ type stuckSink struct {
 	once    sync.Once
 }
 
-func (s *stuckSink) WriteRecord(rec Record, encoded []byte) error {
-	s.once.Do(func() { close(s.entered) })
-	<-s.release
-	return nil
-}
-
-func (s *stuckSink) WriteRange(encoded []byte, first LSN) error {
+func (s *stuckSink) WriteRanges([]Range) error {
 	s.once.Do(func() { close(s.entered) })
 	<-s.release
 	return nil
@@ -461,39 +366,35 @@ func (s *stuckSink) Sync() error { return nil }
 // makes this clean: a waiting reserver holds no claim, so failing it leaves
 // no hole in the publish fence.
 func TestConsolidatedCrashFailsBlockedReservers(t *testing.T) {
-	for _, latched := range []bool{false, true} {
-		t.Run(fmt.Sprintf("latched=%v", latched), func(t *testing.T) {
-			sink := &stuckSink{release: make(chan struct{}), entered: make(chan struct{})}
-			defer close(sink.release)
-			l := New(Config{BufferBytes: 4 << 10, Durable: sink, DropAfterFlush: true, LatchedLog: latched})
-			payload := bytes.Repeat([]byte{1}, 1024)
-			errc := make(chan error, 1)
-			go func() {
-				for i := 0; i < 16; i++ {
-					if _, err := l.Append(Record{XID: 1, Type: RecInsert, After: payload}); err != nil {
-						errc <- err
-						return
-					}
-				}
-				errc <- nil
-			}()
-			// Wait for the flusher to wedge in the sink, then give the appender time
-			// to refill the buffer and block on space that will never be released.
-			select {
-			case <-sink.entered:
-			case <-time.After(5 * time.Second):
-				t.Fatal("flusher never reached the sink")
+	sink := &stuckSink{release: make(chan struct{}), entered: make(chan struct{})}
+	defer close(sink.release)
+	l := New(Config{BufferBytes: 4 << 10, Durable: sink, DropAfterFlush: true})
+	payload := bytes.Repeat([]byte{1}, 1024)
+	errc := make(chan error, 1)
+	go func() {
+		for i := 0; i < 16; i++ {
+			if _, err := l.Append(Record{XID: 1, Type: RecInsert, After: payload}); err != nil {
+				errc <- err
+				return
 			}
-			time.Sleep(50 * time.Millisecond)
-			l.Crash()
-			select {
-			case err := <-errc:
-				if !errors.Is(err, ErrCrashed) {
-					t.Fatalf("blocked reserver got %v, want ErrCrashed", err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("reserver stayed blocked across Crash")
-			}
-		})
+		}
+		errc <- nil
+	}()
+	// Wait for the flusher to wedge in the sink, then give the appender time
+	// to refill the buffer and block on space that will never be released.
+	select {
+	case <-sink.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("flusher never reached the sink")
+	}
+	time.Sleep(50 * time.Millisecond)
+	l.Crash()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrCrashed) {
+			t.Fatalf("blocked reserver got %v, want ErrCrashed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("reserver stayed blocked across Crash")
 	}
 }

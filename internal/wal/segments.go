@@ -110,10 +110,10 @@ func readHeader(f io.Reader, name string, want LSN) error {
 }
 
 // Segments is a directory of append-only write-ahead log segment files. It
-// implements DurableSink (and RangeSink): bytes of the virtual log are
-// appended to the current segment, a new segment is started once the current
-// one exceeds the configured size, and Sync (called once per group-commit
-// batch by the Log) forces the current segment to stable storage.
+// implements DurableSink: bytes of the virtual log are appended to the
+// current segment, a new segment is started once the current one exceeds the
+// configured size, and Sync (called once per group-commit batch by the Log)
+// forces the current segment to stable storage.
 //
 // Because LSNs are byte offsets, a segment file IS a slice of the virtual
 // log: the file named wal-<first> holds bytes [first, first+payload) and the
@@ -335,110 +335,17 @@ func scanSegment(path string, first LSN) (validBytes int64, err error) {
 	}
 }
 
-// prepareLocked rotates to a fresh segment if needed and pad-fills any gap
-// between the stored end and at, the virtual offset about to be written.
-// Gaps arise on the per-record compatibility path, whose stream elides the
-// log buffer's wraparound padding; re-materializing the zeros keeps every
-// on-disk byte at exactly its virtual offset.
-func (s *Segments) prepareLocked(at LSN) error {
-	if s.cur != nil && at > s.end {
-		pad := make([]byte, at.Distance(s.end))
-		n, err := s.writeCurLocked(pad)
-		s.curSize += int64(n)
-		s.end = s.end.Advance(int64(n))
-		if err != nil {
-			return fmt.Errorf("wal: segment pad write: %w", err)
-		}
-	}
-	if s.cur == nil || s.curSize >= s.segBytes {
-		if err := s.rotateLocked(at); err != nil {
-			return err
-		}
-	}
-	if s.end < at {
-		// First write into a fresh directory (or after rotation): the
-		// segment starts exactly at the written offset.
-		s.end = at
-	}
-	return nil
-}
-
-// WriteRecord appends the encoded record at its byte-offset LSN, starting a
-// new segment when the current one has reached the rotation size. It is part
-// of the DurableSink interface and is called with monotonically increasing
-// LSNs; a gap below rec.LSN is zero-filled (see prepareLocked).
-func (s *Segments) WriteRecord(rec Record, encoded []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("wal: segments closed")
-	}
-	if rec.LSN < s.end {
-		return fmt.Errorf("wal: record at offset %d overlaps segment end %d: %w", rec.LSN, s.end, ErrCorrupt)
-	}
-	if err := s.prepareLocked(rec.LSN); err != nil {
-		return err
-	}
-	n, err := s.writeCurLocked(encoded)
-	s.curSize += int64(n)
-	s.end = s.end.Advance(int64(n))
-	if err != nil {
-		return fmt.Errorf("wal: segment write: %w", err)
-	}
-	return nil
-}
-
-// writeCurLocked lands data at the current segment's tracked size with one
-// positional write. It is the only plain (non-vectored) payload write path,
-// so every physical write submission is counted here or in WriteRanges.
-func (s *Segments) writeCurLocked(data []byte) (int, error) {
-	s.writes.Add(1)
-	return s.cur.WriteAt(data, s.curSize)
-}
-
-// WriteRange appends a contiguous run of already-encoded bytes of the
-// virtual log — whole frames plus any wraparound padding, starting at
-// virtual offset first — writing whole multi-frame chunks per write call
-// instead of one record at a time. It is the RangeSink fast path of the
-// DurableSink interface. Rotation decisions are identical to WriteRecord's:
-// a frame goes to the current segment iff the segment is still under the
-// rotation size when the frame starts, so a frame is never split across
-// segment files.
-func (s *Segments) WriteRange(encoded []byte, first LSN) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("wal: segments closed")
-	}
-	if first < s.end {
-		return fmt.Errorf("wal: range at offset %d overlaps segment end %d: %w", first, s.end, ErrCorrupt)
-	}
-	at := first
-	for len(encoded) > 0 {
-		if err := s.prepareLocked(at); err != nil {
-			return err
-		}
-		chunk := rangePrefix(encoded, s.segBytes-s.curSize)
-		n, err := s.writeCurLocked(chunk)
-		s.curSize += int64(n)
-		s.end = s.end.Advance(int64(n))
-		if err != nil {
-			return fmt.Errorf("wal: segment range write: %w", err)
-		}
-		at = at.Advance(int64(len(chunk)))
-		encoded = encoded[len(chunk):]
-	}
-	return nil
-}
-
 // WriteRanges lands one whole group-commit cycle — every contiguous
 // published range the flusher consumed, in virtual-offset order — with a
 // single vectored submission per segment file (pwritev on Linux, a coalesced
-// single pwrite elsewhere): the vectorSink fast path above WriteRange.
-// Boundary decisions are identical to repeated WriteRange calls — the batch
-// is split exactly where rotation would split it, once, not per call — so
-// the on-disk bytes are byte-for-byte the same as the per-range path's.
-func (s *Segments) WriteRanges(ranges []flushRange) error {
+// single pwrite elsewhere). It is the only write path: a frame goes to the
+// current segment iff the segment is still under the rotation size when the
+// frame starts, so a frame is never split across segment files, and every
+// physical write submission is counted here. The ranges must continue the
+// stored log exactly: a range below the end overlaps it, and one above the
+// end leaves a hole no log buffer produces (its padding is real bytes that
+// travel inside the ranges) — both are ErrCorrupt.
+func (s *Segments) WriteRanges(ranges []Range) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -462,20 +369,18 @@ func (s *Segments) WriteRanges(ranges []flushRange) error {
 		return nil
 	}
 	for _, r := range ranges {
-		at := r.first
+		at := r.First
 		pendingEnd := s.end.Advance(batchBytes)
 		if at < pendingEnd {
 			return fmt.Errorf("wal: range at offset %d overlaps segment end %d: %w", at, pendingEnd, ErrCorrupt)
 		}
 		if at > pendingEnd && s.cur != nil {
-			// Gap below the range (per-record streams elide wraparound
-			// padding; range streams shouldn't get here): zero-fill it as one
-			// more iovec instead of a separate write.
-			gap := at.Distance(pendingEnd)
-			batch = append(batch, make([]byte, gap))
-			batchBytes += gap
+			// Only a fresh directory (or one whose segments a checkpoint
+			// sealed) may start a segment above its end.
+			return fmt.Errorf("wal: range at offset %d leaves a %d-byte gap after segment end %d: %w",
+				at, at.Distance(pendingEnd), pendingEnd, ErrCorrupt)
 		}
-		data := r.data
+		data := r.Data
 		for len(data) > 0 {
 			if s.cur == nil || s.curSize+batchBytes >= s.segBytes {
 				if err := submit(); err != nil {
@@ -501,7 +406,7 @@ func (s *Segments) WriteRanges(ranges []flushRange) error {
 // rangePrefix returns the longest prefix of encoded made of whole frames
 // (and padding bytes) that start within the current segment's remaining
 // budget. The first frame is always included — it may overshoot the budget,
-// exactly as WriteRecord's rotate-before-write check allows.
+// since rotation happens only before a frame, never inside one.
 func rangePrefix(encoded []byte, room int64) []byte {
 	off, frames := 0, 0
 	for off < len(encoded) && (frames == 0 || int64(off) < room) {
@@ -720,7 +625,7 @@ func (s *Segments) Checkpoint(durable LSN) error {
 // Crash closes the current segment file WITHOUT a final sync, simulating the
 // machine dying for crash-recovery tests: records written but never covered
 // by a Sync may or may not survive (here, whatever the OS already holds),
-// and any subsequent WriteRecord or Sync fails, wedging the owning Log.
+// and any subsequent WriteRanges or Sync fails, wedging the owning Log.
 func (s *Segments) Crash() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -31,6 +31,12 @@ func appendN(t *testing.T, l *Log, xid uint64, n int) []LSN {
 	return lsns
 }
 
+// writeRecord lands rec's frame at its byte-offset LSN through the sink's
+// one write path.
+func writeRecord(segs *Segments, rec Record) error {
+	return segs.WriteRanges([]Range{{Data: rec.Encode(), First: rec.LSN}})
+}
+
 func collect(t *testing.T, segs *Segments, from LSN) []Record {
 	t.Helper()
 	var out []Record
@@ -360,10 +366,10 @@ func TestOldFormatSegmentsFailLoudly(t *testing.T) {
 	})
 }
 
-// TestRangeWriteRotationMatchesPerRecord pins WriteRange's rotation rule: a
-// frame goes to the current segment iff the segment is under the rotation
-// size when the frame starts — the same rule WriteRecord applies — so range
-// writes never split a frame across segment files, and every record comes
+// TestRangeWriteRotationMatchesPerRecord pins WriteRanges' rotation rule:
+// rotation is decided per frame — a frame goes to the current segment iff
+// the segment is under the rotation size when the frame starts — so a
+// multi-frame range is never split inside a frame, and every record comes
 // back at exactly the byte offset it was placed at.
 func TestRangeWriteRotationMatchesPerRecord(t *testing.T) {
 	dir := t.TempDir()
@@ -384,7 +390,7 @@ func TestRangeWriteRotationMatchesPerRecord(t *testing.T) {
 		rng = append(rng, enc...)
 		at = at.Advance(int64(len(enc)))
 	}
-	if err := segs.WriteRange(rng, 1); err != nil {
+	if err := segs.WriteRanges([]Range{{Data: rng, First: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := segs.Sync(); err != nil {
@@ -409,11 +415,12 @@ func TestRangeWriteRotationMatchesPerRecord(t *testing.T) {
 	}
 }
 
-// TestWriteRecordGapFillsPadding pins the per-record compatibility path: a
-// record stream elides the log buffer's wraparound padding, so WriteRecord
-// must re-materialize the missing zero bytes to keep every on-disk byte at
-// its virtual offset — reading back must see each record at its LSN.
-func TestWriteRecordGapFillsPadding(t *testing.T) {
+// TestWriteRangesGapFailsLoudly pins the sink's contiguity check: the log
+// buffer writes its wraparound padding as real bytes inside the ranges, so a
+// range starting above the stored end can only be a log-buffer bug and must
+// fail with ErrCorrupt — never be papered over with zeros — and so must a
+// range overlapping the end.
+func TestWriteRangesGapFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
 	segs, err := OpenSegments(dir, 0, false)
 	if err != nil {
@@ -421,24 +428,27 @@ func TestWriteRecordGapFillsPadding(t *testing.T) {
 	}
 	defer segs.Close()
 	r1 := Record{LSN: 1, XID: 1, Type: RecInsert, After: []byte("a")}
-	gap := LSN(1 + r1.EncodedSize() + 13) // 13 bytes of elided padding
-	r2 := Record{LSN: gap, XID: 1, Type: RecCommit}
-	if err := segs.WriteRecord(r1, r1.Encode()); err != nil {
+	if err := writeRecord(segs, r1); err != nil {
 		t.Fatal(err)
 	}
-	if err := segs.WriteRecord(r2, r2.Encode()); err != nil {
+	end := segs.End()
+	gapped := Record{LSN: end.Advance(13), XID: 1, Type: RecCommit}
+	if err := writeRecord(segs, gapped); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("gapped range: err = %v, want ErrCorrupt", err)
+	}
+	if err := writeRecord(segs, r1); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("overlapping range: err = %v, want ErrCorrupt", err)
+	}
+	// Neither rejected range reached the file: the log still ends after r1
+	// and continues contiguously.
+	if got := segs.End(); got != end {
+		t.Fatalf("End = %d after rejected ranges, want %d", got, end)
+	}
+	if err := writeRecord(segs, Record{LSN: end, XID: 1, Type: RecCommit}); err != nil {
 		t.Fatal(err)
 	}
-	if err := segs.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	got := collect(t, segs, 0)
-	if len(got) != 2 || got[0].LSN != 1 || got[1].LSN != gap {
-		t.Fatalf("gap-filled stream read back as %+v", got)
-	}
-	// Writing below the end is corruption, not silently accepted.
-	if err := segs.WriteRecord(r1, r1.Encode()); err == nil {
-		t.Fatal("overlapping WriteRecord accepted")
+	if got := collect(t, segs, 0); len(got) != 2 || got[1].LSN != end {
+		t.Fatalf("read back %+v", got)
 	}
 }
 

@@ -379,38 +379,21 @@ func decodeBody(body []byte) (Record, error) {
 	return rec, nil
 }
 
-// DurableSink is a stable-storage destination for flushed records. The log
-// writes every record of a group-commit batch (with WriteRecord, or whole
-// byte ranges at a time when the sink also implements RangeSink) and then
-// calls Sync once per batch — the single physical "force" of the group
-// commit. Records are only counted as durable (and DurableLSN advanced)
-// after Sync returns nil. Segments implements DurableSink on a directory of
-// on-disk segment files.
+// DurableSink is a stable-storage destination for the flushed log. Once per
+// group-commit cycle the flusher hands it every contiguous range the cycle
+// consumed from the log buffer — already-encoded frames plus any wraparound
+// padding, in virtual-offset order — with one WriteRanges call, and then
+// calls Sync — the single physical "force" of the group commit. Bytes are
+// only counted as durable (and DurableLSN advanced) after Sync returns nil.
+// Segments implements DurableSink on a directory of on-disk segment files.
 type DurableSink interface {
-	// WriteRecord persists the encoded form of rec. encoded is the output of
-	// rec.Encode; it must not be retained after the call returns.
-	WriteRecord(rec Record, encoded []byte) error
-	// Sync forces previously written records to stable storage.
+	// WriteRanges persists one cycle's ranges. Because LSNs are byte
+	// offsets, each range's First places and addresses every frame in it.
+	// The ranges alias the log buffer and must not be retained after the
+	// call returns.
+	WriteRanges(ranges []Range) error
+	// Sync forces previously written ranges to stable storage.
 	Sync() error
-}
-
-// RangeSink is the optional fast path of a DurableSink: the flusher hands it
-// whole byte ranges of the consolidated log buffer — many already-encoded
-// frames (and any wraparound padding bytes) in LSN order — instead of one
-// record at a time, so the sink pays one write call per range rather than
-// per record. first is the virtual byte offset of encoded[0]; because LSNs
-// are byte offsets, the sink can place and address every frame in the range
-// from first alone. encoded must not be retained after the call returns.
-type RangeSink interface {
-	WriteRange(encoded []byte, first LSN) error
-}
-
-// vectorSink is the vectored fast path above RangeSink: the flusher hands it
-// every contiguous range of one group-commit cycle in a single call, so the
-// sink can land the whole cycle in one pwritev-style submission instead of
-// one write per range. Segments implements it.
-type vectorSink interface {
-	WriteRanges(ranges []flushRange) error
 }
 
 // Config configures the log.
@@ -438,61 +421,27 @@ type Config struct {
 	// values default to 10µs and 2ms. Ignored unless AdaptiveGroupCommit.
 	GroupCommitMin time.Duration
 	GroupCommitMax time.Duration
-	// StrictFence selects the in-order publish fence (each appender spins
-	// until every earlier byte is published) instead of the default
-	// completion-tracking publish, under which a preempted filler delays
-	// only the watermark and never another publisher. It exists as the
-	// baseline arm of the log-tail ablation (cmd/slibench -ablation
-	// log-tail); leave it off otherwise. Ignored under MutexLog.
-	StrictFence bool
-	// Sink, if non-nil, receives the encoded bytes of every record at flush
-	// time (e.g. an os.File). It is a best-effort mirror with no durability
-	// contract: a write error is returned from the Flush that observed it
-	// but does not wedge the log or hold back DurableLSN. The log also
-	// keeps records in memory for recovery and inspection.
-	Sink io.Writer
-	// Durable, if non-nil, receives every flushed record followed by one
-	// Sync per group-commit batch; DurableLSN only advances past records the
-	// sink has accepted and synced. A write or sync error wedges the log:
-	// every subsequent Append and Flush fails, because the durable prefix
-	// can no longer grow.
+	// Durable, if non-nil, receives every flushed byte followed by one Sync
+	// per group-commit batch; DurableLSN only advances past bytes the sink
+	// has accepted and synced. A write or sync error wedges the log: every
+	// subsequent Append and Flush fails, because the durable prefix can no
+	// longer grow.
 	Durable DurableSink
 	// StartLSN is the virtual byte offset the log starts issuing at, used
 	// when reopening a log whose prefix (every byte below StartLSN) is
 	// already durable on disk. Zero means start at offset 1 (offset 0 is the
 	// "no LSN" sentinel).
 	StartLSN LSN
-	// KeepInMemory controls whether flushed records are retained in memory
-	// (needed for Records() and recovery tests). Default true.
+	// DropAfterFlush discards flushed records instead of retaining them in
+	// memory for Records() (which recovery tests read). Retention is the
+	// default; long-running and disk-backed logs drop.
 	DropAfterFlush bool
-	// MutexLog selects the legacy centralized append path — every Append
-	// takes the single log mutex and the flusher re-encodes record by
-	// record — instead of the consolidated reserve/fill/publish buffer. It
-	// exists as the baseline arm of the log-buffer ablation
-	// (cmd/slibench -ablation log-buffer); leave it off otherwise.
-	MutexLog bool
-	// LatchedLog keeps the consolidated buffer but performs its reservation
-	// under a short mutex (the PR-3 protocol) instead of the lock-free
-	// fetch-and-add on the virtual head. It exists as the baseline arm of
-	// the log-lsn ablation (cmd/slibench -ablation log-lsn); leave it off
-	// otherwise. Ignored under MutexLog.
-	LatchedLog bool
-	// BufferBytes sizes the consolidated log buffer (default 4 MiB). A
-	// reservation that does not fit blocks until the flusher drains the
-	// buffer, reported as AppendWaits.BufferFull. A single record frame
-	// larger than half the buffer (or than the decoder's 1 MiB frame limit,
-	// which would corrupt the log for every reader) is rejected at Append.
-	// Ignored under MutexLog.
+	// BufferBytes sizes the log buffer (default 4 MiB). A reservation that
+	// does not fit blocks until the flusher drains the buffer, reported as
+	// AppendWaits.BufferFull. A single record frame larger than half the
+	// buffer (or than the decoder's 1 MiB frame limit, which would corrupt
+	// the log for every reader) is rejected at Append.
 	BufferBytes int64
-	// AutoSizeBuffer lets the flusher grow the buffer from the buffer-full
-	// wait signal: when reservers spent more than a threshold fraction of a
-	// flush cycle blocked on a full buffer, the ring is doubled (at a
-	// drained instant, so no bytes move), up to BufferMaxBytes. BufferBytes
-	// then only sets the starting size. Ignored under MutexLog.
-	AutoSizeBuffer bool
-	// BufferMaxBytes caps AutoSizeBuffer growth (default 64 MiB). Ignored
-	// unless AutoSizeBuffer is set.
-	BufferMaxBytes int64
 }
 
 // noCopy triggers go vet's copylocks check when a struct embedding it is
@@ -529,32 +478,27 @@ type flushWaiter struct {
 }
 
 // Log is the write-ahead log. Appends go through the consolidated
-// reserve/fill/publish buffer (see logbuf.go): the only centralized section
-// on the append path is the O(1) reservation latch, and records are encoded
-// into the shared buffer concurrently. Durability is driven by a single
-// dedicated flusher goroutine: committers subscribe to their commit LSN with
-// FlushAsync (or block in Flush) and the flusher consumes the contiguous
-// published prefix, performs one physical write+sync per group-commit batch
-// (handing whole byte ranges to a RangeSink), advances the durable-LSN
-// watermark, and acknowledges every satisfied subscription in LSN order.
-// Config.MutexLog restores the legacy single-mutex append path for ablation.
+// reserve/fill/publish buffer (see logbuf.go): reservation is one
+// fetch-and-add on the virtual head, and records are encoded into the shared
+// buffer concurrently. Durability is driven by a single dedicated flusher
+// goroutine: committers subscribe to their commit LSN with FlushAsync (or
+// block in Flush) and the flusher consumes the contiguous published prefix,
+// performs one physical write+sync per group-commit batch (handing every
+// consumed byte range to the DurableSink in one call), advances the
+// durable-LSN watermark, and acknowledges every satisfied subscription in
+// LSN order.
 type Log struct {
 	cfg Config
-	lb  *logBuffer // consolidated buffer; nil under MutexLog
+	lb  *logBuffer
 
 	mu            sync.Mutex
 	flushWork     *sync.Cond // signals the flusher goroutine that work arrived
-	records       []Record   // MutexLog-mode append buffer
 	flushed       []Record   // records already flushed (retained unless DropAfterFlush)
-	nextLSN       LSN        // MutexLog mode: next byte offset to assign; the consolidated buffer owns its own
 	flushLSN      LSN        // exclusive end of the durable prefix (first non-durable byte offset)
 	closed        bool
 	flusherActive bool          // the flusher goroutine has been started
 	waiters       []flushWaiter // pending durability subscriptions
 	failed        error         // first durable-sink error; wedges the log
-
-	fastRange  bool // cfg.Durable also implements RangeSink
-	fastVector bool // cfg.Durable also implements vectorSink
 
 	// Group-commit window state. window is the live value (fixed, or driven
 	// by the adaptive controller between winMin and winMax); the sum/count
@@ -570,14 +514,6 @@ type Log struct {
 
 	draining atomic.Bool // Close/Crash started: no new appends can arrive
 
-	// Auto-sizing state, all flusher-private: the buffer-full wait total at
-	// the last grow check, the wall clock of that check, and the size a
-	// requested (but not yet performed) grow is aiming for.
-	bufMax        int64
-	lastFullNanos int64
-	lastGrowCheck time.Time
-	growTarget    int64
-
 	stats Stats
 }
 
@@ -587,23 +523,8 @@ func New(cfg Config) *Log {
 	if start == 0 {
 		start = 1
 	}
-	l := &Log{cfg: cfg, nextLSN: start, flushLSN: start}
+	l := &Log{cfg: cfg, lb: newLogBuffer(cfg.BufferBytes, start), flushLSN: start}
 	l.flushWork = sync.NewCond(&l.mu)
-	if !cfg.MutexLog {
-		var maxBytes int64
-		if cfg.AutoSizeBuffer {
-			maxBytes = cfg.BufferMaxBytes
-			if maxBytes <= 0 {
-				maxBytes = DefaultLogBufferMaxBytes
-			}
-		}
-		l.lb = newLogBuffer(cfg.BufferBytes, maxBytes, start, cfg.LatchedLog, cfg.StrictFence)
-		l.bufMax = maxBytes
-	}
-	if cfg.Durable != nil {
-		_, l.fastRange = cfg.Durable.(RangeSink)
-		_, l.fastVector = cfg.Durable.(vectorSink)
-	}
 	l.winMin, l.winMax = cfg.GroupCommitMin, cfg.GroupCommitMax
 	if cfg.AdaptiveGroupCommit {
 		if l.winMin <= 0 {
@@ -646,52 +567,19 @@ func (l *Log) AppendTimed(rec Record) (LSN, AppendWaits, error) {
 }
 
 func (l *Log) append(rec Record, timed bool) (LSN, AppendWaits, error) {
-	if l.lb == nil {
-		return l.appendMutex(rec, timed)
-	}
 	s, w, err := l.lb.reserve(rec, l.kickFlusher, timed)
 	if err != nil {
 		return 0, w, err
 	}
 	fence := l.lb.fill(rec, s, timed)
 	if timed {
-		// The in-order publish fence is serialization cost, like the
-		// reservation itself: attribute it to reserve-wait so the log-lsn
-		// ablation's latched-vs-fetch-and-add comparison captures the whole
-		// ordering overhead of each protocol.
+		// The publish fence is serialization cost, like the reservation
+		// itself: attribute it to reserve-wait so the category captures the
+		// whole ordering overhead of the protocol.
 		w.Reserve += fence
 	}
 	l.stats.Appends.Add(1)
 	return LSN(s.off), w, nil
-}
-
-// appendMutex is the legacy centralized append path (Config.MutexLog): one
-// mutex serializes LSN assignment and the copy into the record slice, and
-// encoding happens later, record by record, in the flusher. Offsets advance
-// by each record's encoded size so the byte stream it produces is addressed
-// identically to the consolidated buffer's.
-func (l *Log) appendMutex(rec Record, timed bool) (LSN, AppendWaits, error) {
-	var w AppendWaits
-	var lockStart time.Time
-	if timed {
-		lockStart = time.Now()
-	}
-	l.mu.Lock()
-	if timed {
-		w.Reserve = time.Since(lockStart)
-	}
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, w, ErrClosed
-	}
-	if l.failed != nil {
-		return 0, w, l.failed
-	}
-	rec.LSN = l.nextLSN
-	l.nextLSN = l.nextLSN.Advance(int64(rec.EncodedSize()))
-	l.records = append(l.records, rec)
-	l.stats.Appends.Add(1)
-	return rec.LSN, w, nil
 }
 
 // kickFlusher starts (if necessary) and wakes the flusher goroutine. It is
@@ -704,17 +592,6 @@ func (l *Log) kickFlusher() {
 	}
 	l.flushWork.Signal()
 	l.mu.Unlock()
-}
-
-// endLSNLocked returns the virtual end offset of the log — the LSN the next
-// appended record would receive; every existing record's LSN is strictly
-// below it. Callers must hold l.mu in MutexLog mode; the consolidated
-// buffer's head is read lock-free.
-func (l *Log) endLSNLocked() LSN {
-	if l.lb != nil {
-		return LSN(l.lb.head.Load())
-	}
-	return l.nextLSN
 }
 
 // DurableLSN returns the exclusive end of the durable prefix: every byte of
@@ -733,9 +610,7 @@ func (l *Log) DurableLSN() LSN {
 // LSN the next record would be appended at. Flush(LastLSN()) therefore means
 // "force everything appended so far".
 func (l *Log) LastLSN() LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.endLSNLocked()
+	return LSN(l.lb.head.Load())
 }
 
 // Flush makes the record at LSN upTo (and every record below it) durable and
@@ -778,7 +653,7 @@ func (l *Log) FlushAsync(upTo LSN) <-chan error {
 		// to the already-durable watermark and is acknowledged immediately
 		// instead of parking a waiter no flush cycle would satisfy.
 		target := upTo.Next()
-		if end := l.endLSNLocked(); target > end {
+		if end := l.LastLSN(); target > end {
 			target = end
 		}
 		if l.flushLSN >= target {
@@ -829,14 +704,11 @@ func (l *Log) pendingWaitersLocked() (n int, maxTarget LSN) {
 }
 
 // workPendingLocked reports whether the flusher has anything actionable:
-// an unsatisfied durability subscription, or — consolidated mode only —
-// reservers blocked on a full buffer (which must be drained even when no
-// commit has subscribed yet, e.g. a large loading transaction).
+// an unsatisfied durability subscription, or reservers blocked on a full
+// buffer (which must be drained even when no commit has subscribed yet,
+// e.g. a large loading transaction).
 func (l *Log) workPendingLocked() bool {
-	if l.pendingFlushLocked() {
-		return true
-	}
-	return l.lb != nil && l.lb.fullWaiters.Load() > 0
+	return l.pendingFlushLocked() || l.lb.fullWaiters.Load() > 0
 }
 
 // flusherLoop is the dedicated flush daemon: one group-commit cycle per
@@ -854,11 +726,9 @@ func (l *Log) flusherLoop() {
 			l.failWaitersLocked(err)
 			l.flusherActive = false
 			l.mu.Unlock()
-			if l.lb != nil {
-				// Fail reservers blocked on a full buffer too: no one will
-				// ever drain it again.
-				l.lb.close(err)
-			}
+			// Fail reservers blocked on a full buffer too: no one will ever
+			// drain it again.
+			l.lb.close(err)
 			return
 		}
 		if l.closed && !l.workPendingLocked() {
@@ -883,73 +753,20 @@ func (l *Log) flusherLoop() {
 				continue
 			}
 		}
-		flush := l.flushMutexBatch
-		if l.lb != nil {
-			flush = l.flushConsolidated
-		}
 		flushStart := time.Now()
-		progressed, acked := flush()
+		progressed, acked := l.flushCycle()
 		if progressed {
 			l.ewmaFlush = 0.75*l.ewmaFlush + 0.25*float64(time.Since(flushStart))
 		}
 		if !progressed {
 			// Work is pending but nothing was consumable: a lower-LSN
 			// reservation is still being filled (a concurrent memcpy, gone in
-			// microseconds). Yield instead of spinning on the buffer latch.
+			// microseconds). Yield instead of spinning.
 			runtime.Gosched()
 		} else if l.cfg.AdaptiveGroupCommit && subscriptionsPending {
 			l.tuneWindow(acked, arrived)
 		}
-		l.maybeGrowBuffer()
 	}
-}
-
-// maybeGrowBuffer is the flusher-side half of the auto-sizing protocol
-// (Config.AutoSizeBuffer). Each cycle it compares the buffer-full wait
-// accumulated since its last check against the wall clock that elapsed: when
-// reservers spent more than growWaitFraction of the interval blocked on a
-// full buffer, the flusher requests a grow (reservers stand aside at their
-// next reserve) and then retries the swap every cycle until the ring drains;
-// tryGrow performs it. Growth doubles the ring and caps at Config's
-// BufferMaxBytes, so a mis-sized LogBufferBytes fixes itself in a few cycles
-// instead of showing up as a permanent log-buffer-full-wait plateau in the
-// profile.
-func (l *Log) maybeGrowBuffer() {
-	lb := l.lb
-	if lb == nil || !lb.resizable {
-		return
-	}
-	if lb.resizeWanted.Load() {
-		lb.tryGrow(l.growTarget)
-		return
-	}
-	// The grow threshold: buffer-full wait above 10% of wall time between
-	// checks means the ring, not the sink schedule, is the bottleneck.
-	const growWaitFraction = 0.10
-	now := time.Now()
-	full := lb.fullNanos.Load()
-	if l.lastGrowCheck.IsZero() {
-		l.lastGrowCheck = now
-		l.lastFullNanos = full
-		return
-	}
-	wall := now.Sub(l.lastGrowCheck)
-	delta := full - l.lastFullNanos
-	l.lastGrowCheck = now
-	l.lastFullNanos = full
-	if wall <= 0 || float64(delta) < float64(wall)*growWaitFraction {
-		return
-	}
-	newSize := lb.size * 2 // lb.size is stable here: only tryGrow (this goroutine) writes it
-	if newSize > l.bufMax {
-		newSize = l.bufMax
-	}
-	if newSize <= lb.size {
-		return // already at the cap
-	}
-	l.growTarget = newSize
-	lb.resizeWanted.Store(true)
-	lb.tryGrow(newSize)
 }
 
 // groupCommitPause waits out the group-commit window in short slices so the
@@ -1017,10 +834,10 @@ func (l *Log) groupCommitPause(window time.Duration) (arrived, crashed bool) {
 		if crashed {
 			break
 		}
-		if l.draining.Load() || (l.lb != nil && (l.lb.wedged.Load() || l.lb.fullWaiters.Load() > 0)) {
+		if l.draining.Load() || l.lb.wedged.Load() || l.lb.fullWaiters.Load() > 0 {
 			break
 		}
-		if l.cfg.AdaptiveGroupCommit && n >= satisfiable && l.targetsPublished(maxTarget) {
+		if l.cfg.AdaptiveGroupCommit && n >= satisfiable && LSN(l.lb.published.Load()) >= maxTarget {
 			// The pending set is satisfiable — every subscriber's bytes are
 			// published and the batch already holds a typical recent cycle's
 			// worth of subscribers — so waiting longer buys latency, not
@@ -1036,18 +853,6 @@ func (l *Log) groupCommitPause(window time.Duration) (arrived, crashed bool) {
 	return arrived, crashed
 }
 
-// targetsPublished reports whether every byte below target is already
-// published (consolidated mode) or buffered (mutex mode) — i.e. a flush
-// starting now would satisfy a subscription with that target.
-func (l *Log) targetsPublished(target LSN) bool {
-	if l.lb != nil {
-		return LSN(l.lb.published.Load()) >= target
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextLSN >= target
-}
-
 // tuneWindow is the adaptive group-commit controller, run once per windowed
 // flush cycle. acked is how many subscriptions the cycle satisfied; arrived
 // reports whether new subscriptions showed up while the window was open.
@@ -1058,14 +863,11 @@ func (l *Log) targetsPublished(target LSN) bool {
 func (l *Log) tuneWindow(acked int, arrived bool) {
 	w := time.Duration(l.window.Load())
 	l.ewmaBatch = 0.75*l.ewmaBatch + 0.25*float64(acked)
-	lagHigh := false
-	if l.lb != nil {
-		lag := l.lb.head.Load() - l.lb.published.Load()
-		if pending := l.PendingBytes(); pending > lag {
-			lag = pending
-		}
-		lagHigh = lag > l.lb.size/4
+	lag := l.lb.head.Load() - l.lb.published.Load()
+	if pending := l.PendingBytes(); pending > lag {
+		lag = pending
 	}
+	lagHigh := lag > l.lb.size/4
 	switch {
 	case acked <= 1 || lagHigh:
 		w /= 2
@@ -1094,119 +896,36 @@ func (l *Log) tuneWindow(acked int, arrived bool) {
 	l.window.Store(int64(w))
 }
 
-// flushMutexBatch is one legacy-mode group-commit cycle: snapshot the append
-// buffer, encode and write record by record, sync once. It returns the
-// number of subscriptions the cycle acknowledged.
-func (l *Log) flushMutexBatch() (bool, int) {
-	l.mu.Lock()
-	// Snapshot everything appended so far: the whole group commits together,
-	// including records that arrived during the window.
-	batch := l.records
-	l.records = nil
-	target := l.nextLSN
-	l.mu.Unlock()
-
-	var durableErr, sinkErr error
-	for _, r := range batch {
-		enc := r.Encode()
-		if l.cfg.Durable != nil {
-			if werr := l.cfg.Durable.WriteRecord(r, enc); werr != nil {
-				durableErr = werr
-				break
-			}
-		}
-		if l.cfg.Sink != nil && sinkErr == nil {
-			// The Sink is a best-effort mirror: its failure is reported
-			// but does not affect durability or stop the log.
-			if _, werr := l.cfg.Sink.Write(enc); werr != nil {
-				sinkErr = werr
-			}
-		}
-	}
-	return true, l.finishCycle(batch, len(batch), target, durableErr, sinkErr)
-}
-
-// flushConsolidated is one consolidated-mode group-commit cycle: consume the
-// contiguous published prefix of the log buffer and hand whole byte ranges
-// to the sinks — no per-record re-encode, no per-record write call on the
-// RangeSink fast path, and a single vectored submission for the whole cycle
-// when the sink supports it. It returns false when nothing was consumable,
-// plus the number of subscriptions the cycle acknowledged.
-func (l *Log) flushConsolidated() (bool, int) {
-	// Per-record structures are only materialized when something needs them:
-	// in-memory retention for Records(), or a durable sink without the
-	// range-write fast path.
-	keepRecs := !l.cfg.DropAfterFlush || (l.cfg.Durable != nil && !l.fastRange && !l.fastVector)
-	ranges, recs, count, end := l.lb.consume(keepRecs)
+// flushCycle is one group-commit cycle: consume the contiguous published
+// prefix of the log buffer, hand every consumed byte range to the durable
+// sink in one call — no per-record re-encode, one vectored submission for
+// the whole cycle — then force, advance the watermark and acknowledge. It
+// returns false when nothing was consumable, plus the number of
+// subscriptions the cycle acknowledged, the adaptive controller's batch-size
+// signal.
+func (l *Log) flushCycle() (bool, int) {
+	// Records are only decoded back out of the buffer for in-memory
+	// retention (Records()).
+	ranges, recs, count, end := l.lb.consume(!l.cfg.DropAfterFlush)
 	if end == 0 {
 		return false, 0
 	}
-
-	// The best-effort Sink mirror trails the durable sink: a chunk only
-	// reaches the mirror once the durable sink accepted it, so after a wedge
-	// the mirror stream never contains records that missed stable storage.
-	var durableErr, sinkErr error
-	mirror := func(data []byte) {
-		if l.cfg.Sink == nil || sinkErr != nil {
-			return
-		}
-		if _, werr := l.cfg.Sink.Write(data); werr != nil {
-			sinkErr = werr
-		}
+	var durableErr error
+	if l.cfg.Durable != nil {
+		durableErr = l.cfg.Durable.WriteRanges(ranges)
 	}
-	switch {
-	case l.cfg.Durable != nil && l.fastVector:
-		// The vectored fast path: the whole cycle — every contiguous range —
-		// in one submission, so the sink pays one write syscall per group
-		// commit instead of one per range.
-		if werr := l.cfg.Durable.(vectorSink).WriteRanges(ranges); werr != nil {
-			durableErr = werr
-		} else {
-			for _, r := range ranges {
-				mirror(r.data)
-			}
-		}
-	case l.cfg.Durable != nil && l.fastRange:
-		rs := l.cfg.Durable.(RangeSink)
-		for _, r := range ranges {
-			if werr := rs.WriteRange(r.data, r.first); werr != nil {
-				durableErr = werr
-				break
-			}
-			mirror(r.data)
-		}
-	case l.cfg.Durable != nil:
-		// Compatibility path for DurableSinks that only take records:
-		// re-encode each one, exactly like the legacy flusher. Each record
-		// carries its byte-offset LSN, so a positioning sink (Segments) can
-		// restore any wraparound padding the per-record stream elides.
-		for _, rec := range recs {
-			enc := rec.Encode()
-			if werr := l.cfg.Durable.WriteRecord(rec, enc); werr != nil {
-				durableErr = werr
-				break
-			}
-			mirror(enc)
-		}
-	default:
-		for _, r := range ranges {
-			mirror(r.data)
-		}
-	}
-	// The physical writes above are the last readers of the consumed bytes
+	// The physical write above is the last reader of the consumed bytes
 	// (Sync forces the OS, it never touches the buffer), so the space goes
 	// back to reservers before the sync latency is paid.
 	l.lb.release(end)
-
-	return true, l.finishCycle(recs, count, LSN(end), durableErr, sinkErr)
+	return true, l.finishCycle(recs, count, LSN(end), durableErr)
 }
 
-// finishCycle is the shared tail of a group-commit cycle: the single
-// physical force, retention, the durable-watermark advance, and the LSN-
-// ordered acknowledgements — or the wedge/crash handling that replaces them.
-// It returns the number of subscriptions acknowledged, the adaptive
-// controller's batch-size signal.
-func (l *Log) finishCycle(recs []Record, count int, target LSN, durableErr, sinkErr error) int {
+// finishCycle is the tail of a group-commit cycle: the single physical
+// force, retention, the durable-watermark advance, and the LSN-ordered
+// acknowledgements — or the wedge/crash handling that replaces them. It
+// returns the number of subscriptions acknowledged.
+func (l *Log) finishCycle(recs []Record, count int, target LSN, durableErr error) int {
 	if durableErr == nil && l.cfg.Durable != nil {
 		// The single physical force of the group commit.
 		durableErr = l.cfg.Durable.Sync()
@@ -1238,15 +957,13 @@ func (l *Log) finishCycle(recs []Record, count int, target LSN, durableErr, sink
 		l.flushLSN = target
 	}
 	l.stats.Synced.Add(uint64(count))
-	return l.notifyWaitersLocked(sinkErr)
+	return l.notifyWaitersLocked()
 }
 
 // notifyWaitersLocked acknowledges every subscription satisfied by the
 // current durable watermark, in ascending LSN order, returning how many it
-// acknowledged. sinkErr, when non-nil, is the best-effort mirror's write
-// error; it is reported to this batch's waiters without affecting
-// durability.
-func (l *Log) notifyWaitersLocked(sinkErr error) int {
+// acknowledged.
+func (l *Log) notifyWaitersLocked() int {
 	var remaining []flushWaiter
 	var done []flushWaiter
 	for _, w := range l.waiters {
@@ -1258,7 +975,7 @@ func (l *Log) notifyWaitersLocked(sinkErr error) int {
 	}
 	sort.Slice(done, func(i, j int) bool { return done[i].upTo < done[j].upTo })
 	for _, w := range done {
-		w.ch <- sinkErr
+		w.ch <- nil
 	}
 	l.waiters = remaining
 	return len(done)
@@ -1303,7 +1020,7 @@ func (l *Log) Records() []Record {
 func (l *Log) PendingBytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	end := l.endLSNLocked()
+	end := l.LastLSN()
 	if end <= l.flushLSN {
 		return 0
 	}
@@ -1332,8 +1049,6 @@ type TailStats struct {
 	FenceWait      time.Duration // cumulative publish-fence block time
 	ReserveWait    time.Duration // cumulative reserve wait (profiled appends only)
 	BufferFullWait time.Duration // cumulative buffer-full wait (timed unconditionally)
-	BufferBytes    int64         // current log buffer size (grows under AutoSizeBuffer)
-	BufferGrows    uint64        // auto-size ring growths performed
 }
 
 // AvgWindow returns the average group-commit window time actually waited per
@@ -1347,20 +1062,15 @@ func (ts TailStats) AvgWindow() time.Duration {
 
 // TailStats returns the log tail's self-tuning snapshot.
 func (l *Log) TailStats() TailStats {
-	ts := TailStats{
+	return TailStats{
 		FlushCycles:    l.stats.Flushes.Load(),
 		WindowedCycles: l.windowedCycles.Load(),
 		WindowTotal:    time.Duration(l.windowNanos.Load()),
 		CurWindow:      time.Duration(l.window.Load()),
+		FenceWait:      time.Duration(l.lb.fenceNanos.Load()),
+		ReserveWait:    time.Duration(l.lb.reserveNanos.Load()),
+		BufferFullWait: time.Duration(l.lb.fullNanos.Load()),
 	}
-	if l.lb != nil {
-		ts.FenceWait = time.Duration(l.lb.fenceNanos.Load())
-		ts.ReserveWait = time.Duration(l.lb.reserveNanos.Load())
-		ts.BufferFullWait = time.Duration(l.lb.fullNanos.Load())
-		ts.BufferBytes = l.lb.sizeNow()
-		ts.BufferGrows = uint64(l.lb.grows.Load())
-	}
-	return ts
 }
 
 // Window returns the group-commit window currently in effect — the adaptive
@@ -1378,19 +1088,17 @@ func (l *Log) Close() error {
 	// No new appends from here on: the group-commit pause wakes immediately
 	// instead of letting each drain cycle pay a full window.
 	l.draining.Store(true)
-	if l.lb != nil {
-		// Refuse new reservations first so the drain below is complete;
-		// records already reserved still fill, publish and drain.
-		l.lb.close(ErrClosed)
-	}
+	// Refuse new reservations first so the drain below is complete; records
+	// already reserved still fill, publish and drain.
+	l.lb.close(ErrClosed)
 	for {
 		l.mu.Lock()
 		if l.closed {
 			l.mu.Unlock()
 			return nil
 		}
-		end := l.endLSNLocked()
-		if l.flushLSN >= end && len(l.records) == 0 {
+		end := l.LastLSN()
+		if l.flushLSN >= end {
 			l.closed = true
 			l.flushWork.Broadcast()
 			l.mu.Unlock()
@@ -1417,16 +1125,13 @@ func (l *Log) Crash() {
 	}
 	err := l.failed
 	l.closed = true
-	l.records = nil
 	if !l.flusherActive {
 		// No flusher to deliver the failure; fail the waiters directly.
 		l.failWaitersLocked(err)
 	}
 	l.flushWork.Broadcast()
 	l.mu.Unlock()
-	if l.lb != nil {
-		// Discard the consolidated buffer: reservations fail from here on and
-		// blocked reservers wake with the crash error.
-		l.lb.close(err)
-	}
+	// Discard the buffer: reservations fail from here on and blocked
+	// reservers wake with the crash error.
+	l.lb.close(err)
 }

@@ -441,6 +441,35 @@ func TestELRCrashInPreCommitWindow(t *testing.T) {
 	}
 }
 
+// writeCraftedLog writes recs — records iterated out of a real log, each
+// carrying its byte-offset LSN — to a fresh segment directory as the bytes
+// of the virtual log they came from: every frame at its LSN, zero padding
+// wherever the original stream had ring padding between two frames.
+func writeCraftedLog(t *testing.T, dir string, recs []wal.Record) {
+	t.Helper()
+	out, err := wal.OpenSegments(dir, wal.DefaultSegmentBytes, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) > 0 {
+		first := recs[0].LSN
+		var data []byte
+		for _, r := range recs {
+			data = append(data, make([]byte, r.LSN.Distance(first)-int64(len(data)))...)
+			data = append(data, r.Encode()...)
+		}
+		if err := out.WriteRanges([]wal.Range{{Data: data, First: first}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := out.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCrashDuringAbortTorture exercises every crash point inside a
 // compensation-logged rollback. A transaction under ELR + AsyncCommit
 // inserts, updates and deletes, then aborts; the resulting log — data
@@ -562,15 +591,7 @@ func TestCrashDuringAbortTorture(t *testing.T) {
 		}
 
 		dir := t.TempDir()
-		out, err := wal.OpenSegments(dir, wal.DefaultSegmentBytes, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range kept {
-			must(out.WriteRecord(r, r.Encode()))
-		}
-		must(out.Sync())
-		must(out.Close())
+		writeCraftedLog(t, dir, kept)
 
 		db2, err := slidb.OpenAt(dir, slidb.Config{})
 		if err != nil {
@@ -673,13 +694,7 @@ func TestRestartUndoIsLoggedExactlyOnce(t *testing.T) {
 		t.Fatalf("last record is %v, want COMMIT", recs[len(recs)-1].Type)
 	}
 	dir := t.TempDir()
-	out, err := wal.OpenSegments(dir, wal.DefaultSegmentBytes, false)
-	must(err)
-	for _, r := range recs[:len(recs)-1] {
-		must(out.WriteRecord(r, r.Encode()))
-	}
-	must(out.Sync())
-	must(out.Close())
+	writeCraftedLog(t, dir, recs[:len(recs)-1])
 
 	// Restart 1: the loser is undone (row 1 back to 100, row 2 gone).
 	db1, err := slidb.OpenAt(dir, slidb.Config{})
