@@ -126,8 +126,13 @@ func verifyStream(t *testing.T, data []byte, want map[LSN]Record) {
 // correctness test for the fetch-and-add protocol: many appenders race into a
 // small buffer (forcing ring wraparound padding and buffer-full waits), and
 // the stream handed to the sink must decode to exactly the records appended,
-// each at the byte offset its Append returned.
+// each at the byte offset its Append returned. The subtest keeps the name it
+// had when a latched arm ran beside it; fetch-and-add is now the only arm.
 func TestConsolidatedConcurrentAppendsRoundTrip(t *testing.T) {
+	t.Run("latched=false", testConcurrentAppendsRoundTrip)
+}
+
+func testConcurrentAppendsRoundTrip(t *testing.T) {
 	sink := &captureSink{}
 	l := New(Config{Durable: sink, DropAfterFlush: true, BufferBytes: 8 << 10})
 	const (
@@ -254,8 +259,13 @@ func TestWraparoundMatchesReference(t *testing.T) {
 // reopened at StartLSN with nothing appended yet, subscriptions at or below
 // the recovered durable prefix — and subscriptions beyond the last append,
 // which clamp down to it — must acknowledge immediately instead of
-// registering a waiter that no flush cycle ever satisfies.
+// registering a waiter that no flush cycle ever satisfies. The subtest keeps
+// the name it had when a mutex-log arm ran beside it.
 func TestFlushAsyncReopenEdge(t *testing.T) {
+	t.Run("mutexLog=false", testFlushAsyncReopenEdge)
+}
+
+func testFlushAsyncReopenEdge(t *testing.T) {
 	l := New(Config{StartLSN: 100})
 	for _, upTo := range []LSN{0, 1, 50, 99, 100, 1000} {
 		select {
@@ -364,8 +374,13 @@ func (s *stuckSink) Sync() error { return nil }
 // buffer must wake with the crash error, not hang — even while the flusher
 // is wedged inside a sink write and can never drain. The CAS-loop design
 // makes this clean: a waiting reserver holds no claim, so failing it leaves
-// no hole in the publish fence.
+// no hole in the publish fence. The subtest keeps the name it had when a
+// latched arm ran beside it.
 func TestConsolidatedCrashFailsBlockedReservers(t *testing.T) {
+	t.Run("latched=false", testCrashFailsBlockedReservers)
+}
+
+func testCrashFailsBlockedReservers(t *testing.T) {
 	sink := &stuckSink{release: make(chan struct{}), entered: make(chan struct{})}
 	defer close(sink.release)
 	l := New(Config{BufferBytes: 4 << 10, Durable: sink, DropAfterFlush: true})
