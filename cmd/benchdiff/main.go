@@ -42,11 +42,6 @@ type entry struct {
 	WritesPerCycle float64 `json:"writes_per_cycle"`
 	AvgWindowUs    float64 `json:"avg_window_us"`
 	FenceWaitUs    float64 `json:"fence_wait_us"`
-	// Sharded-log shape (PR 10): virtual-log count and the commits that paid
-	// the cross-shard flush rendezvous. Pre-shard artifacts decode both as
-	// zero — "not measured", rendered n/a, never compared.
-	LogShards         int    `json:"log_shards"`
-	CrossShardCommits uint64 `json:"cross_shard_commits"`
 }
 
 type key struct {
@@ -103,33 +98,29 @@ func main() {
 	// non-zero undo-failure count is a correctness alarm, and a substantial
 	// writes-per-cycle increase means the vectored flush path stopped
 	// batching; both get warning annotations of their own.
-	fmt.Printf("%-12s %-10s %7s %12s %12s %9s %12s %12s %9s %9s %10s %7s %8s %8s %10s\n",
+	fmt.Printf("%-12s %-10s %7s %12s %12s %9s %12s %12s %9s %9s %10s %10s\n",
 		"workload", "config", "agents", "tps-prev", "tps-now", "delta-%", "rsv-ms-prev", "rsv-ms-now",
-		"w/c-prev", "w/c-now", "window-us", "shards", "xs-prev", "xs-now", "undo-fail")
+		"w/c-prev", "w/c-now", "window-us", "undo-fail")
 	for _, e := range newEntries {
 		old, ok := prev[key{e.Workload, e.Config, e.Agents}]
 		if !ok || old.TPS <= 0 {
-			fmt.Printf("%-12s %-10s %7d %12s %12.1f %9s %12s %12.2f %9s %9.2f %10.1f %7s %8s %8s %10d\n",
+			fmt.Printf("%-12s %-10s %7d %12s %12.1f %9s %12s %12.2f %9s %9.2f %10.1f %10d\n",
 				e.Workload, e.Config, e.Agents, "-", e.TPS, "new", "-", e.ReserveWaitMs,
-				"-", e.WritesPerCycle, e.AvgWindowUs,
-				shardsCol(e), "-", xshardCol(e), e.UndoFailures)
+				"-", e.WritesPerCycle, e.AvgWindowUs, e.UndoFailures)
 		} else {
 			delta := 100 * (e.TPS - old.TPS) / old.TPS
 			// A pre-PR-7 baseline artifact has no log-tail fields at all:
 			// flush_cycles/writes_per_cycle decode as zero. Zero cycles means
 			// "not measured", not "measured zero" — print n/a and skip the
 			// fragmentation comparison rather than reporting 0.00 or a
-			// division blowing up to +Inf%. The same rule covers the PR-10
-			// sharding fields: a pre-shard artifact decodes log_shards as
-			// zero, so its shard and cross-shard columns print n/a.
+			// division blowing up to +Inf%.
 			wcPrev := "n/a"
 			if old.FlushCycles > 0 {
 				wcPrev = fmt.Sprintf("%.2f", old.WritesPerCycle)
 			}
-			fmt.Printf("%-12s %-10s %7d %12.1f %12.1f %+8.1f%% %12.2f %12.2f %9s %9.2f %10.1f %7s %8s %8s %10d\n",
+			fmt.Printf("%-12s %-10s %7d %12.1f %12.1f %+8.1f%% %12.2f %12.2f %9s %9.2f %10.1f %10d\n",
 				e.Workload, e.Config, e.Agents, old.TPS, e.TPS, delta, old.ReserveWaitMs, e.ReserveWaitMs,
-				wcPrev, e.WritesPerCycle, e.AvgWindowUs,
-				shardsCol(e), xshardCol(old), xshardCol(e), e.UndoFailures)
+				wcPrev, e.WritesPerCycle, e.AvgWindowUs, e.UndoFailures)
 			if delta < -*threshold {
 				regressions++
 				fmt.Printf("::warning::benchdiff: %s/%s (agents=%d) tps regressed %.1f%% (%.1f -> %.1f)\n",
@@ -151,24 +142,6 @@ func main() {
 	if regressions == 0 {
 		fmt.Printf("::notice::benchdiff: no tps regression beyond %.0f%% against the previous run\n", *threshold)
 	}
-}
-
-// shardsCol renders an entry's virtual-log count, n/a for pre-shard
-// artifacts (log_shards decodes as zero when the field is absent).
-func shardsCol(e entry) string {
-	if e.LogShards == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%d", e.LogShards)
-}
-
-// xshardCol renders an entry's cross-shard commit count, n/a for pre-shard
-// artifacts where the counter was never measured.
-func xshardCol(e entry) string {
-	if e.LogShards == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%d", e.CrossShardCommits)
 }
 
 func load(path string) ([]entry, error) {

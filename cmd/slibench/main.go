@@ -15,8 +15,6 @@
 //	slibench -workload tpcb/tpcb -datadir /tmp/slidb  # durable run (real fsyncs)
 //	slibench -ablation log-tail -datadir /tmp/slidb   # fixed vs adaptive group commit
 //	slibench -workload tpcb/tpcb -datadir /tmp/slidb -adaptivegc -prealloc  # self-tuning log tail
-//	slibench -ablation log-shards -datadir /tmp/slidb  # 1/2/4 sharded virtual logs
-//	slibench -workload tpcb/tpcb -logshards 4 -sli -elr -async  # sharded logs
 //	slibench -recover /tmp/slidb/tpcb_tpcb-1234       # replay a data directory
 //	slibench -benchout BENCH_quick.json    # baseline vs SLI vs SLI+ELR, JSON artifact
 //	slibench -list                         # show available workloads
@@ -41,7 +39,7 @@ import (
 func main() {
 	var (
 		figureN     = flag.Int("figure", 0, "paper figure to regenerate (1, 6, 7, 8, 9, 10, 11); 0 = none")
-		ablation    = flag.String("ablation", "", "ablation study to run (hot-threshold, levels, bimodal, roving-hotspot, sli-elr, log-tail, abort-elr, log-shards)")
+		ablation    = flag.String("ablation", "", "ablation study to run (hot-threshold, levels, bimodal, roving-hotspot, sli-elr, log-tail, abort-elr)")
 		wl          = flag.String("workload", "", "single workload to run, e.g. ndbb/mix, tpcb/tpcb, tpcc/Payment")
 		scale       = flag.String("scale", "quick", "dataset/measurement scale: quick, default, or paper")
 		agents      = flag.Int("agents", 0, "agent (worker) count for -workload runs; 0 = scale default")
@@ -55,7 +53,6 @@ func main() {
 		gcMin       = flag.Duration("gcmin", 0, "lower bound for the adaptive group-commit window; 0 = engine default")
 		gcMax       = flag.Duration("gcmax", 0, "upper bound for the adaptive group-commit window; 0 = engine default")
 		prealloc    = flag.Bool("prealloc", false, "preallocate durable WAL segments at creation (fallocate, falling back to truncate); only meaningful with -datadir")
-		logShards   = flag.Int("logshards", 0, "number of sharded virtual logs (cross-shard commits pay a two-phase flush rendezvous); 0 = single log, or auto-detect when reopening a sharded -datadir")
 		gcWindow    = flag.Duration("gcwindow", 0, "group-commit window for -workload/-benchout engines")
 		flushDelay  = flag.Duration("flushdelay", 0, "simulated log-force latency for -workload/-benchout engines")
 		duration    = flag.Duration("duration", 0, "override measurement duration")
@@ -111,7 +108,6 @@ func main() {
 	opt.GroupCommitMin = *gcMin
 	opt.GroupCommitMax = *gcMax
 	opt.PreallocateSegments = *prealloc
-	opt.LogShards = *logShards
 	opt.LogFlushDelay = *flushDelay
 	opt.Clients = *clients
 	opt.AbortRate = *abortRate
@@ -219,18 +215,6 @@ func runSingle(wl string, opt figures.Options, agents int, sli bool) {
 	fmt.Printf("  log tail          %d flush cycles, %.2f writes/cycle, avg window %v, fence wait %v\n",
 		es.FlushCycles, es.WritesPerCycle(), es.AvgWindow.Round(time.Microsecond), es.FenceWait.Round(time.Microsecond))
 	fmt.Printf("  gc window         %v final (adaptive=%v)\n", es.FinalWindow.Round(time.Microsecond), opt.AdaptiveGroupCommit)
-	if es.LogShards > 1 {
-		xfrac := 0.0
-		if es.Committed > 0 {
-			xfrac = float64(es.CrossShardCommits) / float64(es.Committed)
-		}
-		fmt.Printf("  log shards        %d (%d cross-shard commits, %.0f%% of committed)\n",
-			es.LogShards, es.CrossShardCommits, 100*xfrac)
-		for s := 0; s < es.LogShards; s++ {
-			fmt.Printf("    shard %02d        reserve %v, %.2f writes/cycle\n",
-				s, es.ShardReserveWait[s].Round(time.Microsecond), es.ShardWritesPerCycle[s])
-		}
-	}
 }
 
 // benchConfig is one configuration of the -benchout comparison sweep.
@@ -269,14 +253,6 @@ type benchEntry struct {
 	WritesPerCycle float64 `json:"writes_per_cycle"`
 	AvgWindowUs    float64 `json:"avg_window_us"`
 	FenceWaitUs    float64 `json:"fence_wait_us"`
-	// Sharded-log shape: the number of virtual logs the run used, how many
-	// commits paid the cross-shard rendezvous, and the per-shard reserve-wait
-	// and writes-per-cycle views (index = shard; one hot entry = routing
-	// skew). Absent (zero / null) in artifacts from pre-shard builds.
-	LogShards           int       `json:"log_shards"`
-	CrossShardCommits   uint64    `json:"cross_shard_commits"`
-	ShardReserveWaitMs  []float64 `json:"shard_reserve_wait_ms"`
-	ShardWritesPerCycle []float64 `json:"shard_writes_per_cycle"`
 }
 
 // runBench sweeps TPC-B and the TM-1 (NDBB) mix across the baseline, SLI,
@@ -335,15 +311,6 @@ func runBench(opt figures.Options, agents int, outPath string) {
 				WritesPerCycle: es.WritesPerCycle(),
 				AvgWindowUs:    float64(es.AvgWindow.Nanoseconds()) / 1e3,
 				FenceWaitUs:    float64(es.FenceWait.Nanoseconds()) / 1e3,
-
-				LogShards:         es.LogShards,
-				CrossShardCommits: es.CrossShardCommits,
-			}
-			for s := 0; s < es.LogShards; s++ {
-				e.ShardReserveWaitMs = append(e.ShardReserveWaitMs,
-					es.ShardReserveWait[s].Seconds()*1000)
-				e.ShardWritesPerCycle = append(e.ShardWritesPerCycle,
-					es.ShardWritesPerCycle[s])
 			}
 			entries = append(entries, e)
 			fmt.Printf("%-12s %-10s %12.1f %14.0f %12.1f %12d\n",

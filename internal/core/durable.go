@@ -74,63 +74,37 @@ func OpenAt(dir string, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	segsList, err := wal.OpenShardedSegments(dir, cfg.LogShards, cfg.SegmentBytes, cfg.PreallocateSegments)
+	segs, err := wal.OpenSegments(dir, cfg.SegmentBytes, cfg.PreallocateSegments)
 	if err != nil {
 		return nil, err
 	}
-	n := len(segsList)
-	closeAll := func() {
-		for _, sg := range segsList {
-			sg.Close()
-		}
-	}
 
-	// The checkpoint boundary vector holds each shard's durable watermark
-	// the snapshot covered — exclusive end offsets, i.e. exactly the frame
-	// boundaries replay resumes at. Byte-offset LSNs make both the resume
-	// points and the restart of LSN allocation pure boundary arithmetic: no
-	// "+1 past the last record" — dense-LSN counting — survives here.
-	from := make([]wal.LSN, n)
+	// The checkpoint LSN is the durable watermark the snapshot covered — an
+	// exclusive end offset, i.e. exactly the frame boundary the replay
+	// resumes at. Byte-offset LSNs make both the resume point and the
+	// restart of LSN allocation pure boundary arithmetic: no "+1 past the
+	// last record" — dense-LSN counting — survives here.
+	var from wal.LSN
 	if haveCkpt {
-		vec, verr := snap.Vector(n)
-		if verr != nil {
-			closeAll()
-			return nil, verr
-		}
-		copy(from, vec)
+		from = snap.LSN
 	}
-	iterFor := func(s int) recovery.Iterator {
-		return func(fn func(wal.Record) error) error {
-			return segsList[s].Iterate(from[s], fn)
-		}
-	}
-	// Per-shard analysis, merged into the global commit verdict: a
-	// transaction is committed only if every shard named in its commit
-	// records' participant masks holds a durable commit record.
-	per := make([]*recovery.Analysis, n)
-	for s := range per {
-		if per[s], err = recovery.Analyze(iterFor(s)); err != nil {
-			closeAll()
-			return nil, err
-		}
-	}
-	committed, err := recovery.GlobalWinners(per)
+	iter := recovery.Iterator(func(fn func(wal.Record) error) error {
+		return segs.Iterate(from, fn)
+	})
+	an, err := recovery.Analyze(iter)
 	if err != nil {
-		closeAll()
+		segs.Close()
 		return nil, err
 	}
 
-	startLSNs := make([]wal.LSN, n)
-	for s := range startLSNs {
-		startLSNs[s] = segsList[s].End()
-		if haveCkpt && from[s] > startLSNs[s] {
-			startLSNs[s] = from[s]
-		}
+	startLSN := segs.End()
+	if haveCkpt && snap.LSN > startLSN {
+		startLSN = snap.LSN
 	}
-	e := newEngine(cfg, segsList, startLSNs)
+	e := newEngine(cfg, segs, startLSN)
 	if haveCkpt {
 		if err := e.restoreSnapshot(snap); err != nil {
-			closeAll()
+			segs.Close()
 			return nil, err
 		}
 		e.recStats.CheckpointLSN = uint64(snap.LSN)
@@ -142,67 +116,38 @@ func OpenAt(dir string, cfg Config) (*Engine, error) {
 			e.nextXID.Store(snap.NextXID)
 		}
 	}
-	// Redo repeats history shard by shard, shard 0 first: DDL always routes
-	// to shard 0, so replayed data records never reference missing tables.
-	// Rows never span shards (records are routed by primary key), so each
-	// shard's sequential replay preserves every row's update order.
-	for s := 0; s < n; s++ {
-		redo, rerr := recovery.Redo(iterFor(s), per[s], engineApplier{e})
-		if rerr != nil {
-			closeAll()
-			return nil, rerr
-		}
-		e.recStats.RecordsRedone += redo.Redone
-		e.recStats.CLRsRedone += redo.CLRs
-		e.recStats.DDLReplayed += redo.DDL
+	redo, err := recovery.Redo(iter, an, engineApplier{e})
+	if err != nil {
+		segs.Close()
+		return nil, err
 	}
-	// The undo pass logs its work into the new incarnation's logs — one CLR
-	// per record undone plus an abort record per completed rollback, each on
-	// the shard the original record lives on — so the next restart sees
-	// these losers as fully rolled back instead of re-undoing them on top of
-	// whatever commits in the meantime. A shard rolls a transaction back
-	// when it was a loser there, or a demoted winner: its commit record
-	// survived on this shard but a participant shard's did not.
-	for s := 0; s < n; s++ {
-		an := per[s]
-		needs := func(xid uint64) bool {
-			if _, ok := committed[xid]; ok {
-				return false
-			}
-			if _, rolledBack := an.RolledBack[xid]; rolledBack {
-				return false
-			}
-			if _, lost := an.Losers[xid]; lost {
-				return true
-			}
-			_, won := an.Winners[xid]
-			return won
-		}
-		shardLog := e.logs[s]
-		undo, uerr := recovery.UndoWith(iterFor(s), an, engineApplier{e}, func(rec wal.Record) error {
-			_, aerr := shardLog.Append(rec)
-			return aerr
-		}, needs)
-		if uerr != nil {
-			closeAll()
-			return nil, uerr
-		}
-		e.recStats.RecordsUndone += undo.Undone
-		e.recStats.TxUndone += undo.TxUndone
-		e.recStats.RollbacksResumed += undo.Resumed
+	// The undo pass logs its work into the new incarnation's log: one CLR
+	// per record undone plus an abort record per completed rollback, so the
+	// next restart sees these losers as fully rolled back instead of
+	// re-undoing them on top of whatever commits in the meantime.
+	undo, err := recovery.Undo(iter, an, engineApplier{e}, func(rec wal.Record) error {
+		_, aerr := e.log.Append(rec)
+		return aerr
+	})
+	if err != nil {
+		segs.Close()
+		return nil, err
 	}
-	for _, an := range per {
-		if an.MaxXID > e.nextXID.Load() {
-			// Resume XID allocation above every XID in any shard's log tail,
-			// so a new transaction can never share an XID with a stale loser
-			// record.
-			e.nextXID.Store(an.MaxXID)
-		}
-		e.recStats.LogRecordsScanned += an.Scanned
-		e.recStats.Winners += len(an.Winners)
-		e.recStats.Losers += len(an.Losers)
-		e.recStats.RollbacksComplete += len(an.RolledBack)
+	if an.MaxXID > e.nextXID.Load() {
+		// Resume XID allocation above every XID in the log tail, so a new
+		// transaction can never share an XID with a stale loser record.
+		e.nextXID.Store(an.MaxXID)
 	}
+	e.recStats.LogRecordsScanned = an.Scanned
+	e.recStats.Winners = len(an.Winners)
+	e.recStats.Losers = len(an.Losers)
+	e.recStats.RollbacksComplete = len(an.RolledBack)
+	e.recStats.RecordsRedone = redo.Redone
+	e.recStats.CLRsRedone = redo.CLRs
+	e.recStats.RecordsUndone = undo.Undone
+	e.recStats.TxUndone = undo.TxUndone
+	e.recStats.RollbacksResumed = undo.Resumed
+	e.recStats.DDLReplayed = redo.DDL
 
 	e.SetConcurrency(cfg.Agents)
 	return e, nil
@@ -380,27 +325,18 @@ func (e *Engine) Checkpoint() error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	if len(e.segs) == 0 {
+	if e.segs == nil {
 		return ErrNotDurable
 	}
 	e.execGate.Lock()
 	defer e.execGate.Unlock()
 
-	// Force every shard and capture the per-shard durable boundary vector.
-	// The gate quiesces execution, so no transaction's records straddle it:
-	// the table images reflect everything below the vector on every shard.
-	vec := make([]wal.LSN, e.nShards)
-	for s, l := range e.logs {
-		if err := l.Flush(l.LastLSN()); err != nil {
-			return err
-		}
-		vec[s] = l.DurableLSN()
+	if err := e.log.Flush(e.log.LastLSN()); err != nil {
+		return err
 	}
+	snapLSN := e.log.DurableLSN()
 
-	snap := &recovery.Snapshot{LSN: vec[0], NextXID: e.nextXID.Load()}
-	if e.nShards > 1 {
-		snap.LSNs = vec
-	}
+	snap := &recovery.Snapshot{LSN: snapLSN, NextXID: e.nextXID.Load()}
 	for _, tbl := range e.cat.Tables() {
 		e.mu.RLock()
 		hf := e.heaps[tbl.ID]
@@ -421,10 +357,5 @@ func (e *Engine) Checkpoint() error {
 	if err := recovery.WriteCheckpoint(e.cfg.Dir, snap); err != nil {
 		return err
 	}
-	for s, sg := range e.segs {
-		if err := sg.Checkpoint(vec[s]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.segs.Checkpoint(snapLSN)
 }

@@ -173,7 +173,6 @@ func TestExecAsyncAckOrderingUnderLoad(t *testing.T) {
 		Agents:            4,
 		EarlyLockRelease:  true,
 		AsyncCommit:       true,
-		PipelineDepth:     8,
 		GroupCommitWindow: 200 * time.Microsecond,
 		Profile:           true,
 	})

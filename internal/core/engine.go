@@ -29,6 +29,16 @@ import (
 // databaseID is the single database (volume) ID used by the engine.
 const databaseID uint32 = 1
 
+const (
+	// pipelineDepth bounds the in-flight pre-committed transactions per
+	// worker under AsyncCommit.
+	pipelineDepth = 32
+	// maxDeadlockRetries is how many times Exec re-runs a transaction that
+	// was chosen as a deadlock victim (or timed out on a lock) before giving
+	// up.
+	maxDeadlockRetries = 10
+)
+
 // Config configures an Engine.
 type Config struct {
 	// SLI enables Speculative Lock Inheritance (the paper's contribution).
@@ -66,8 +76,8 @@ type Config struct {
 	// EarlyLockRelease makes a committing transaction release its locks (and
 	// perform SLI inheritance) as soon as its commit record is appended to
 	// the log, instead of holding them across the group-commit fsync. Lock
-	// hold times then exclude the entire flush latency. Safe with the single
-	// totally-ordered log: commits are acknowledged in LSN order, so a
+	// hold times then exclude the entire flush latency. Safe because the log
+	// is totally ordered and commits are acknowledged in LSN order, so a
 	// transaction that read ELR-exposed data is never durable before the
 	// transaction that exposed it. Off by default (the paper-faithful
 	// baseline holds locks until the commit is durable). This knob governs
@@ -81,7 +91,7 @@ type Config struct {
 	// of EarlyLockRelease — enable both for the full ELR pipeline.
 	EarlyLockReleaseAborts bool
 	// AsyncCommit lets each agent worker start its next transaction while up
-	// to PipelineDepth earlier transactions are still waiting for their
+	// to pipelineDepth (32) earlier transactions are still waiting for their
 	// commit records to be forced to disk (flush pipelining). Exec still
 	// blocks its caller until the transaction is durable; only the agent is
 	// freed. It requires EarlyLockRelease: without it a committing
@@ -89,32 +99,14 @@ type Config struct {
 	// flush happens synchronously and there is nothing to pipeline —
 	// AsyncCommit alone is a no-op.
 	AsyncCommit bool
-	// PipelineDepth bounds the in-flight pre-committed transactions per
-	// worker under AsyncCommit (default 32).
-	PipelineDepth int
 	// Profile enables the per-component time breakdown used by the figure
 	// harness. It adds a small overhead per operation.
 	Profile bool
 	// LockTimeout bounds lock waits; zero uses the default (10s).
 	LockTimeout time.Duration
-	// MaxDeadlockRetries is how many times Exec re-runs a transaction that
-	// was chosen as a deadlock victim before giving up (default 10).
-	MaxDeadlockRetries int
 	// DropLogAfterFlush discards flushed log records instead of retaining
 	// them in memory; enable for long benchmark runs.
 	DropLogAfterFlush bool
-	// LogShards splits the write-ahead log into this many independent
-	// virtual logs, each with its own reserve/fill/publish buffer, flusher
-	// goroutine and segment directory (shard-NN/). Records are routed by the
-	// row's table and primary key, so one row's history lives entirely on
-	// one shard; a transaction touching several shards commits with one
-	// commit record per touched shard (carrying the participant set) and is
-	// treated as committed by recovery only when every participant's commit
-	// record survived. Zero or one keeps the single totally-ordered log —
-	// byte-identical to the pre-shard format. For durable engines the value
-	// must match the directory's existing layout (OpenAt fails loudly with
-	// wal.ErrLogFormat on a mismatch); zero auto-detects it.
-	LogShards int
 	// Dir is the data directory backing the engine's durability subsystem
 	// (WAL segments and checkpoints). It is set by OpenAt; Open ignores it
 	// and runs fully in memory.
@@ -133,17 +125,8 @@ func (c Config) withDefaults() Config {
 	if c.BufferFrames <= 0 {
 		c.BufferFrames = 4096
 	}
-	if c.MaxDeadlockRetries <= 0 {
-		c.MaxDeadlockRetries = 10
-	}
-	if c.PipelineDepth <= 0 {
-		c.PipelineDepth = 32
-	}
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = wal.DefaultSegmentBytes
-	}
-	if c.LogShards > wal.MaxLogShards {
-		c.LogShards = wal.MaxLogShards
 	}
 	return c
 }
@@ -153,18 +136,13 @@ var ErrClosed = errors.New("core: engine is closed")
 
 // Engine is the storage manager.
 type Engine struct {
-	cfg Config
-	cat *catalog.Catalog
-	lm  *lockmgr.Manager
-	// logs holds one virtual log per shard; log aliases logs[0] so the
-	// single-shard hot paths (and DDL, which always routes to shard 0) pay
-	// no indirection. nShards == len(logs) >= 1.
-	logs    []*wal.Log
-	log     *wal.Log
-	nShards int
-	segs    []*wal.Segments // empty for in-memory (volatile) engines
-	pool    *buffer.Pool
-	prof    *profiler.Profiler
+	cfg  Config
+	cat  *catalog.Catalog
+	lm   *lockmgr.Manager
+	log  *wal.Log
+	segs *wal.Segments // nil for in-memory (volatile) engines
+	pool *buffer.Pool
+	prof *profiler.Profiler
 
 	// execGate serializes checkpoints against running transactions: every
 	// transaction attempt holds it for read, Checkpoint takes it for write.
@@ -207,10 +185,6 @@ type Engine struct {
 	// state may no longer match the pre-transaction state. Always zero in a
 	// healthy engine; torture tests fail when it is not.
 	undoFailures atomic.Uint64
-	// crossShardCommits counts committed transactions whose participant set
-	// spanned more than one log shard — the commits that paid the two-phase
-	// flush rendezvous instead of a single-log group commit.
-	crossShardCommits atomic.Uint64
 }
 
 type job struct {
@@ -248,28 +222,18 @@ type worker struct {
 // For a disk-backed engine with crash recovery, use OpenAt.
 func Open(cfg Config) *Engine {
 	cfg.Dir = ""
-	e := newEngine(cfg.withDefaults(), nil, nil)
+	e := newEngine(cfg.withDefaults(), nil, 0)
 	e.SetConcurrency(e.cfg.Agents)
 	return e
 }
 
-// newEngine builds an engine without starting its agent pool. A non-empty
-// durable slice makes the write-ahead log disk-backed with one virtual log
-// per segment directory (its length overrides cfg.LogShards); startLSNs
-// (when non-nil) resumes each shard's LSN allocation above its recovered
-// log prefix.
-func newEngine(cfg Config, durable []*wal.Segments, startLSNs []wal.LSN) *Engine {
-	nShards := cfg.LogShards
-	if len(durable) > 0 {
-		nShards = len(durable)
-	}
-	if nShards < 1 {
-		nShards = 1
-	}
+// newEngine builds an engine without starting its agent pool. A non-nil
+// durable sink makes the write-ahead log disk-backed; startLSN resumes LSN
+// allocation above the recovered log prefix.
+func newEngine(cfg Config, durable *wal.Segments, startLSN wal.LSN) *Engine {
 	e := &Engine{
 		cfg:      cfg,
 		cat:      catalog.New(),
-		nShards:  nShards,
 		segs:     durable,
 		prof:     profiler.New(cfg.Profile),
 		heaps:    make(map[uint32]*heap.File),
@@ -285,68 +249,29 @@ func newEngine(cfg Config, durable []*wal.Segments, startLSNs []wal.LSN) *Engine
 		SLIMinLevel:     cfg.SLIMinLevel,
 		LockTimeout:     cfg.LockTimeout,
 	})
+	var sink wal.DurableSink
 	dropAfterFlush := cfg.DropLogAfterFlush
-	if len(durable) > 0 {
+	if durable != nil {
 		// The disk holds the records; retaining them in memory as well would
 		// grow without bound.
-		dropAfterFlush = true
+		sink, dropAfterFlush = durable, true
 	}
-	e.logs = make([]*wal.Log, nShards)
-	for s := range e.logs {
-		var sink wal.DurableSink
-		if len(durable) > 0 {
-			sink = durable[s]
-		}
-		var startLSN wal.LSN
-		if startLSNs != nil {
-			startLSN = startLSNs[s]
-		}
-		e.logs[s] = wal.New(wal.Config{
-			FlushDelay:          cfg.LogFlushDelay,
-			GroupCommitWindow:   cfg.GroupCommitWindow,
-			AdaptiveGroupCommit: cfg.AdaptiveGroupCommit,
-			GroupCommitMin:      cfg.GroupCommitMin,
-			GroupCommitMax:      cfg.GroupCommitMax,
-			DropAfterFlush:      dropAfterFlush,
-			Durable:             sink,
-			StartLSN:            startLSN,
-		})
-	}
-	e.log = e.logs[0]
+	e.log = wal.New(wal.Config{
+		FlushDelay:          cfg.LogFlushDelay,
+		GroupCommitWindow:   cfg.GroupCommitWindow,
+		AdaptiveGroupCommit: cfg.AdaptiveGroupCommit,
+		GroupCommitMin:      cfg.GroupCommitMin,
+		GroupCommitMax:      cfg.GroupCommitMax,
+		DropAfterFlush:      dropAfterFlush,
+		Durable:             sink,
+		StartLSN:            startLSN,
+	})
 	e.pool = buffer.NewPool(buffer.NewMemStore(), buffer.Config{
 		Frames:  cfg.BufferFrames,
 		IODelay: cfg.IODelay,
 	})
 	return e
 }
-
-// shardOf routes a row — identified by its table and encoded primary key —
-// to a log shard. Every record of one row (data, CLRs) lands on the same
-// shard, so per-shard redo and undo see each row's full ordered history.
-// FNV-1a over the table ID and key keeps the placement stable across
-// restarts without any shared state on the append path.
-func (e *Engine) shardOf(table uint32, pkKey string) int {
-	if e.nShards == 1 {
-		return 0
-	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < 4; i++ {
-		h ^= uint64(byte(table >> (8 * i)))
-		h *= prime64
-	}
-	for i := 0; i < len(pkKey); i++ {
-		h ^= uint64(pkKey[i])
-		h *= prime64
-	}
-	return int(h % uint64(e.nShards))
-}
-
-// LogShards returns the number of log shards the engine runs with.
-func (e *Engine) LogShards() int { return e.nShards }
 
 // Close stops the agent pool and flushes the log and buffer pool. For
 // durable engines it also drains the log to its segment files and closes
@@ -361,13 +286,11 @@ func (e *Engine) Close() error {
 	// files in particular must be synced and closed regardless — and report
 	// the first error.
 	err := e.pool.FlushAll(nil)
-	for _, l := range e.logs {
-		if lerr := l.Close(); err == nil {
-			err = lerr
-		}
+	if lerr := e.log.Close(); err == nil {
+		err = lerr
 	}
-	for _, sg := range e.segs {
-		if serr := sg.Close(); err == nil {
+	if e.segs != nil {
+		if serr := e.segs.Close(); err == nil {
 			err = serr
 		}
 	}
@@ -405,14 +328,6 @@ func (e *Engine) ELRAborts() uint64 { return e.elrAborts.Load() }
 // transaction's effects could not be fully rolled back.
 func (e *Engine) UndoFailures() uint64 { return e.undoFailures.Load() }
 
-// CrossShardCommits returns the number of committed transactions whose
-// participant set spanned more than one log shard, each paying the
-// two-phase flush rendezvous (one commit record per touched shard) instead
-// of a single-log group commit. The ratio against Committed is the
-// cross-shard fraction of the workload — the knob that bounds how much of
-// the sharded log's contention win a workload can actually collect.
-func (e *Engine) CrossShardCommits() uint64 { return e.crossShardCommits.Load() }
-
 // DurableLag returns the number of log BYTES appended but not yet durable —
 // the depth of the commit pipeline at this instant. With byte-offset LSNs
 // the lag is the distance between the log's virtual end and the durable
@@ -420,14 +335,11 @@ func (e *Engine) CrossShardCommits() uint64 { return e.crossShardCommits.Load() 
 // It is zero whenever the flush daemon has caught up (always, between
 // bursts) and grows with AsyncCommit under load.
 func (e *Engine) DurableLag() uint64 {
-	var lag uint64
-	for _, l := range e.logs {
-		last, durable := l.LastLSN(), l.DurableLSN()
-		if last > durable {
-			lag += uint64(last.Distance(durable))
-		}
+	last, durable := e.log.LastLSN(), e.log.DurableLSN()
+	if last <= durable {
+		return 0
 	}
-	return lag
+	return uint64(last.Distance(durable))
 }
 
 // SimulateCrash abandons the engine the way a machine failure would, for
@@ -444,11 +356,9 @@ func (e *Engine) SimulateCrash() {
 		return
 	}
 	close(e.stopping)
-	for _, l := range e.logs {
-		l.Crash()
-	}
-	for _, sg := range e.segs {
-		sg.Crash()
+	e.log.Crash()
+	if e.segs != nil {
+		e.segs.Crash()
 	}
 	e.SetConcurrency(0)
 }
@@ -484,7 +394,7 @@ func (e *Engine) SetConcurrency(n int) {
 		// Pipelining needs EarlyLockRelease: without it preCommit flushes
 		// synchronously and never yields an ack to pipeline.
 		if e.cfg.AsyncCommit && e.cfg.EarlyLockRelease {
-			w.inflight = make(chan pendingCommit, e.cfg.PipelineDepth)
+			w.inflight = make(chan pendingCommit, pipelineDepth)
 			w.ackerDone = make(chan struct{})
 			w.ackProf = e.prof.NewHandle()
 			go e.ackerLoop(w)
@@ -565,7 +475,7 @@ func (e *Engine) waitDurable(prof *profiler.Handle, ack <-chan error) error {
 // Exec runs fn as one transaction and returns once its outcome is decided
 // and durable. If the engine has agent workers the transaction is queued to
 // the pool (and benefits from SLI); otherwise it runs inline on the calling
-// goroutine. Deadlock victims are retried up to MaxDeadlockRetries times. A
+// goroutine. Deadlock victims are retried up to maxDeadlockRetries times. A
 // non-nil error returned by fn aborts the transaction and is returned to the
 // caller. Exec returns ErrClosed — rather than blocking forever — when the
 // engine is closed before a worker picks the transaction up.
@@ -634,7 +544,7 @@ func (e *Engine) ExecAsync(fn func(*Tx) error) <-chan error {
 // acknowledging the commit.
 func (e *Engine) runTxn(w *worker, fn func(*Tx) error) (<-chan error, error) {
 	var lastErr error
-	for attempt := 0; attempt <= e.cfg.MaxDeadlockRetries; attempt++ {
+	for attempt := 0; attempt <= maxDeadlockRetries; attempt++ {
 		ack, err := e.runOnce(w, fn)
 		if err == nil {
 			if ack == nil {
@@ -679,9 +589,6 @@ func (e *Engine) runOnce(w *worker, fn func(*Tx) error) (<-chan error, error) {
 		xid:   e.nextXID.Add(1),
 		owner: e.lm.NewOwner(agent, prof),
 		prof:  prof,
-	}
-	if e.nShards > 1 {
-		tx.shardLast = make([]wal.LSN, e.nShards)
 	}
 	var ack <-chan error
 	err := fn(tx)
@@ -828,11 +735,9 @@ func (e *Engine) installIndex(ix *catalog.Index) error {
 // logDDL appends a DDL record and forces it to disk on durable engines; DDL
 // must be durable before data records referencing it can commit. Volatile
 // engines skip DDL logging entirely, matching the original in-memory
-// behavior. DDL always routes to shard 0, and sharded recovery replays
-// shard 0 before the others, so replayed data records never reference a
-// table whose DDL has not been applied yet.
+// behavior.
 func (e *Engine) logDDL(typ wal.RecType, meta []byte) error {
-	if len(e.segs) == 0 {
+	if e.segs == nil {
 		return nil
 	}
 	lsn, err := e.log.Append(wal.Record{Type: typ, After: meta})

@@ -10,52 +10,19 @@ import (
 
 // LogErr returns the error that wedged the write-ahead log — the first
 // durable-sink failure after which no further append can become durable —
-// or nil while every log shard is healthy. It distinguishes "commits are
-// slow" (DurableLag growing, LogErr nil) from "the log is dead" (LogErr
-// non-nil) without callers having to infer the difference from Exec
-// failures; slidbd's /readyz flips unready on it.
-func (e *Engine) LogErr() error {
-	for _, l := range e.logs {
-		if err := l.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// or nil while the log is healthy. It distinguishes "commits are slow"
+// (DurableLag growing, LogErr nil) from "the log is dead" (LogErr non-nil)
+// without callers having to infer the difference from Exec failures;
+// slidbd's /readyz flips unready on it.
+func (e *Engine) LogErr() error { return e.log.Err() }
 
-// LogTail returns the log tail's self-tuning snapshot summed across every
-// log shard: the group-commit window controllers' state from the WAL plus
-// the segment sinks' physical-write counters (zero for in-memory engines).
-// CurWindowSeconds, the only non-cumulative field, is the mean of the
-// shards' live windows. It feeds the slidb_group_commit_window_seconds /
-// slidb_log_* metric families and the benchmark harness's writes-per-cycle
-// efficiency stat; LogTailAt exposes one shard's view.
+// LogTail returns the log tail's self-tuning snapshot: the group-commit
+// window controller's state from the WAL plus the segment sink's
+// physical-write counters (zero for in-memory engines). It feeds the
+// slidb_group_commit_window_seconds / slidb_log_* metric families and the
+// benchmark harness's writes-per-cycle efficiency stat.
 func (e *Engine) LogTail() obs.LogTailStats {
-	var lt obs.LogTailStats
-	for s := range e.logs {
-		one := e.LogTailAt(s)
-		lt.FlushCycles += one.FlushCycles
-		lt.WindowedCycles += one.WindowedCycles
-		lt.WindowWaitSeconds += one.WindowWaitSeconds
-		lt.CurWindowSeconds += one.CurWindowSeconds
-		lt.FenceWaitSeconds += one.FenceWaitSeconds
-		lt.ReserveWaitSeconds += one.ReserveWaitSeconds
-		lt.BufferFullWaitSeconds += one.BufferFullWaitSeconds
-		lt.SinkWrites += one.SinkWrites
-		lt.Rotations += one.Rotations
-		lt.Preallocs += one.Preallocs
-		lt.PreallocFallbacks += one.PreallocFallbacks
-	}
-	lt.CurWindowSeconds /= float64(len(e.logs))
-	return lt
-}
-
-// LogTailAt returns one log shard's tail snapshot (shard 0 is the only
-// shard on unsharded engines). The per-shard view is what the log-shards
-// benchmark ablation records: reserve-wait and writes-per-cycle per shard
-// show whether the routing spread the append and fsync load.
-func (e *Engine) LogTailAt(s int) obs.LogTailStats {
-	ts := e.logs[s].TailStats()
+	ts := e.log.TailStats()
 	lt := obs.LogTailStats{
 		FlushCycles:           ts.FlushCycles,
 		WindowedCycles:        ts.WindowedCycles,
@@ -65,8 +32,8 @@ func (e *Engine) LogTailAt(s int) obs.LogTailStats {
 		ReserveWaitSeconds:    ts.ReserveWait.Seconds(),
 		BufferFullWaitSeconds: ts.BufferFullWait.Seconds(),
 	}
-	if len(e.segs) > 0 {
-		ss := e.segs[s].Stats()
+	if e.segs != nil {
+		ss := e.segs.Stats()
 		lt.SinkWrites = ss.Writes
 		lt.Rotations = ss.Rotations
 		lt.Preallocs = ss.Preallocs

@@ -1,271 +1,111 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
-	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"slidb/internal/record"
+	"slidb/internal/recovery"
 	"slidb/internal/wal"
 )
 
-// shardTestSetup creates two account tables and seeds rows rows in each at
-// balance 1000; with several rows per table the rows hash across all log
-// shards.
-func shardTestSetup(t *testing.T, e *Engine, rows int) {
+// writeLog lays recs down as a real segment directory at dir, through the
+// same log and segment sink a durable engine uses.
+func writeLog(t *testing.T, dir string, recs ...wal.Record) {
 	t.Helper()
-	schema := record.MustSchema(
-		record.Column{Name: "id", Type: record.TypeInt},
-		record.Column{Name: "balance", Type: record.TypeInt},
-	)
-	for _, tbl := range []string{"checking", "savings"} {
-		if err := e.CreateTable(tbl, schema, []string{"id"}); err != nil {
-			t.Fatalf("create %s: %v", tbl, err)
-		}
-	}
-	if err := e.Exec(func(tx *Tx) error {
-		for i := 0; i < rows; i++ {
-			for _, tbl := range []string{"checking", "savings"} {
-				if err := tx.Insert(tbl, record.Row{record.Int(int64(i)), record.Int(1000)}); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatalf("seed: %v", err)
-	}
-}
-
-// addBalance mutates the balance column of one row.
-func addBalance(amount int64) func(record.Row) (record.Row, error) {
-	return func(r record.Row) (record.Row, error) {
-		r[1] = record.Int(r[1].AsInt() + amount)
-		return r, nil
-	}
-}
-
-// transfer moves amount between two accounts — a transaction whose two rows
-// usually live on different log shards, exercising the cross-shard commit
-// rendezvous.
-func transfer(e *Engine, from, to int, amount int64) error {
-	return e.Exec(func(tx *Tx) error {
-		if err := tx.Update("checking", []record.Value{record.Int(int64(from))}, addBalance(-amount)); err != nil {
-			return err
-		}
-		return tx.Update("savings", []record.Value{record.Int(int64(to))}, addBalance(amount))
-	})
-}
-
-// totalBalance sums both tables; transfers preserve it.
-func totalBalance(t *testing.T, e *Engine) int64 {
-	t.Helper()
-	var total int64
-	if err := e.Exec(func(tx *Tx) error {
-		for _, tbl := range []string{"checking", "savings"} {
-			if err := tx.ScanTable(tbl, func(r record.Row) bool {
-				total += r[1].AsInt()
-				return true
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatalf("scan: %v", err)
-	}
-	return total
-}
-
-// TestShardedVolatileEngine runs cross-shard transactions on an in-memory
-// multi-log engine under each lock-release policy.
-func TestShardedVolatileEngine(t *testing.T) {
-	for _, elr := range []bool{false, true} {
-		t.Run(fmt.Sprintf("elr=%v", elr), func(t *testing.T) {
-			e := Open(Config{LogShards: 4, Agents: 4, EarlyLockRelease: elr, AsyncCommit: elr})
-			defer e.Close()
-			if got := e.LogShards(); got != 4 {
-				t.Fatalf("LogShards = %d, want 4", got)
-			}
-			const rows = 32
-			shardTestSetup(t, e, rows)
-			for i := 0; i < 200; i++ {
-				if err := transfer(e, i%rows, (i+7)%rows, 5); err != nil {
-					t.Fatalf("transfer %d: %v", i, err)
-				}
-			}
-			if total := totalBalance(t, e); total != 2*rows*1000 {
-				t.Fatalf("balance not conserved: %d, want %d", total, 2*rows*1000)
-			}
-		})
-	}
-}
-
-// TestShardedDurableReopen commits cross-shard transactions on a 3-shard
-// durable engine, closes it cleanly, and reopens with LogShards=0
-// (auto-detect) — every committed transfer must survive, and the directory
-// must contain the shard-NN layout.
-func TestShardedDurableReopen(t *testing.T) {
-	dir := t.TempDir()
-	e, err := OpenAt(dir, Config{LogShards: 3})
+	segs, err := wal.OpenSegments(dir, 0, false)
 	if err != nil {
-		t.Fatalf("open: %v", err)
+		t.Fatal(err)
 	}
-	const rows = 16
-	shardTestSetup(t, e, rows)
-	for i := 0; i < 50; i++ {
-		if err := transfer(e, i%rows, (i+3)%rows, 10); err != nil {
-			t.Fatalf("transfer %d: %v", i, err)
+	l := wal.New(wal.Config{Durable: segs, DropAfterFlush: true})
+	for _, rec := range recs {
+		if _, err := l.Append(rec); err != nil {
+			t.Fatal(err)
 		}
 	}
-	want := totalBalance(t, e)
-	if err := e.Close(); err != nil {
-		t.Fatalf("close: %v", err)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
-	for s := 0; s < 3; s++ {
-		if _, err := os.Stat(filepath.Join(dir, wal.ShardDirName(s))); err != nil {
-			t.Fatalf("missing shard directory %d: %v", s, err)
-		}
-	}
-
-	re, err := OpenAt(dir, Config{}) // LogShards=0 auto-detects 3
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer re.Close()
-	if got := re.LogShards(); got != 3 {
-		t.Fatalf("auto-detected LogShards = %d, want 3", got)
-	}
-	if got := totalBalance(t, re); got != want {
-		t.Fatalf("balance after reopen = %d, want %d", got, want)
+	if err := segs.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestShardedCrashRecovery drives concurrent cross-shard transfers under the
-// full ELR pipeline, crashes without draining the logs, and reopens: the
-// invariant (total balance conserved) must hold — recovery may roll back
-// transactions caught in flight, but never keep one shard's half of a
-// transfer without the other.
-func TestShardedCrashRecovery(t *testing.T) {
-	dir := t.TempDir()
-	e, err := OpenAt(dir, Config{
-		LogShards:              3,
-		Agents:                 4,
-		EarlyLockRelease:       true,
-		EarlyLockReleaseAborts: true,
-		AsyncCommit:            true,
-	})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	const rows = 16
-	shardTestSetup(t, e, rows)
-
-	acks := make([]<-chan error, 0, 120)
-	for i := 0; i < 120; i++ {
-		from, to := i%rows, (i+5)%rows
-		acks = append(acks, e.ExecAsync(func(tx *Tx) error {
-			if err := tx.Update("checking", []record.Value{record.Int(int64(from))}, addBalance(-1)); err != nil {
-				return err
-			}
-			return tx.Update("savings", []record.Value{record.Int(int64(to))}, addBalance(1))
-		}))
-	}
-	// Crash mid-stream: some acks resolve durable, the rest fail.
-	e.SimulateCrash()
-	acked := 0
-	for _, ack := range acks {
-		if err := <-ack; err == nil {
-			acked++
-		}
-	}
-
-	re, err := OpenAt(dir, Config{LogShards: 3, Agents: 1})
-	if err != nil {
-		t.Fatalf("reopen after crash: %v", err)
-	}
-	defer re.Close()
-	if re.UndoFailures() != 0 {
-		t.Fatalf("undo failures during recovery: %d", re.UndoFailures())
-	}
-	if got, want := totalBalance(t, re), int64(2*rows*1000); got != want {
-		t.Fatalf("balance after crash recovery = %d, want %d (acked %d)", got, want, acked)
-	}
-}
-
-// TestShardedFormatMismatch checks the loud-failure paths: a flat (pre-shard)
-// directory refuses LogShards>1, and a sharded directory refuses a mismatched
-// shard count.
+// TestShardedFormatMismatch checks that data an earlier sharded-log build
+// wrote fails loudly with wal.ErrLogFormat instead of being misread: its
+// shard-NN segment directories (which hold every record, leaving no segment
+// in the root — opening the root as a flat log would start an empty one),
+// its version-3 checkpoint, and its cross-shard commit records, whose After
+// image carries the participant mask.
 func TestShardedFormatMismatch(t *testing.T) {
-	flat := t.TempDir()
-	e, err := OpenAt(flat, Config{})
-	if err != nil {
-		t.Fatalf("open flat: %v", err)
-	}
-	shardTestSetup(t, e, 4)
-	if err := e.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if _, err := OpenAt(flat, Config{LogShards: 4}); !errors.Is(err, wal.ErrLogFormat) {
-		t.Fatalf("flat dir with LogShards=4: err = %v, want ErrLogFormat", err)
-	}
-
-	sharded := t.TempDir()
-	e2, err := OpenAt(sharded, Config{LogShards: 2})
-	if err != nil {
-		t.Fatalf("open sharded: %v", err)
-	}
-	shardTestSetup(t, e2, 4)
-	if err := e2.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if _, err := OpenAt(sharded, Config{LogShards: 1}); !errors.Is(err, wal.ErrLogFormat) {
-		t.Fatalf("sharded dir with LogShards=1: err = %v, want ErrLogFormat", err)
-	}
-	if _, err := OpenAt(sharded, Config{LogShards: 3}); !errors.Is(err, wal.ErrLogFormat) {
-		t.Fatalf("sharded dir with LogShards=3: err = %v, want ErrLogFormat", err)
-	}
-}
-
-// TestShardedCheckpoint checkpoints a multi-shard engine mid-stream and
-// reopens from the vectorized (SLDBCKP3) checkpoint plus each shard's tail.
-func TestShardedCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	e, err := OpenAt(dir, Config{LogShards: 2})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	const rows = 8
-	shardTestSetup(t, e, rows)
-	for i := 0; i < 20; i++ {
-		if err := transfer(e, i%rows, (i+1)%rows, 2); err != nil {
-			t.Fatalf("transfer %d: %v", i, err)
+	commit := func(xid uint64, after []byte) []wal.Record {
+		return []wal.Record{
+			{XID: xid, Type: wal.RecBegin},
+			{XID: xid, Type: wal.RecCommit, After: after},
 		}
 	}
-	if err := e.Checkpoint(); err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	// Post-checkpoint tail on top of the restored image.
-	for i := 0; i < 10; i++ {
-		if err := transfer(e, (i+2)%rows, i%rows, 3); err != nil {
-			t.Fatalf("post-ckpt transfer %d: %v", i, err)
+
+	t.Run("shard-dirs", func(t *testing.T) {
+		dir := t.TempDir()
+		writeLog(t, filepath.Join(dir, "shard-00"), commit(1, nil)...)
+		writeLog(t, filepath.Join(dir, "shard-01"), commit(1, nil)...)
+		if _, err := wal.OpenSegments(dir, 0, false); !errors.Is(err, wal.ErrLogFormat) {
+			t.Fatalf("OpenSegments: err = %v, want ErrLogFormat", err)
 		}
-	}
-	want := totalBalance(t, e)
-	if err := e.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	re, err := OpenAt(dir, Config{LogShards: 2})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer re.Close()
-	if re.RecoveryStats().CheckpointLSN == 0 {
-		t.Fatalf("reopen did not start from the checkpoint")
-	}
-	if got := totalBalance(t, re); got != want {
-		t.Fatalf("balance after checkpointed reopen = %d, want %d", got, want)
-	}
+		if _, err := OpenAt(dir, Config{}); !errors.Is(err, wal.ErrLogFormat) {
+			t.Fatalf("OpenAt: err = %v, want ErrLogFormat", err)
+		}
+		if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg")); len(segs) != 0 {
+			t.Fatalf("failed open left root segments %v", segs)
+		}
+	})
+
+	t.Run("v3-checkpoint", func(t *testing.T) {
+		dir := t.TempDir()
+		// Version 3: a two-shard boundary vector, then the version-2
+		// payload (LSN, NextXID, no tables, no indexes).
+		var payload []byte
+		for _, v := range []uint64{2, 1, 1, 1, 1, 0, 0} {
+			payload = binary.AppendUvarint(payload, v)
+		}
+		file := []byte("SLDBCKP3")
+		file = binary.LittleEndian.AppendUint64(file, uint64(len(payload)))
+		file = append(file, payload...)
+		file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(payload))
+		if err := os.WriteFile(filepath.Join(dir, recovery.CheckpointFile), file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := recovery.ReadCheckpoint(dir); !errors.Is(err, wal.ErrLogFormat) {
+			t.Fatalf("ReadCheckpoint: err = %v, want ErrLogFormat", err)
+		}
+		if _, err := OpenAt(dir, Config{}); !errors.Is(err, wal.ErrLogFormat) {
+			t.Fatalf("OpenAt: err = %v, want ErrLogFormat", err)
+		}
+	})
+
+	t.Run("masked-commit", func(t *testing.T) {
+		// Control: the same flat log with a plain commit record opens.
+		plain := t.TempDir()
+		writeLog(t, plain, commit(1, nil)...)
+		e, err := OpenAt(plain, Config{})
+		if err != nil {
+			t.Fatalf("plain commit: %v", err)
+		}
+		if got := e.RecoveryStats().Winners; got != 1 {
+			t.Fatalf("plain commit: %d winners, want 1", got)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		masked := t.TempDir()
+		mask := binary.LittleEndian.AppendUint64(nil, 0b11)
+		writeLog(t, masked, commit(1, mask)...)
+		if _, err := OpenAt(masked, Config{}); !errors.Is(err, wal.ErrLogFormat) {
+			t.Fatalf("masked commit: err = %v, want ErrLogFormat", err)
+		}
+	})
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"slidb/internal/btree"
 	"slidb/internal/heap"
@@ -62,16 +61,12 @@ type undoAction func(tx *Tx) error
 // undoEntry is one registered rollback action: the in-memory undo of a
 // logged data modification, the LSN of the original record (the CLR chain's
 // UndoNext pointer targets it), and the redo-only compensation record that
-// tx.abort logs after applying the undo. shard is the log shard the original
-// record went to — the compensation must land on the same shard so the
-// row's history stays totally ordered there, and its UndoNext must point at
-// the next-older entry on that shard (per-shard CLR chains). seq is the
-// entry's birth stamp within the transaction, used to detect stale
-// savepoints: after a RollbackTo truncates the stack, later entries reuse
-// the same positions but carry new stamps.
+// tx.abort logs after applying the undo. seq is the entry's birth stamp
+// within the transaction, used to detect stale savepoints: after a
+// RollbackTo truncates the stack, later entries reuse the same positions but
+// carry new stamps.
 type undoEntry struct {
 	lsn   wal.LSN
-	shard int
 	seq   uint64
 	apply undoAction
 	clr   wal.Record
@@ -90,17 +85,6 @@ type Tx struct {
 	undoSeq uint64 // birth stamps for undo entries (see undoEntry.seq)
 	lastLSN wal.LSN
 	logged  bool
-
-	// Sharded-log state (nil/zero on single-shard engines, which keep the
-	// lastLSN fast path above): shardLast is the per-shard counterpart of
-	// lastLSN, began the bitmask of shards holding this transaction's begin
-	// record, and readMask the shards of rows the transaction read while
-	// Early Lock Release is on — those shards join the commit's participant
-	// set so a dependent commit is never acknowledged before the commit that
-	// exposed the data it read (see preCommitSharded).
-	shardLast []wal.LSN
-	began     uint64
-	readMask  uint64
 }
 
 // pushUndo registers one rollback entry, stamping it for savepoint
@@ -121,13 +105,13 @@ func (tx *Tx) XID() uint64 { return tx.xid }
 // plus encoding the record into the shared buffer — as useful log work,
 // attributed to workCat so the abort path's CLR appends are reported apart
 // from forward-path logging.
-func (tx *Tx) appendTimed(l *wal.Log, rec wal.Record, workCat profiler.Category) (wal.LSN, error) {
+func (tx *Tx) appendTimed(rec wal.Record, workCat profiler.Category) (wal.LSN, error) {
 	if tx.prof == nil {
 		// No accounting consumer: take the clock-free append path.
-		return l.Append(rec)
+		return tx.e.log.Append(rec)
 	}
 	start := time.Now()
-	lsn, waits, err := l.AppendTimed(rec)
+	lsn, waits, err := tx.e.log.AppendTimed(rec)
 	total := time.Since(start)
 	tx.prof.Add(profiler.LogReserveWait, waits.Reserve)
 	tx.prof.Add(profiler.LogBufferFullWait, waits.BufferFull)
@@ -135,48 +119,22 @@ func (tx *Tx) appendTimed(l *wal.Log, rec wal.Record, workCat profiler.Category)
 	return lsn, err
 }
 
-// logAppend appends a WAL record to the given log shard, lazily writing the
-// per-shard begin record first and tracking the shard's last LSN for commit.
-// Single-shard engines keep the original one-log path untouched.
-func (tx *Tx) logAppend(shard int, rec wal.Record) error {
+// logAppend appends a WAL record, lazily writing the transaction's begin
+// record first and tracking its last LSN for commit.
+func (tx *Tx) logAppend(rec wal.Record) error {
 	rec.XID = tx.xid
-	if tx.e.nShards == 1 {
-		if !tx.logged {
-			if _, err := tx.appendTimed(tx.e.log, wal.Record{XID: tx.xid, Type: wal.RecBegin}, profiler.LogWork); err != nil {
-				return err
-			}
-			tx.logged = true
-		}
-		lsn, err := tx.appendTimed(tx.e.log, rec, profiler.LogWork)
-		if err != nil {
+	if !tx.logged {
+		if _, err := tx.appendTimed(wal.Record{XID: tx.xid, Type: wal.RecBegin}, profiler.LogWork); err != nil {
 			return err
 		}
-		tx.lastLSN = lsn
-		return nil
-	}
-	bit := uint64(1) << uint(shard)
-	l := tx.e.logs[shard]
-	if tx.began&bit == 0 {
-		if _, err := tx.appendTimed(l, wal.Record{XID: tx.xid, Type: wal.RecBegin}, profiler.LogWork); err != nil {
-			return err
-		}
-		tx.began |= bit
 		tx.logged = true
 	}
-	lsn, err := tx.appendTimed(l, rec, profiler.LogWork)
+	lsn, err := tx.appendTimed(rec, profiler.LogWork)
 	if err != nil {
 		return err
 	}
-	tx.shardLast[shard] = lsn
+	tx.lastLSN = lsn
 	return nil
-}
-
-// trackReads reports whether the transaction must record the shards of rows
-// it reads: only multi-shard engines under Early Lock Release need it, to
-// order a dependent commit's acknowledgement after its dependency's (see
-// Tx.readMask).
-func (tx *Tx) trackReads() bool {
-	return tx.e.nShards > 1 && tx.e.cfg.EarlyLockRelease
 }
 
 // preCommit finishes the transaction up to (but not including) durability.
@@ -187,8 +145,8 @@ func (tx *Tx) trackReads() bool {
 //
 // With Early Lock Release the locks are released as soon as the commit
 // record is appended — before the group-commit fsync — so lock hold times
-// exclude the entire flush latency. This is safe with a single totally
-// ordered log: any transaction that observed this transaction's (pre-
+// exclude the entire flush latency. This is safe because the log is totally
+// ordered: any transaction that observed this transaction's (pre-
 // committed, not yet durable) writes appends its own commit record at a
 // higher LSN, and the flusher acknowledges commits in LSN order, so a
 // dependent transaction is never reported durable before its dependency.
@@ -205,10 +163,7 @@ func (tx *Tx) preCommit() (<-chan error, error) {
 		tx.undo = nil
 		return nil, nil
 	}
-	if tx.e.nShards > 1 {
-		return tx.preCommitSharded()
-	}
-	if err := tx.logAppend(0, wal.Record{Type: wal.RecCommit}); err != nil {
+	if err := tx.logAppend(wal.Record{Type: wal.RecCommit}); err != nil {
 		tx.abort()
 		return nil, err
 	}
@@ -228,72 +183,6 @@ func (tx *Tx) preCommit() (<-chan error, error) {
 		return nil, err
 	}
 	tx.prof.Add(profiler.LogFlush, time.Since(flushStart))
-	tx.owner.ReleaseAll()
-	tx.undo = nil
-	return nil, nil
-}
-
-// preCommitSharded is the multi-log commit rendezvous. One commit record is
-// appended to every participant shard — the shards the transaction wrote
-// (began), plus under ELR the shards of rows it read — each carrying the
-// full participant bitmask, so recovery treats the transaction as committed
-// only when every participant's commit record survived the crash (see
-// recovery.GlobalWinners). A single-participant transaction's commit record
-// carries no mask and is byte-identical to the single-log format.
-//
-// Early Lock Release stays confined to single-participant transactions: for
-// them the one log's LSN-ordered acks give the usual guarantee (a dependent
-// that read exposed data commits at a higher LSN on the same shard, so it
-// is never acknowledged first). A transaction that touched several shards
-// instead holds its locks across the rendezvous — its per-shard commit
-// records are forced in parallel (one FlushAsync subscription per shard,
-// then wait for all), but nothing can observe its writes until every record
-// is durable, so no cross-log ordering between dependents can arise.
-func (tx *Tx) preCommitSharded() (<-chan error, error) {
-	participants := tx.began | tx.readMask
-	mask := wal.EncodeShardMask(participants)
-	if participants&(participants-1) != 0 {
-		tx.e.crossShardCommits.Add(1)
-	}
-	for s := 0; s < tx.e.nShards; s++ {
-		if participants&(1<<uint(s)) == 0 {
-			continue
-		}
-		lsn, err := tx.appendTimed(tx.e.logs[s], wal.Record{XID: tx.xid, Type: wal.RecCommit, After: mask}, profiler.LogWork)
-		if err != nil {
-			tx.abort()
-			return nil, err
-		}
-		tx.shardLast[s] = lsn
-	}
-	if tx.e.cfg.EarlyLockRelease && participants&(participants-1) == 0 {
-		s := bits.TrailingZeros64(participants)
-		ack := tx.e.logs[s].FlushAsync(tx.shardLast[s])
-		tx.owner.ReleaseAllEarly()
-		tx.undo = nil
-		return ack, nil
-	}
-	// Cross-shard (or ELR off): subscribe every participant first so the
-	// shard flushers overlap, then wait for all of them with locks held.
-	acks := make([]<-chan error, 0, bits.OnesCount64(participants))
-	for s := 0; s < tx.e.nShards; s++ {
-		if participants&(1<<uint(s)) == 0 {
-			continue
-		}
-		acks = append(acks, tx.e.logs[s].FlushAsync(tx.shardLast[s]))
-	}
-	flushStart := time.Now()
-	var err error
-	for _, ack := range acks {
-		if aerr := <-ack; aerr != nil && err == nil {
-			err = aerr
-		}
-	}
-	tx.prof.Add(profiler.LogFlush, time.Since(flushStart))
-	if err != nil {
-		tx.abort()
-		return nil, err
-	}
 	tx.owner.ReleaseAll()
 	tx.undo = nil
 	return nil, nil
@@ -339,12 +228,8 @@ func (tx *Tx) abort() {
 			}
 		}
 	}
-	if logOK && tx.e.nShards > 1 {
-		tx.finishAbortSharded()
-		return
-	}
 	if logOK {
-		lsn, err := tx.appendTimed(tx.e.log, wal.Record{XID: tx.xid, Type: wal.RecAbort}, profiler.AbortLogWork)
+		lsn, err := tx.appendTimed(wal.Record{XID: tx.xid, Type: wal.RecAbort}, profiler.AbortLogWork)
 		if err == nil {
 			tx.lastLSN = lsn
 			if tx.e.cfg.EarlyLockReleaseAborts {
@@ -372,68 +257,6 @@ func (tx *Tx) abort() {
 	tx.undo = nil
 }
 
-// finishAbortSharded closes a multi-log rollback: the CLR chain is already
-// applied and logged (per shard, by logCLR), so one abort record goes to
-// every shard holding this transaction's begin record — recovery marks the
-// rollback complete on a shard only when that shard's abort record is
-// durable, and an incomplete shard resumes from its own CLR chain. Lock
-// release mirrors the single-log abort path: under ELR-for-aborts the locks
-// drop at append (the restored values are deterministic, so recovery
-// reproduces them whether or not the abort records survive); otherwise the
-// abort records on all shards are forced — in parallel — first.
-func (tx *Tx) finishAbortSharded() {
-	appended := uint64(0)
-	ok := true
-	for s := 0; s < tx.e.nShards; s++ {
-		if tx.began&(1<<uint(s)) == 0 {
-			continue
-		}
-		lsn, err := tx.appendTimed(tx.e.logs[s], wal.Record{XID: tx.xid, Type: wal.RecAbort}, profiler.AbortLogWork)
-		if err != nil {
-			// The log is wedged: stop logging; recovery finishes the
-			// rollback from each shard's durable prefix.
-			ok = false
-			break
-		}
-		tx.shardLast[s] = lsn
-		appended |= 1 << uint(s)
-	}
-	if ok {
-		if tx.e.cfg.EarlyLockReleaseAborts {
-			for s := 0; s < tx.e.nShards; s++ {
-				if appended&(1<<uint(s)) == 0 {
-					continue
-				}
-				// As in the single-log path: nothing waits on an abort's
-				// durability, but the subscription must be registered so each
-				// shard's flusher wakes for it.
-				//slint:ignore errwedge nothing waits on an abort's durability; the subscription only forces a flusher wakeup
-				_ = tx.e.logs[s].FlushAsync(tx.shardLast[s])
-			}
-			tx.e.elrAborts.Add(1)
-			tx.owner.ReleaseAllEarly()
-			tx.undo = nil
-			return
-		}
-		acks := make([]<-chan error, 0, bits.OnesCount64(appended))
-		for s := 0; s < tx.e.nShards; s++ {
-			if appended&(1<<uint(s)) == 0 {
-				continue
-			}
-			acks = append(acks, tx.e.logs[s].FlushAsync(tx.shardLast[s]))
-		}
-		flushStart := time.Now()
-		for _, ack := range acks {
-			// Abort is already the failure path; a wedged shard surfaces on
-			// the next append.
-			<-ack
-		}
-		tx.prof.Add(profiler.LogFlush, time.Since(flushStart))
-	}
-	tx.owner.ReleaseAll()
-	tx.undo = nil
-}
-
 // applyUndo applies one registered undo action in memory, attributing its
 // time to the UndoWork profiler category and counting failures (which mean
 // the in-memory state may be corrupt — torture tests fail loudly on them).
@@ -452,31 +275,21 @@ func (tx *Tx) applyUndo(ent undoEntry) error {
 	return err
 }
 
-// logCLR appends the compensation record for undo entry i of tx.undo, to
-// the same log shard the original record went to. Its UndoNext points at
-// the next-older registered entry's LSN on that shard (0 when this
-// compensation closes the shard's chain): CLR chains are per shard, since
-// an LSN is meaningless on any other shard's log. On single-shard engines
-// every entry has shard 0, which reduces to the classic single chain.
+// logCLR appends the compensation record for undo entry i of tx.undo. Its
+// UndoNext points at the next-older registered entry's LSN (0 when this
+// compensation closes the chain).
 func (tx *Tx) logCLR(ent undoEntry, i int) (wal.LSN, error) {
 	clr := ent.clr
 	clr.Type = wal.RecCLR
 	clr.XID = tx.xid
-	for j := i - 1; j >= 0; j-- {
-		if tx.undo[j].shard == ent.shard {
-			clr.UndoNext = tx.undo[j].lsn
-			break
-		}
+	if i > 0 {
+		clr.UndoNext = tx.undo[i-1].lsn
 	}
-	lsn, err := tx.appendTimed(tx.e.logs[ent.shard], clr, profiler.AbortLogWork)
+	lsn, err := tx.appendTimed(clr, profiler.AbortLogWork)
 	if err != nil {
 		return 0, err
 	}
-	if tx.e.nShards == 1 {
-		tx.lastLSN = lsn
-	} else {
-		tx.shardLast[ent.shard] = lsn
-	}
+	tx.lastLSN = lsn
 	return lsn, nil
 }
 
@@ -622,8 +435,7 @@ func (tx *Tx) Insert(table string, row record.Row) error {
 		rt.pk.tree.remove(pkKey)
 		return rt.hf.Delete(tx.prof, rid)
 	}
-	shard := tx.e.shardOf(rt.meta.ID, pkKey)
-	if err := tx.logAppend(shard, wal.Record{Type: wal.RecInsert, Table: rt.meta.ID, Page: rid.Page, Slot: rid.Slot, After: data}); err != nil {
+	if err := tx.logAppend(wal.Record{Type: wal.RecInsert, Table: rt.meta.ID, Page: rid.Page, Slot: rid.Slot, After: data}); err != nil {
 		// The row is already in the heap and indexes but nothing reached the
 		// log: roll the mutation back inline so a wedged log cannot leave a
 		// phantom row with no registered undo.
@@ -633,22 +445,12 @@ func (tx *Tx) Insert(table string, row record.Row) error {
 		return err
 	}
 	tx.pushUndo(undoEntry{
-		lsn:   tx.lastShardLSN(shard),
-		shard: shard,
+		lsn:   tx.lastLSN,
 		apply: undo,
 		// Compensating an insert is a delete: Before carries the row image.
 		clr: wal.Record{Table: rt.meta.ID, Page: rid.Page, Slot: rid.Slot, Before: data},
 	})
 	return nil
-}
-
-// lastShardLSN returns the LSN of the record just appended to the given
-// shard (the single-shard engine keeps it in lastLSN).
-func (tx *Tx) lastShardLSN(shard int) wal.LSN {
-	if tx.e.nShards == 1 {
-		return tx.lastLSN
-	}
-	return tx.shardLast[shard]
 }
 
 // Get returns the row with the given primary key, locking it in share mode.
@@ -671,12 +473,6 @@ func (tx *Tx) get(table string, mode lockmgr.Mode, key ...record.Value) (record.
 		return nil, heap.RID{}, false, err
 	}
 	pkKey := record.EncodeKey(key...)
-	if tx.trackReads() {
-		// The shard is part of the commit's participant set whether the row
-		// is found or not: observing a row's absence can equally depend on a
-		// pre-committed (deleting) transaction on that shard.
-		tx.readMask |= 1 << uint(tx.e.shardOf(rt.meta.ID, pkKey))
-	}
 	rid, ok := rt.pk.tree.get(pkKey)
 	if !ok {
 		// Lock the table in intention mode so the read of "not there" is at
@@ -765,8 +561,7 @@ func (tx *Tx) Update(table string, key []record.Value, mutate func(record.Row) (
 		}
 		return rt.hf.Update(tx.prof, rid, oldData)
 	}
-	shard := tx.e.shardOf(rt.meta.ID, oldPK)
-	if err := tx.logAppend(shard, wal.Record{Type: wal.RecUpdate, Table: rt.meta.ID, Page: rid.Page, Slot: rid.Slot, Before: oldData, After: newData}); err != nil {
+	if err := tx.logAppend(wal.Record{Type: wal.RecUpdate, Table: rt.meta.ID, Page: rid.Page, Slot: rid.Slot, Before: oldData, After: newData}); err != nil {
 		// Heap and index already carry the new image; restore the old one
 		// inline since no undo was registered for this mutation.
 		if uerr := undo(tx); uerr != nil {
@@ -775,8 +570,7 @@ func (tx *Tx) Update(table string, key []record.Value, mutate func(record.Row) (
 		return err
 	}
 	tx.pushUndo(undoEntry{
-		lsn:   tx.lastShardLSN(shard),
-		shard: shard,
+		lsn:   tx.lastLSN,
 		apply: undo,
 		// Compensating an update restores the before-image: update the row
 		// matching Before's primary key back to After.
@@ -830,8 +624,7 @@ func (tx *Tx) Delete(table string, key ...record.Value) error {
 		}
 		return nil
 	}
-	shard := tx.e.shardOf(rt.meta.ID, pkKey)
-	if err := tx.logAppend(shard, wal.Record{Type: wal.RecDelete, Table: rt.meta.ID, Page: rid.Page, Slot: rid.Slot, Before: oldData}); err != nil {
+	if err := tx.logAppend(wal.Record{Type: wal.RecDelete, Table: rt.meta.ID, Page: rid.Page, Slot: rid.Slot, Before: oldData}); err != nil {
 		// The row is already gone from heap and indexes; put it back inline
 		// since no undo was registered for this mutation.
 		if uerr := undo(tx); uerr != nil {
@@ -840,8 +633,7 @@ func (tx *Tx) Delete(table string, key ...record.Value) error {
 		return err
 	}
 	tx.pushUndo(undoEntry{
-		lsn:   tx.lastShardLSN(shard),
-		shard: shard,
+		lsn:   tx.lastLSN,
 		apply: undo,
 		// Compensating a delete re-inserts the row: After carries the image.
 		clr: wal.Record{Table: rt.meta.ID, Page: rid.Page, Slot: rid.Slot, After: oldData},
@@ -900,9 +692,6 @@ func (tx *Tx) lookupIndex(indexName string, mode lockmgr.Mode, key ...record.Val
 		if err != nil {
 			return nil, err
 		}
-		if tx.trackReads() {
-			tx.readMask |= 1 << uint(tx.e.shardOf(idx.meta.TableID, record.EncodeKey(tbl.PrimaryKeyOf(row)...)))
-		}
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -956,9 +745,6 @@ func (tx *Tx) scanRange(table string, mode lockmgr.Mode, lo, hi []record.Value, 
 		if err != nil {
 			return err
 		}
-		if tx.trackReads() {
-			tx.readMask |= 1 << uint(tx.e.shardOf(rt.meta.ID, record.EncodeKey(rt.meta.PrimaryKeyOf(row)...)))
-		}
 		if !fn(row) {
 			return nil
 		}
@@ -975,12 +761,6 @@ func (tx *Tx) ScanTable(table string, fn func(record.Row) bool) error {
 	}
 	if err := tx.lockTable(rt.meta.ID, lockmgr.S); err != nil {
 		return err
-	}
-	if tx.trackReads() {
-		// A table scan observes every row (and every absence) in the table,
-		// whose rows hash across all shards: the commit must rendezvous with
-		// all of them.
-		tx.readMask |= (uint64(1) << uint(tx.e.nShards)) - 1
 	}
 	err = rt.hf.Scan(tx.prof, func(rid heap.RID, rec []byte) bool {
 		row, derr := rt.meta.Schema.Decode(rec)

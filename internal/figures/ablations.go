@@ -473,141 +473,6 @@ func AblationLogTail(o Options) (Table, error) {
 	return t, nil
 }
 
-// AblationLogShards measures sharded virtual logs in both routing regimes.
-// The TPC-B arm is the adversarial case: every transfer touches four tables,
-// so nearly every commit is cross-shard (the xshard-commits/xct column sits
-// near 1.0) and pays the two-phase flush rendezvous — which also forfeits
-// the single-participant async/ELR fast path, so sharding LOSES throughput
-// there by design. The TM-1 updateLoc arm is the favorable case: each
-// transaction updates one subscriber row, every commit routes to a single
-// shard (xshard-commits/xct = 0), and extra shards divide reserve pressure
-// and fsync queueing without ever paying the rendezvous. A single shard must
-// stay within noise of the unsharded engine in both arms (the code paths
-// are identical until nShards > 1). Honors Options.DataDir, where
-// writes/cycle becomes meaningful per shard.
-func AblationLogShards(o Options) (Table, error) {
-	o = o.withDefaults()
-	if o.LogFlushDelay == 0 {
-		o.LogFlushDelay = 500 * time.Microsecond
-	}
-	if o.GroupCommitWindow == 0 {
-		o.GroupCommitWindow = 100 * time.Microsecond
-	}
-	userClients := o.Clients != 0
-	if !userClients {
-		// Overcommit clients so the pipeline stays full (see AblationSLIELR).
-		o.Clients = 4 * o.PeakAgents
-	}
-	t := Table{
-		Title:   "Ablation: log shards — sharded virtual logs with cross-log group commit (SLI+ELR)",
-		Columns: []string{"shards", "agents", "tps", "reserve-us/xct", "buffull-us/xct", "writes/cycle", "xshard-commits/xct"},
-	}
-	for _, agents := range []int{1, o.PeakAgents} {
-		for _, nShards := range []int{1, 2, 4} {
-			oo := o
-			if agents == 1 && !userClients {
-				oo.Clients = 4
-			}
-			e, gen, err := buildTPCBWithEngineConfig(oo, core.Config{
-				SLI:                    true,
-				EarlyLockRelease:       true,
-				EarlyLockReleaseAborts: true,
-				AsyncCommit:            true,
-				Agents:                 agents,
-				Profile:                true,
-				BufferFrames:           oo.BufferFrames,
-				GroupCommitWindow:      oo.GroupCommitWindow,
-				AdaptiveGroupCommit:    true,
-				GroupCommitMin:         oo.GroupCommitMin,
-				GroupCommitMax:         oo.GroupCommitMax,
-				PreallocateSegments:    oo.PreallocateSegments,
-				LogFlushDelay:          oo.LogFlushDelay,
-				IODelay:                oo.IODelay,
-				LogShards:              nShards,
-			})
-			if err != nil {
-				return t, err
-			}
-			res := oo.run(e, gen, agents)
-			lt := e.LogTail()
-			xshard := e.CrossShardCommits()
-			e.Close()
-			perXct := func(sec float64) float64 {
-				if n := res.Completed(); n > 0 {
-					return sec * 1e6 / float64(n)
-				}
-				return 0
-			}
-			writesPerCycle := 0.0
-			if lt.FlushCycles > 0 {
-				writesPerCycle = float64(lt.SinkWrites) / float64(lt.FlushCycles)
-			}
-			xshardPerXct := 0.0
-			if n := res.Completed(); n > 0 {
-				xshardPerXct = float64(xshard) / float64(n)
-			}
-			t.Rows = append(t.Rows, Row{
-				Label: fmt.Sprintf("tpcb shards=%d a=%d", nShards, agents),
-				Values: []float64{
-					float64(nShards),
-					float64(agents),
-					res.Throughput,
-					perXct(lt.ReserveWaitSeconds),
-					perXct(lt.BufferFullWaitSeconds),
-					writesPerCycle,
-					xshardPerXct,
-				},
-			})
-		}
-	}
-	// Shard-local arm: TM-1 updateLoc at peak agents. One row update per
-	// transaction means one participant shard per commit — the regime where
-	// the sharded log collects its contention win without rendezvous cost.
-	for _, nShards := range []int{1, 2, 4} {
-		oo := o
-		oo.EarlyLockRelease = true
-		oo.EarlyLockReleaseAborts = true
-		oo.AsyncCommit = true
-		oo.AdaptiveGroupCommit = true
-		oo.LogShards = nShards
-		e, gen, err := oo.buildEngine(WLUpdateLoc, true, oo.PeakAgents)
-		if err != nil {
-			return t, err
-		}
-		res := oo.run(e, gen, oo.PeakAgents)
-		lt := e.LogTail()
-		xshard := e.CrossShardCommits()
-		e.Close()
-		perXct := func(sec float64) float64 {
-			if n := res.Completed(); n > 0 {
-				return sec * 1e6 / float64(n)
-			}
-			return 0
-		}
-		writesPerCycle := 0.0
-		if lt.FlushCycles > 0 {
-			writesPerCycle = float64(lt.SinkWrites) / float64(lt.FlushCycles)
-		}
-		xshardPerXct := 0.0
-		if n := res.Completed(); n > 0 {
-			xshardPerXct = float64(xshard) / float64(n)
-		}
-		t.Rows = append(t.Rows, Row{
-			Label: fmt.Sprintf("updateLoc shards=%d a=%d", nShards, o.PeakAgents),
-			Values: []float64{
-				float64(nShards),
-				float64(o.PeakAgents),
-				res.Throughput,
-				perXct(lt.ReserveWaitSeconds),
-				perXct(lt.BufferFullWaitSeconds),
-				writesPerCycle,
-				xshardPerXct,
-			},
-		})
-	}
-	return t, nil
-}
-
 // buildTPCBWithEngineConfig loads the TPC-B dataset into an engine with a
 // custom configuration (used by the commit-pipeline ablations). When
 // Options.DataDir is set the engine is disk-backed (real WAL segments and
@@ -671,18 +536,16 @@ func Ablation(name string, o Options) (Table, error) {
 		return AblationSLIELR(o)
 	case "log-tail":
 		return AblationLogTail(o)
-	case "log-shards":
-		return AblationLogShards(o)
 	case "abort-elr":
 		return AblationAbortELR(o)
 	default:
-		return Table{}, fmt.Errorf("figures: unknown ablation %q (use hot-threshold, levels, bimodal, roving-hotspot, sli-elr, log-tail, log-shards, abort-elr)", name)
+		return Table{}, fmt.Errorf("figures: unknown ablation %q (use hot-threshold, levels, bimodal, roving-hotspot, sli-elr, log-tail, abort-elr)", name)
 	}
 }
 
 // Ablations lists the available ablation study names.
 func Ablations() []string {
-	return []string{"hot-threshold", "levels", "bimodal", "roving-hotspot", "sli-elr", "log-tail", "log-shards", "abort-elr"}
+	return []string{"hot-threshold", "levels", "bimodal", "roving-hotspot", "sli-elr", "log-tail", "abort-elr"}
 }
 
 // quickOptions shrinks an Options for smoke tests; exported for reuse from

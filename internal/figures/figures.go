@@ -77,10 +77,6 @@ type Options struct {
 	GroupCommitMin      time.Duration
 	GroupCommitMax      time.Duration
 	PreallocateSegments bool
-	// LogShards splits the write-ahead log into that many independent
-	// virtual logs (see core.Config.LogShards); 0 or 1 keeps the single
-	// log.
-	LogShards int
 	// Clients is the number of closed-loop client goroutines driving the
 	// engine; zero means one per agent. Overcommitting clients (> agents)
 	// is required to exercise AsyncCommit's flush pipelining: with exactly
@@ -293,7 +289,6 @@ func (o Options) buildEngine(key string, sli bool, agents int) (*core.Engine, wo
 		GroupCommitMin:         o.GroupCommitMin,
 		GroupCommitMax:         o.GroupCommitMax,
 		PreallocateSegments:    o.PreallocateSegments,
-		LogShards:              o.LogShards,
 	}
 	// NDBB is the in-memory dataset; TPC-B and TPC-C are "disk-resident" and
 	// pay the artificial I/O penalty (paper §5.2).
@@ -398,22 +393,6 @@ type EngineStats struct {
 	AvgWindow   time.Duration
 	FinalWindow time.Duration
 	FenceWait   time.Duration
-	// LogShards is the number of sharded virtual logs the engine ran with
-	// (1 on unsharded engines), and CrossShardCommits the number of commits
-	// whose participant set spanned more than one of them — the commits that
-	// paid the two-phase flush rendezvous. Committed is the engine-lifetime
-	// commit count (warmup included, unlike the interval-scoped
-	// workload.Result), so CrossShardCommits/Committed is the workload's
-	// cross-shard fraction with both counters over the same span.
-	LogShards         int
-	CrossShardCommits uint64
-	Committed         uint64
-	// ShardReserveWait and ShardWritesPerCycle are the per-shard views of
-	// the reservation-wait and sink-efficiency stats, indexed by shard. A
-	// routing skew shows up here as one hot entry, even when the summed
-	// totals look balanced.
-	ShardReserveWait    []time.Duration
-	ShardWritesPerCycle []float64
 }
 
 // WritesPerCycle returns physical sink writes per flusher cycle, or 0 for
@@ -453,19 +432,6 @@ func RunWorkload(key string, o Options, sli bool, agents int) (workload.Result, 
 	es.FenceWait = time.Duration(lt.FenceWaitSeconds * float64(time.Second))
 	if lt.WindowedCycles > 0 {
 		es.AvgWindow = time.Duration(lt.WindowWaitSeconds / float64(lt.WindowedCycles) * float64(time.Second))
-	}
-	es.LogShards = e.LogShards()
-	es.CrossShardCommits = e.CrossShardCommits()
-	es.Committed = e.Committed()
-	for s := 0; s < es.LogShards; s++ {
-		one := e.LogTailAt(s)
-		es.ShardReserveWait = append(es.ShardReserveWait,
-			time.Duration(one.ReserveWaitSeconds*float64(time.Second)))
-		wpc := 0.0
-		if one.FlushCycles > 0 {
-			wpc = float64(one.SinkWrites) / float64(one.FlushCycles)
-		}
-		es.ShardWritesPerCycle = append(es.ShardWritesPerCycle, wpc)
 	}
 	return res, es, nil
 }

@@ -29,7 +29,7 @@ func TestOptionsDefaults(t *testing.T) {
 	if len(AllWorkloads()) < 10 {
 		t.Fatal("workload list unexpectedly short")
 	}
-	if len(ShortWorkloads()) == 0 || len(Ablations()) != 8 {
+	if len(ShortWorkloads()) == 0 || len(Ablations()) != 7 {
 		t.Fatal("helper listings wrong")
 	}
 	p := PaperOptions()

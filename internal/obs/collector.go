@@ -2,7 +2,6 @@ package obs
 
 import (
 	"net/http"
-	"strconv"
 	"time"
 
 	"slidb/internal/lockmgr"
@@ -22,9 +21,6 @@ type EngineSource interface {
 	// UndoFailures counts failed rollback undo actions (non-zero means
 	// in-memory corruption).
 	UndoFailures() uint64
-	// CrossShardCommits counts commits whose participant set spanned more
-	// than one log shard (each paid the two-phase flush rendezvous).
-	CrossShardCommits() uint64
 	// DurableLag is the appended-but-not-durable log bytes at this instant.
 	DurableLag() uint64
 	// LogErr is the WAL sink error that wedged the log, nil while healthy.
@@ -37,14 +33,8 @@ type EngineSource interface {
 	// Concurrency is the current agent worker count.
 	Concurrency() int
 	// LogTail is the log tail's self-tuning snapshot (group-commit window,
-	// flush cycles, physical sink writes, publish-fence waits), summed
-	// across every log shard.
+	// flush cycles, physical sink writes, publish-fence and append waits).
 	LogTail() LogTailStats
-	// LogShards is the number of sharded virtual logs; LogTailAt is one
-	// shard's view of the LogTail snapshot, feeding the per-shard metric
-	// families.
-	LogShards() int
-	LogTailAt(s int) LogTailStats
 }
 
 // LogTailStats is the log-tail snapshot the collector exports: the adaptive
@@ -85,9 +75,6 @@ type LogTailStats struct {
 // StatsSnapshot.AcquiresByLevel.
 var lockLevelNames = [4]string{"database", "table", "page", "record"}
 
-// shardLabel formats a log-shard index as a metric label value.
-func shardLabel(s int) string { return strconv.Itoa(s) }
-
 // RegisterEngine registers the engine collector's metric families on r. Every
 // sample is read from the engine's existing atomic counters (or cheap
 // snapshots of them) at scrape time; nothing is double-counted and no state
@@ -105,9 +92,6 @@ func RegisterEngine(r *Registry, e EngineSource) {
 	r.CounterFunc("slidb_undo_failures_total",
 		"Rollback undo actions that failed; any non-zero value indicates in-memory corruption.",
 		func() float64 { return float64(e.UndoFailures()) })
-	r.CounterFunc("slidb_cross_shard_commits_total",
-		"Commits whose participant set spanned more than one log shard (two-phase flush rendezvous).",
-		func() float64 { return float64(e.CrossShardCommits()) })
 	r.GaugeFunc("slidb_durable_lag_bytes",
 		"Log bytes appended but not yet forced to stable storage (commit pipeline depth).",
 		func() float64 { return float64(e.DurableLag()) })
@@ -126,7 +110,7 @@ func RegisterEngine(r *Registry, e EngineSource) {
 	// Log-tail self-tuning surface: the live group-commit window (the
 	// adaptive controller's output), how much window time flush cycles
 	// actually waited, the vectored sink's writes-per-cycle inputs, and the
-	// publish-fence wait total.
+	// publish-fence, reservation and buffer-full wait totals.
 	r.GaugeFunc("slidb_group_commit_window_seconds",
 		"Group-commit window currently in effect (adaptive controller output, or the fixed configured window).",
 		func() float64 { return e.LogTail().CurWindowSeconds })
@@ -142,6 +126,12 @@ func RegisterEngine(r *Registry, e EngineSource) {
 	r.CounterFunc("slidb_log_fence_wait_seconds_total",
 		"Cumulative time appenders spent blocked publishing their log-buffer claims.",
 		func() float64 { return e.LogTail().FenceWaitSeconds })
+	r.CounterFunc("slidb_log_reserve_wait_seconds_total",
+		"Cumulative time profiled appenders spent on the log buffer's reservation protocol.",
+		func() float64 { return e.LogTail().ReserveWaitSeconds })
+	r.CounterFunc("slidb_log_buffer_full_wait_seconds_total",
+		"Cumulative time appenders spent stalled on a full log buffer.",
+		func() float64 { return e.LogTail().BufferFullWaitSeconds })
 	r.CounterFunc("slidb_log_segment_rotations_total",
 		"WAL segment file rotations.",
 		func() float64 { return float64(e.LogTail().Rotations) })
@@ -154,32 +144,6 @@ func RegisterEngine(r *Registry, e EngineSource) {
 				{Label: "truncate", Value: float64(lt.PreallocFallbacks)},
 			}
 		})
-
-	// Per-shard log-tail families (one series per virtual log, labeled by
-	// shard index): whether routing balanced the append load shows up as
-	// even reserve-wait and sink-write series; a hot shard sticks out.
-	shardSamples := func(value func(LogTailStats) float64) func() []Sample {
-		return func() []Sample {
-			n := e.LogShards()
-			out := make([]Sample, 0, n)
-			for s := 0; s < n; s++ {
-				out = append(out, Sample{Label: shardLabel(s), Value: value(e.LogTailAt(s))})
-			}
-			return out
-		}
-	}
-	r.LabeledCounterFunc("slidb_log_shard_reserve_wait_seconds_total",
-		"Cumulative appender time spent on each log shard's reservation protocol.", "shard",
-		shardSamples(func(lt LogTailStats) float64 { return lt.ReserveWaitSeconds }))
-	r.LabeledCounterFunc("slidb_log_shard_buffer_full_wait_seconds_total",
-		"Cumulative appender time stalled on each log shard's full buffer.", "shard",
-		shardSamples(func(lt LogTailStats) float64 { return lt.BufferFullWaitSeconds }))
-	r.LabeledCounterFunc("slidb_log_shard_sink_writes_total",
-		"Physical write submissions per log shard's segment files.", "shard",
-		shardSamples(func(lt LogTailStats) float64 { return float64(lt.SinkWrites) }))
-	r.LabeledCounterFunc("slidb_log_shard_flush_cycles_total",
-		"Completed group-commit flush cycles per log shard.", "shard",
-		shardSamples(func(lt LogTailStats) float64 { return float64(lt.FlushCycles) }))
 
 	// Lock manager counters (the paper's Figure 8/9 surface). Each family
 	// snapshots the stats once per scrape.

@@ -18,21 +18,18 @@ const CheckpointFile = "checkpoint.db"
 
 // checkpointMagic identifies (and versions) the checkpoint format. Version 2
 // is the byte-offset LSN format: Snapshot.LSN is the durable watermark (an
-// exclusive end offset) rather than a dense record counter. Single-shard
-// checkpoints are still written as version 2, so LogShards=1 directories
-// stay byte-compatible with pre-shard builds.
+// exclusive end offset) rather than a dense record counter.
 var checkpointMagic = []byte("SLDBCKP2")
 
-// checkpointMagicV3 is the sharded-log format: the version-2 payload
-// prefixed with the per-shard durable boundary vector (one watermark per log
-// shard, each the exclusive end offset replay resumes at on that shard).
-// Written only when the directory has more than one log shard.
-var checkpointMagicV3 = []byte("SLDBCKP3")
-
-// checkpointMagicV1 is the pre-byte-offset format; its LSNs are dense record
-// numbers and cannot be interpreted by this build, so reading one fails with
-// wal.ErrLogFormat instead of a misleading corruption error.
-var checkpointMagicV1 = []byte("SLDBCKP1")
+// foreignCheckpoints are the other versions earlier builds wrote, which this
+// build cannot interpret: version 1 counted dense record numbers, and
+// version 3 carried one watermark per log shard of a sharded log. Reading
+// either fails with wal.ErrLogFormat instead of a misleading corruption
+// error.
+var foreignCheckpoints = map[string]string{
+	"SLDBCKP1": "format version 1 (dense LSNs)",
+	"SLDBCKP3": "format version 3 (sharded logs)",
+}
 
 // ErrBadCheckpoint is returned when a checkpoint file fails validation.
 var ErrBadCheckpoint = errors.New("recovery: corrupt checkpoint")
@@ -45,16 +42,7 @@ type Snapshot struct {
 	// LSN is the durable watermark the snapshot covers — the exclusive end
 	// offset of the log prefix whose effects are reflected in the table
 	// images, and therefore exactly the frame boundary replay resumes at.
-	// Under sharded logs this is shard 0's entry of LSNs, kept for
-	// single-shard compatibility.
 	LSN wal.LSN
-	// LSNs is the per-shard durable boundary vector: LSNs[s] is the
-	// exclusive end offset replay resumes at on log shard s. Empty for a
-	// single-shard (version 2) checkpoint, whose vector is [LSN]. The engine
-	// quiesces execution while checkpointing, so no transaction's records
-	// straddle the vector: everything below it on every shard is reflected
-	// in the table images, everything at or above it is replayed.
-	LSNs []wal.LSN
 	// NextXID seeds the engine's transaction-ID allocator so XIDs stay
 	// monotonic across restarts.
 	NextXID uint64
@@ -69,24 +57,6 @@ type Snapshot struct {
 type TableSnapshot struct {
 	Meta catalog.TableMeta
 	Rows [][]byte
-}
-
-// Vector returns the snapshot's per-shard boundary vector for a directory
-// with n log shards, validating that the checkpoint matches the layout: a
-// mismatch means the directory was tampered with or misconfigured and is a
-// loud format error, never a silent partial replay.
-func (s *Snapshot) Vector(n int) ([]wal.LSN, error) {
-	if len(s.LSNs) == 0 {
-		if n != 1 {
-			return nil, fmt.Errorf("%w: single-shard checkpoint in a %d-shard log directory", wal.ErrLogFormat, n)
-		}
-		return []wal.LSN{s.LSN}, nil
-	}
-	if len(s.LSNs) != n {
-		return nil, fmt.Errorf("%w: checkpoint records %d log-shard boundaries but the directory has %d shards",
-			wal.ErrLogFormat, len(s.LSNs), n)
-	}
-	return s.LSNs, nil
 }
 
 // encode serializes the snapshot payload (everything after the magic).
@@ -200,19 +170,8 @@ func decodeSnapshot(payload []byte) (*Snapshot, error) {
 // against partial-page corruption on read.
 func WriteCheckpoint(dir string, snap *Snapshot) error {
 	payload := snap.encode()
-	magic := checkpointMagic
-	if len(snap.LSNs) > 1 {
-		// Sharded directory: version 3, the version-2 payload prefixed with
-		// the per-shard boundary vector.
-		magic = checkpointMagicV3
-		vec := binary.AppendUvarint(nil, uint64(len(snap.LSNs)))
-		for _, l := range snap.LSNs {
-			vec = binary.AppendUvarint(vec, uint64(l))
-		}
-		payload = append(vec, payload...)
-	}
-	buf := make([]byte, 0, len(magic)+len(payload)+12)
-	buf = append(buf, magic...)
+	buf := make([]byte, 0, len(checkpointMagic)+len(payload)+12)
+	buf = append(buf, checkpointMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
 	buf = append(buf, payload...)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
@@ -265,11 +224,9 @@ func ReadCheckpoint(dir string) (*Snapshot, bool, error) {
 	if len(data) < len(checkpointMagic)+12 {
 		return nil, false, fmt.Errorf("%w: too short", ErrBadCheckpoint)
 	}
-	magic := string(data[:len(checkpointMagic)])
-	sharded := magic == string(checkpointMagicV3)
-	if magic != string(checkpointMagic) && !sharded {
-		if string(data[:len(checkpointMagicV1)]) == string(checkpointMagicV1) {
-			return nil, false, fmt.Errorf("%w: checkpoint is format version 1 (dense LSNs)", wal.ErrLogFormat)
+	if magic := string(data[:len(checkpointMagic)]); magic != string(checkpointMagic) {
+		if version, ok := foreignCheckpoints[magic]; ok {
+			return nil, false, fmt.Errorf("%w: checkpoint is %s", wal.ErrLogFormat, version)
 		}
 		return nil, false, fmt.Errorf("%w: bad magic", ErrBadCheckpoint)
 	}
@@ -284,27 +241,9 @@ func ReadCheckpoint(dir string) (*Snapshot, bool, error) {
 	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, false, fmt.Errorf("%w: checksum mismatch", ErrBadCheckpoint)
 	}
-	var vec []wal.LSN
-	if sharded {
-		count, n := binary.Uvarint(payload)
-		if n <= 0 || count < 2 || count > wal.MaxLogShards {
-			return nil, false, fmt.Errorf("%w: bad log-shard boundary vector", ErrBadCheckpoint)
-		}
-		payload = payload[n:]
-		vec = make([]wal.LSN, count)
-		for i := range vec {
-			v, n := binary.Uvarint(payload)
-			if n <= 0 {
-				return nil, false, fmt.Errorf("%w: truncated log-shard boundary vector", ErrBadCheckpoint)
-			}
-			vec[i] = wal.LSN(v)
-			payload = payload[n:]
-		}
-	}
 	snap, err := decodeSnapshot(payload)
 	if err != nil {
 		return nil, false, err
 	}
-	snap.LSNs = vec
 	return snap, true, nil
 }

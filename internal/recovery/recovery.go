@@ -51,24 +51,15 @@ type Analysis struct {
 	// its last durable CLR. It is diagnostic (the Resumed statistic); the
 	// undo work list itself comes from Pending, which is exact.
 	UndoNext map[uint64]wal.LSN
-	// Pending maps each XID to the LSNs of its data records that no durable
-	// CLR compensates, in log order — exactly the records the undo pass must
-	// roll back if the transaction turns out to need it. It is reconstructed
-	// by simulating the CLR chain: a data record pushes its LSN, a CLR pops
-	// the newest uncompensated one (CLRs are logged newest-first within a
-	// rollback). Watermark-based inference cannot represent a transaction
-	// that rolled back to a savepoint more than once — each RollbackTo
-	// leaves a separate interior compensated span — so the set is tracked
-	// explicitly. Winners keep their Pending lists: under sharded logs a
-	// shard-local winner can be demoted to a global loser (another
-	// participant's commit record did not survive), and its uncompensated
-	// records are then exactly what restart undo must roll back here.
+	// Pending maps each loser XID to the LSNs of its data records that no
+	// durable CLR compensates, in log order — exactly the records the undo
+	// pass must roll back. It is reconstructed by simulating the CLR chain:
+	// a data record pushes its LSN, a CLR pops the newest uncompensated one
+	// (CLRs are logged newest-first within a rollback). Watermark-based
+	// inference cannot represent a transaction that rolled back to a
+	// savepoint more than once — each RollbackTo leaves a separate interior
+	// compensated span — so the set is tracked explicitly.
 	Pending map[uint64][]wal.LSN
-	// Participants maps each XID whose commit record carried a cross-shard
-	// participant mask to that mask (the union, if several commit records
-	// were scanned). A single-shard commit carries no mask and does not
-	// appear here; the merge substitutes the scanned shard's own bit.
-	Participants map[uint64]uint64
 	// MaxLSN is the highest LSN seen in the scan.
 	MaxLSN wal.LSN
 	// MaxXID is the highest transaction ID seen; the engine resumes its XID
@@ -89,82 +80,14 @@ func (an *Analysis) NeedsUndo(xid uint64) bool {
 	return !done
 }
 
-// GlobalWinners merges one analysis per log shard into the set of globally
-// committed transactions. A transaction is committed iff every shard named in
-// its participant mask holds a durable commit record for it — the all-or-
-// nothing rule that makes the per-shard commit records plus the flush
-// rendezvous a correct two-phase commit — and no shard subsequently rolled it
-// back (a demoted winner whose restart undo already completed on an earlier
-// incarnation). A commit record without a mask claims only the shard it was
-// scanned on. A mask naming a shard beyond len(per) means the directory was
-// reopened with too few shards; that is a format error, never a silent
-// demotion.
-func GlobalWinners(per []*Analysis) (map[uint64]struct{}, error) {
-	if len(per) == 1 {
-		// Single log: every shard-local winner is global (masks, if any,
-		// could only name shard 0).
-		out := make(map[uint64]struct{}, len(per[0].Winners))
-		for xid := range per[0].Winners {
-			if mask := per[0].Participants[xid]; mask&^1 != 0 {
-				return nil, fmt.Errorf("%w: commit record for xid %d names log shards %#x but the directory has 1 shard",
-					wal.ErrLogFormat, xid, mask)
-			}
-			if _, rb := per[0].RolledBack[xid]; !rb {
-				out[xid] = struct{}{}
-			}
-		}
-		return out, nil
-	}
-	union := make(map[uint64]uint64)
-	for s, an := range per {
-		for xid := range an.Winners {
-			mask := an.Participants[xid]
-			if mask == 0 {
-				mask = 1 << uint(s)
-			}
-			union[xid] |= mask
-		}
-	}
-	out := make(map[uint64]struct{}, len(union))
-	for xid, mask := range union {
-		if mask>>uint(len(per)) != 0 {
-			return nil, fmt.Errorf("%w: commit record for xid %d names log shards %#x but the directory has %d shards",
-				wal.ErrLogFormat, xid, mask, len(per))
-		}
-		committed := true
-		for s := range per {
-			if mask&(1<<uint(s)) == 0 {
-				continue
-			}
-			if _, won := per[s].Winners[xid]; !won {
-				committed = false
-				break
-			}
-		}
-		if committed {
-			for s := range per {
-				if _, rb := per[s].RolledBack[xid]; rb {
-					committed = false
-					break
-				}
-			}
-		}
-		if committed {
-			out[xid] = struct{}{}
-		}
-	}
-	return out, nil
-}
-
 // Analyze runs the analysis pass over the log tail.
 func Analyze(iter Iterator) (*Analysis, error) {
 	an := &Analysis{
-		Winners:      make(map[uint64]struct{}),
-		Losers:       make(map[uint64]struct{}),
-		RolledBack:   make(map[uint64]struct{}),
-		UndoNext:     make(map[uint64]wal.LSN),
-		Pending:      make(map[uint64][]wal.LSN),
-		Participants: make(map[uint64]uint64),
+		Winners:    make(map[uint64]struct{}),
+		Losers:     make(map[uint64]struct{}),
+		RolledBack: make(map[uint64]struct{}),
+		UndoNext:   make(map[uint64]wal.LSN),
+		Pending:    make(map[uint64][]wal.LSN),
 	}
 	err := iter(func(rec wal.Record) error {
 		an.Scanned++
@@ -176,18 +99,16 @@ func Analyze(iter Iterator) (*Analysis, error) {
 		}
 		switch rec.Type {
 		case wal.RecCommit:
-			mask, merr := wal.DecodeShardMask(rec.After)
-			if merr != nil {
-				return fmt.Errorf("LSN %d (commit, xid %d): %w", rec.LSN, rec.XID, merr)
-			}
-			if mask != 0 {
-				an.Participants[rec.XID] |= mask
+			if len(rec.After) > 0 {
+				// Commit records carry no images; a non-empty one is the
+				// participant mask of a cross-shard commit, written by the
+				// sharded log of an earlier build.
+				return fmt.Errorf("%w: LSN %d (commit, xid %d) carries a %d-byte log-shard participant mask",
+					wal.ErrLogFormat, rec.LSN, rec.XID, len(rec.After))
 			}
 			an.Winners[rec.XID] = struct{}{}
 			delete(an.Losers, rec.XID)
-			// Pending is NOT dropped: a shard-local winner can be demoted by
-			// the cross-shard merge, and undo then needs its record list.
-			// NeedsUndo still excludes plain winners.
+			delete(an.Pending, rec.XID)
 		case wal.RecAbort:
 			// The rollback completed and its outcome record is durable; the
 			// CLR chain below it is durable too (single totally ordered log).
@@ -371,23 +292,11 @@ type CLRLogger func(wal.Record) error
 // logRec, when non-nil, receives the CLR chain and abort records that make
 // this undo durable-exactly-once (see CLRLogger).
 func Undo(iter Iterator, an *Analysis, ap Applier, logRec CLRLogger) (UndoStats, error) {
-	return UndoWith(iter, an, ap, logRec, an.NeedsUndo)
-}
-
-// UndoWith is Undo with the per-transaction work predicate made explicit.
-// Sharded recovery passes a predicate built from the cross-shard merge: a
-// transaction needs undo on this shard when it is not globally committed,
-// this shard has not already completed its rollback, and the shard holds any
-// of its records — which covers both plain shard-local losers and demoted
-// winners (this shard's commit record survived but another participant's did
-// not).
-func UndoWith(iter Iterator, an *Analysis, ap Applier, logRec CLRLogger, needs func(xid uint64) bool) (UndoStats, error) {
 	var st UndoStats
-	// The exact uncompensated set per transaction needing undo, from the
-	// analysis simulation.
+	// The exact uncompensated set per loser, from the analysis simulation.
 	need := make(map[uint64]map[wal.LSN]struct{})
 	for xid, lsns := range an.Pending {
-		if !needs(xid) || len(lsns) == 0 {
+		if !an.NeedsUndo(xid) || len(lsns) == 0 {
 			continue
 		}
 		set := make(map[wal.LSN]struct{}, len(lsns))

@@ -10,8 +10,7 @@ import (
 	"golang.org/x/tools/go/ast/inspector"
 )
 
-// DenseArith flags arithmetic performed directly on wal.LSN values, and any
-// expression mixing log offsets across shards of a sharded log.
+// DenseArith flags arithmetic performed directly on wal.LSN values.
 //
 // Since the byte-offset refactor (PR 5), an LSN is an offset into the
 // virtual log address space: ordered, comparable, but NOT dense. "lsn+1" is
@@ -21,22 +20,11 @@ import (
 // offset math belongs in the LSN helper methods (Advance, Next, Distance) or
 // in plain int64 byte space before converting.
 //
-// Since the log sharding (PR 10), an LSN on its own does not even name a
-// unique log position: each shard is an independent address space, and
-// wal.ShardAddr (shard id + offset) is the full address. Two .Off offsets
-// taken from syntactically distinct ShardAddr values may belong to different
-// shards, so combining them — arithmetic, ordering, equality, or passing one
-// as an argument to the other's LSN helper — is flagged even in the spellings
-// that are legal on plain LSNs. Shard-safe combination goes through
-// ShardAddr's own methods (Advance, Next, Distance, Before), which verify the
-// shards match at runtime.
-//
-// Allowlist: methods declared on the LSN and ShardAddr types themselves
-// (they ARE the byte math), and expressions suppressed with
-// //slint:ignore densearith <reason>.
+// Allowlist: methods declared on the LSN type itself (they ARE the byte
+// math), and expressions suppressed with //slint:ignore densearith <reason>.
 var DenseArith = &analysis.Analyzer{
 	Name:     "densearith",
-	Doc:      "flag arithmetic on wal.LSN outside its helper methods, and offset mixing across wal.ShardAddr shards",
+	Doc:      "flag arithmetic on wal.LSN outside its helper methods (byte-offset LSNs are ordered, not dense)",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      runDenseArith,
 }
@@ -53,29 +41,16 @@ func runDenseArith(pass *analysis.Pass) (interface{}, error) {
 		(*ast.BinaryExpr)(nil),
 		(*ast.AssignStmt)(nil),
 		(*ast.IncDecStmt)(nil),
-		(*ast.CallExpr)(nil),
 	}
 	insp.WithStack(nodeFilter, func(n ast.Node, push bool, stack []ast.Node) bool {
 		if !push {
 			return false
 		}
-		if fd := enclosingFuncDecl(stack); fd != nil &&
-			(recvIsType(pass, fd, isLSNType) || recvIsType(pass, fd, isShardAddrType)) {
+		if fd := enclosingFuncDecl(stack); fd != nil && isLSNMethod(pass, fd) {
 			return true // the helper methods are the allowlisted byte math
 		}
 		switch n := n.(type) {
 		case *ast.BinaryExpr:
-			// Cross-shard mixing first: it subsumes (and outranks) the plain
-			// LSN-arithmetic diagnostic, and also covers comparisons, which
-			// are fine on same-shard LSNs but meaningless across shards.
-			if bx, okx := shardOffBase(pass, n.X); okx {
-				if by, oky := shardOffBase(pass, n.Y); oky &&
-					types.ExprString(bx) != types.ExprString(by) &&
-					(arithOp(n.Op) || cmpOp(n.Op)) {
-					report(pass, idx, n, "mixing Off offsets of distinct wal.ShardAddr values: each log shard is its own address space — use a ShardAddr method (Advance/Next/Distance/Before), which checks the shards match")
-					return true
-				}
-			}
 			if arithOp(n.Op) && (isLSN(n.X) || isLSN(n.Y)) {
 				report(pass, idx, n, "arithmetic on wal.LSN: byte-offset LSNs are ordered, not dense — use an LSN helper (Advance/Next/Distance) or do the math in int64 byte space")
 			}
@@ -87,26 +62,6 @@ func runDenseArith(pass *analysis.Pass) (interface{}, error) {
 			if isLSN(n.X) {
 				report(pass, idx, n, "%s on wal.LSN is a dense-LSN bug: byte-offset LSNs have no successor — use an LSN helper or int64 byte math", n.Tok)
 			}
-		case *ast.CallExpr:
-			// x.Off.Distance(y.Off) and friends smuggle a cross-shard offset
-			// past ShardAddr's runtime shard check by dropping to the plain
-			// LSN helpers. Flag any LSN-helper call whose receiver and an
-			// argument are Off fields of distinct ShardAddr values.
-			sel, ok := unparen(n.Fun).(*ast.SelectorExpr)
-			if !ok {
-				break
-			}
-			recvBase, ok := shardOffBase(pass, sel.X)
-			if !ok {
-				break
-			}
-			for _, arg := range n.Args {
-				if argBase, ok := shardOffBase(pass, arg); ok &&
-					types.ExprString(argBase) != types.ExprString(recvBase) {
-					report(pass, idx, n, "LSN helper call mixing Off offsets of distinct wal.ShardAddr values: each log shard is its own address space — use the ShardAddr method instead, which checks the shards match")
-					break
-				}
-			}
 		}
 		return true
 	})
@@ -115,57 +70,16 @@ func runDenseArith(pass *analysis.Pass) (interface{}, error) {
 
 // isLSNType reports whether t is the named type LSN from the wal package.
 func isLSNType(t types.Type) bool {
-	return isWalNamed(t, "LSN")
-}
-
-// isShardAddrType reports whether t is the named type ShardAddr from the wal
-// package.
-func isShardAddrType(t types.Type) bool {
-	return isWalNamed(t, "ShardAddr")
-}
-
-func isWalNamed(t types.Type, name string) bool {
 	named, ok := types.Unalias(t).(*types.Named)
 	if !ok {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Name() == name && fromPkg(obj.Pkg(), "wal")
+	return obj.Name() == "LSN" && fromPkg(obj.Pkg(), "wal")
 }
 
-// shardOffBase matches expressions of the form base.Off where base has type
-// wal.ShardAddr (or a pointer to it), returning the base expression. The
-// base's types.ExprString is the analyzer's notion of identity: two Off
-// selectors with different base spellings may name different shards.
-func shardOffBase(pass *analysis.Pass, e ast.Expr) (ast.Expr, bool) {
-	sel, ok := unparen(e).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Off" {
-		return nil, false
-	}
-	t := pass.TypesInfo.TypeOf(sel.X)
-	if ptr, ok := types.Unalias(t).(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if !isShardAddrType(t) {
-		return nil, false
-	}
-	return sel.X, true
-}
-
-// unparen strips any number of enclosing parentheses.
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
-// recvIsType reports whether fd is a method whose receiver's (pointer-
-// stripped) type satisfies pred.
-func recvIsType(pass *analysis.Pass, fd *ast.FuncDecl, pred func(types.Type) bool) bool {
+// isLSNMethod reports whether fd is a method with an LSN receiver.
+func isLSNMethod(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 	if fd.Recv == nil || len(fd.Recv.List) != 1 {
 		return false
 	}
@@ -173,7 +87,7 @@ func recvIsType(pass *analysis.Pass, fd *ast.FuncDecl, pred func(types.Type) boo
 	if ptr, ok := types.Unalias(t).(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	return pred(t)
+	return isLSNType(t)
 }
 
 // arithOp reports whether op is an arithmetic or bitwise binary operator.
@@ -182,17 +96,6 @@ func arithOp(op token.Token) bool {
 	switch op {
 	case token.ADD, token.SUB, token.MUL, token.QUO, token.REM,
 		token.AND, token.OR, token.XOR, token.SHL, token.SHR, token.AND_NOT:
-		return true
-	}
-	return false
-}
-
-// cmpOp reports whether op is a comparison operator. Comparing offsets is
-// legal within one shard but meaningless across shards, so these only fire
-// in the ShardAddr mixing rule.
-func cmpOp(op token.Token) bool {
-	switch op {
-	case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
 		return true
 	}
 	return false

@@ -32,13 +32,3 @@ func consumerFine(log *wal.Log, rec *wal.Record) {
 func suppressedConsumer(lsn wal.LSN) wal.LSN {
 	return lsn + 1 //slint:ignore densearith fixture keeps one raw add under a recorded reason
 }
-
-// shardConsumer exercises the ShardAddr mixing rule from consumer code,
-// where no method allowlist applies at all.
-func shardConsumer(a, b wal.ShardAddr) {
-	_ = a.Off < b.Off         // want `mixing Off offsets of distinct wal\.ShardAddr`
-	_ = b.Off - a.Off         // want `mixing Off offsets of distinct wal\.ShardAddr`
-	_ = a.Off.Distance(b.Off) // want `LSN helper call mixing Off offsets of distinct wal\.ShardAddr`
-	_ = a.Distance(b)         // the ShardAddr method is the blessed spelling
-	_ = a.Off < a.Off         // one address, one shard
-}

@@ -59,70 +59,34 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	})
 }
 
-// routeShard mirrors the engine's record routing: FNV-1a over the record's
-// table and page, reduced modulo the shard count. Deterministic, so the
-// differential arms can recompute a record's home shard after the fact.
-func routeShard(table uint32, page uint64, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(uint64(table))
-	mix(page)
-	return int(h % uint64(n))
-}
-
 // FuzzConcurrentReserveFillPublish drives the consolidated log buffer with
 // fuzzed concurrency parameters — appender count, records per appender,
-// payload sizes, buffer size, shard count — and requires every record to
-// round-trip byte-identically from the range-written stream at exactly the
-// byte-offset LSN its Append returned, on exactly the shard its routing key
-// names. This is the torture harness for the reserve/fill/publish protocol:
-// wraparound padding, buffer-full waits, out-of-order publication and
-// flusher consumption all happen here depending on the fuzzed shape, and the
-// publish fence may never expose unfilled bytes to the flusher (which would
-// surface here as a decode failure or mismatch). The shards dimension
-// crosses it with a sharded virtual log: appenders route each record by hash
-// across independent logs, and every shard's stream must hold exactly its
-// routed records — shards share appender goroutines but nothing else.
+// payload sizes, buffer size — and requires every record to round-trip
+// byte-identically from the range-written stream at exactly the byte-offset
+// LSN its Append returned. This is the torture harness for the
+// reserve/fill/publish protocol: wraparound padding, buffer-full waits,
+// out-of-order publication and flusher consumption all happen here depending
+// on the fuzzed shape, and the publish fence may never expose unfilled bytes
+// to the flusher (which would surface here as a decode failure or mismatch).
 func FuzzConcurrentReserveFillPublish(f *testing.F) {
-	f.Add(uint8(4), uint8(50), uint16(64), uint16(7), uint16(4096), uint8(0))
-	f.Add(uint8(1), uint8(1), uint16(0), uint16(0), uint16(0), uint8(0))
-	f.Add(uint8(8), uint8(30), uint16(900), uint16(333), uint16(5000), uint8(0))
-	f.Add(uint8(8), uint8(30), uint16(900), uint16(333), uint16(5000), uint8(1))
-	f.Add(uint8(8), uint8(30), uint16(900), uint16(333), uint16(5000), uint8(3))
-	f.Add(uint8(6), uint8(40), uint16(200), uint16(90), uint16(4096), uint8(2))
-	f.Add(uint8(5), uint8(20), uint16(128), uint16(48), uint16(4096), uint8(3))
-	f.Fuzz(func(t *testing.T, appenders, perAppender uint8, sizeA, sizeB, bufBytes uint16, shards uint8) {
+	f.Add(uint8(4), uint8(50), uint16(64), uint16(7), uint16(4096))
+	f.Add(uint8(1), uint8(1), uint16(0), uint16(0), uint16(0))
+	f.Add(uint8(8), uint8(30), uint16(900), uint16(333), uint16(5000))
+	f.Add(uint8(2), uint8(30), uint16(900), uint16(333), uint16(5000))
+	f.Add(uint8(8), uint8(30), uint16(900), uint16(333), uint16(16384))
+	f.Add(uint8(6), uint8(40), uint16(200), uint16(90), uint16(4096))
+	f.Add(uint8(5), uint8(20), uint16(128), uint16(48), uint16(4096))
+	f.Fuzz(func(t *testing.T, appenders, perAppender uint8, sizeA, sizeB, bufBytes uint16) {
 		nApp := int(appenders)%8 + 1
 		nRec := int(perAppender)%64 + 1
-		nShards := int(shards)%4 + 1
-		sinks := make([]*captureSink, nShards)
-		logs := make([]*Log, nShards)
-		for s := range logs {
-			sinks[s] = &captureSink{}
-			logs[s] = New(Config{
-				Durable:        sinks[s],
-				DropAfterFlush: true,
-				BufferBytes:    int64(bufBytes), // clamped to the minimum internally
-			})
-		}
+		sink := &captureSink{}
+		l := New(Config{
+			Durable:        sink,
+			DropAfterFlush: true,
+			BufferBytes:    int64(bufBytes), // clamped to the minimum internally
+		})
 		var mu sync.Mutex
-		want := make([]map[LSN]Record, nShards)
-		for s := range want {
-			want[s] = make(map[LSN]Record)
-		}
+		want := make(map[LSN]Record)
 		var wg sync.WaitGroup
 		for g := 0; g < nApp; g++ {
 			wg.Add(1)
@@ -142,8 +106,7 @@ func FuzzConcurrentReserveFillPublish(f *testing.F) {
 						Page:  uint64(i),
 						After: bytes.Repeat([]byte{byte(g*37 + i)}, size),
 					}
-					s := routeShard(rec.Table, rec.Page, nShards)
-					lsn, err := logs[s].Append(rec)
+					lsn, err := l.Append(rec)
 					if err != nil {
 						t.Errorf("append: %v", err)
 						return
@@ -153,37 +116,27 @@ func FuzzConcurrentReserveFillPublish(f *testing.F) {
 						rec.After = nil // decodeBody normalizes empty to nil
 					}
 					mu.Lock()
-					want[s][lsn] = rec
+					want[lsn] = rec
 					mu.Unlock()
 				}
 			}(g)
 		}
 		wg.Wait()
-		total := 0
-		for s, l := range logs {
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
-			got := decodeAll(t, sinks[s].bytes(), 1)
-			if len(got) != len(want[s]) {
-				t.Fatalf("shard %d: decoded %d records, want %d", s, len(got), len(want[s]))
-			}
-			total += len(got)
-			for _, rec := range got {
-				w, ok := want[s][rec.LSN]
-				if !ok {
-					t.Fatalf("shard %d: no record appended at offset %d", s, rec.LSN)
-				}
-				if !reflect.DeepEqual(rec, w) {
-					t.Fatalf("shard %d LSN %d mismatch:\nwant %+v\ngot  %+v", s, rec.LSN, w, rec)
-				}
-				if home := routeShard(rec.Table, rec.Page, nShards); home != s {
-					t.Fatalf("record (table %d, page %d) on shard %d, routes to %d", rec.Table, rec.Page, s, home)
-				}
-			}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
 		}
-		if total != nApp*nRec {
-			t.Fatalf("decoded %d records across %d shards, want %d", total, nShards, nApp*nRec)
+		got := decodeAll(t, sink.bytes(), 1)
+		if len(got) != nApp*nRec {
+			t.Fatalf("decoded %d records, want %d", len(got), nApp*nRec)
+		}
+		for _, rec := range got {
+			w, ok := want[rec.LSN]
+			if !ok {
+				t.Fatalf("no record appended at offset %d", rec.LSN)
+			}
+			if !reflect.DeepEqual(rec, w) {
+				t.Fatalf("LSN %d mismatch:\nwant %+v\ngot  %+v", rec.LSN, w, rec)
+			}
 		}
 	})
 }
@@ -192,94 +145,39 @@ func FuzzConcurrentReserveFillPublish(f *testing.F) {
 // differential fuzz target: a deterministic (single-goroutine) sequence of
 // fuzzed record sizes is appended to the log, and its stream must be
 // bit-identical to referenceLog's — same frames, same wraparound padding,
-// same offsets — with every returned LSN equal to the reference's. The
-// shards dimension adds the sharded-log differential arm: the same record
-// stream routed by hash across n independent logs must leave each shard's
-// stream bit-identical to a fresh single log fed only that shard's
-// subsequence — one shard's traffic can never perturb another's bytes.
+// same offsets — with every returned LSN equal to the reference's.
 func FuzzReservationProtocolEquivalence(f *testing.F) {
-	f.Add([]byte{1, 2, 3}, uint16(4096), uint8(0))
-	f.Add([]byte{255, 0, 17, 99, 200, 5}, uint16(5000), uint8(1))
-	f.Add(bytes.Repeat([]byte{251}, 40), uint16(0), uint8(3))
-	f.Add([]byte{9, 40, 80, 120, 7, 7, 7, 33}, uint16(4096), uint8(2))
-	f.Fuzz(func(t *testing.T, sizes []byte, bufBytes uint16, shards uint8) {
+	f.Add([]byte{1, 2, 3}, uint16(4096))
+	f.Add([]byte{255, 0, 17, 99, 200, 5}, uint16(5000))
+	f.Add(bytes.Repeat([]byte{251}, 40), uint16(0))
+	f.Add([]byte{9, 40, 80, 120, 7, 7, 7, 33}, uint16(4096))
+	f.Fuzz(func(t *testing.T, sizes []byte, bufBytes uint16) {
 		if len(sizes) > 512 {
 			sizes = sizes[:512]
 		}
-		faaSink := &captureSink{}
-		faa := New(Config{Durable: faaSink, DropAfterFlush: true, BufferBytes: int64(bufBytes)})
+		sink := &captureSink{}
+		l := New(Config{Durable: sink, DropAfterFlush: true, BufferBytes: int64(bufBytes)})
 		var recs []Record
-		var faaLSNs []LSN
+		var lsns []LSN
 		for i, sz := range sizes {
 			rec := Record{XID: uint64(i), Type: RecInsert, Table: 1, Page: uint64(sz),
 				After: bytes.Repeat([]byte{sz}, int(sz)*3)}
-			lsn, err := faa.Append(rec)
+			lsn, err := l.Append(rec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			recs = append(recs, rec)
-			faaLSNs = append(faaLSNs, lsn)
+			lsns = append(lsns, lsn)
 		}
-		if err := faa.Close(); err != nil {
+		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		stream, refLSNs := referenceLog(recs, faa.lb.size)
-		if !bytes.Equal(faaSink.bytes(), stream) {
+		stream, refLSNs := referenceLog(recs, l.lb.size)
+		if !bytes.Equal(sink.bytes(), stream) {
 			t.Fatal("log stream differs from the reference stream")
 		}
-		if !reflect.DeepEqual(faaLSNs, refLSNs) {
-			t.Fatalf("log LSNs %v differ from reference LSNs %v", faaLSNs, refLSNs)
-		}
-
-		// Sharded arm: route the same stream across nShards logs, then replay
-		// each shard's subsequence into a fresh single log. Byte identity per
-		// shard proves a shard's stream is a pure function of its own records.
-		nShards := int(shards)%4 + 1
-		shardSinks := make([]*captureSink, nShards)
-		shardLogs := make([]*Log, nShards)
-		for s := range shardLogs {
-			shardSinks[s] = &captureSink{}
-			shardLogs[s] = New(Config{Durable: shardSinks[s], DropAfterFlush: true, BufferBytes: int64(bufBytes)})
-		}
-		routed := make([][]Record, nShards)
-		shardLSNs := make([][]LSN, nShards)
-		for i, sz := range sizes {
-			rec := Record{XID: uint64(i), Type: RecInsert, Table: 1, Page: uint64(sz),
-				After: bytes.Repeat([]byte{sz}, int(sz)*3)}
-			s := routeShard(rec.Table, uint64(i), nShards)
-			lsn, err := shardLogs[s].Append(rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			routed[s] = append(routed[s], rec)
-			shardLSNs[s] = append(shardLSNs[s], lsn)
-		}
-		for s, l := range shardLogs {
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
-			baseSink := &captureSink{}
-			base := New(Config{Durable: baseSink, DropAfterFlush: true, BufferBytes: int64(bufBytes)})
-			for i, rec := range routed[s] {
-				lsn, err := base.Append(rec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if lsn != shardLSNs[s][i] {
-					t.Fatalf("shard %d record %d: sharded LSN %d, baseline LSN %d", s, i, shardLSNs[s][i], lsn)
-				}
-			}
-			if err := base.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(shardSinks[s].bytes(), baseSink.bytes()) {
-				t.Fatalf("shard %d stream differs from its single-log baseline", s)
-			}
-		}
-		// A one-shard sharded log is the plain log: its stream must match the
-		// main fetch-and-add arm exactly.
-		if nShards == 1 && !bytes.Equal(shardSinks[0].bytes(), faaSink.bytes()) {
-			t.Fatal("single-shard routed stream differs from the unsharded stream")
+		if !reflect.DeepEqual(lsns, refLSNs) {
+			t.Fatalf("log LSNs %v differ from reference LSNs %v", lsns, refLSNs)
 		}
 	})
 }

@@ -65,6 +65,19 @@ func parseSegmentName(name string) (LSN, bool) {
 	return LSN(v), true
 }
 
+// isShardDir reports whether name is a shard-NN directory, the per-shard
+// segment directory of the sharded log layout older builds wrote. Such a
+// directory keeps its segments out of the root, so opening it as a flat log
+// would silently start an empty one.
+func isShardDir(name string) bool {
+	rest, ok := strings.CutPrefix(name, "shard-")
+	if !ok {
+		return false
+	}
+	_, err := strconv.ParseUint(rest, 10, 64)
+	return err == nil
+}
+
 // segmentInfo describes one on-disk segment file.
 type segmentInfo struct {
 	path  string
@@ -165,11 +178,12 @@ func (s *Segments) Stats() SegmentStats {
 }
 
 // OpenSegments opens (creating if necessary) the segment directory. Existing
-// segments are validated (a pre-upgrade or otherwise incompatible format
-// fails with ErrLogFormat) and scanned to find the end of the durable
-// prefix; a torn frame at the tail of the last segment — the signature of a
-// crash mid-write — is truncated away so subsequent appends extend a valid
-// log. segBytes <= 0 uses DefaultSegmentBytes. preallocate extends each new
+// segments are validated (a pre-upgrade or otherwise incompatible format,
+// including a sharded layout's shard-NN subdirectory, fails with
+// ErrLogFormat) and scanned to find the end of the durable prefix; a torn
+// frame at the tail of the last segment — the signature of a crash
+// mid-write — is truncated away so subsequent appends extend a valid log.
+// segBytes <= 0 uses DefaultSegmentBytes. preallocate extends each new
 // segment file to segBytes at creation (falling back to truncate, and then
 // to plain growing writes, where the file system does not support
 // fallocate); a preallocated file's zero tail scans identically to a torn
@@ -287,6 +301,10 @@ func (s *Segments) listSegments() ([]segmentInfo, error) {
 	var infos []segmentInfo
 	for _, e := range entries {
 		if e.IsDir() {
+			if isShardDir(e.Name()) {
+				return nil, fmt.Errorf("%w: %s holds log shard directory %s; sharded logs are no longer readable",
+					ErrLogFormat, s.dir, e.Name())
+			}
 			continue
 		}
 		first, ok := parseSegmentName(e.Name())

@@ -140,6 +140,8 @@ func TestMetricsSurface(t *testing.T) {
 		"slidb_undo_failures_total",
 		"slidb_durable_lag_bytes",
 		"slidb_log_wedged",
+		"slidb_log_reserve_wait_seconds_total",
+		"slidb_log_buffer_full_wait_seconds_total",
 		"slidb_agents",
 		"slidb_lock_acquires_total",
 		"slidb_lock_acquires_mode_total",
