@@ -36,11 +36,10 @@ type entry struct {
 	ELRAborts     uint64  `json:"elr_aborts"`
 	UndoFailures  uint64  `json:"undo_failures"`
 	// Log-tail efficiency (PR 7): physical sink writes per flusher cycle
-	// (~1 on the vectored durable path, 0 for in-memory runs), the mean
-	// group-commit window, and cumulative publish-fence wait.
+	// (~1 on the vectored durable path, 0 for in-memory runs) and
+	// cumulative publish-fence wait.
 	FlushCycles    uint64  `json:"flush_cycles"`
 	WritesPerCycle float64 `json:"writes_per_cycle"`
-	AvgWindowUs    float64 `json:"avg_window_us"`
 	FenceWaitUs    float64 `json:"fence_wait_us"`
 }
 
@@ -92,21 +91,21 @@ func main() {
 	regressions := 0
 	// The reserve-wait columns track the fetch-and-add reservation win (the
 	// log-lsn refactor) across runs, the abort-path columns track ELR-for-
-	// aborts coverage, and the writes-per-cycle / window columns track the
-	// log tail's flush efficiency (the vectored-write and adaptive group-
-	// commit work); all are informational, never a gate — except that a
-	// non-zero undo-failure count is a correctness alarm, and a substantial
-	// writes-per-cycle increase means the vectored flush path stopped
-	// batching; both get warning annotations of their own.
-	fmt.Printf("%-12s %-10s %7s %12s %12s %9s %12s %12s %9s %9s %10s %10s\n",
+	// aborts coverage, and the writes-per-cycle columns track the log
+	// tail's flush efficiency (the vectored-write work); all are
+	// informational, never a gate — except that a non-zero undo-failure
+	// count is a correctness alarm, and a substantial writes-per-cycle
+	// increase means the vectored flush path stopped batching; both get
+	// warning annotations of their own.
+	fmt.Printf("%-12s %-10s %7s %12s %12s %9s %12s %12s %9s %9s %10s\n",
 		"workload", "config", "agents", "tps-prev", "tps-now", "delta-%", "rsv-ms-prev", "rsv-ms-now",
-		"w/c-prev", "w/c-now", "window-us", "undo-fail")
+		"w/c-prev", "w/c-now", "undo-fail")
 	for _, e := range newEntries {
 		old, ok := prev[key{e.Workload, e.Config, e.Agents}]
 		if !ok || old.TPS <= 0 {
-			fmt.Printf("%-12s %-10s %7d %12s %12.1f %9s %12s %12.2f %9s %9.2f %10.1f %10d\n",
+			fmt.Printf("%-12s %-10s %7d %12s %12.1f %9s %12s %12.2f %9s %9.2f %10d\n",
 				e.Workload, e.Config, e.Agents, "-", e.TPS, "new", "-", e.ReserveWaitMs,
-				"-", e.WritesPerCycle, e.AvgWindowUs, e.UndoFailures)
+				"-", e.WritesPerCycle, e.UndoFailures)
 		} else {
 			delta := 100 * (e.TPS - old.TPS) / old.TPS
 			// A pre-PR-7 baseline artifact has no log-tail fields at all:
@@ -118,9 +117,9 @@ func main() {
 			if old.FlushCycles > 0 {
 				wcPrev = fmt.Sprintf("%.2f", old.WritesPerCycle)
 			}
-			fmt.Printf("%-12s %-10s %7d %12.1f %12.1f %+8.1f%% %12.2f %12.2f %9s %9.2f %10.1f %10d\n",
+			fmt.Printf("%-12s %-10s %7d %12.1f %12.1f %+8.1f%% %12.2f %12.2f %9s %9.2f %10d\n",
 				e.Workload, e.Config, e.Agents, old.TPS, e.TPS, delta, old.ReserveWaitMs, e.ReserveWaitMs,
-				wcPrev, e.WritesPerCycle, e.AvgWindowUs, e.UndoFailures)
+				wcPrev, e.WritesPerCycle, e.UndoFailures)
 			if delta < -*threshold {
 				regressions++
 				fmt.Printf("::warning::benchdiff: %s/%s (agents=%d) tps regressed %.1f%% (%.1f -> %.1f)\n",

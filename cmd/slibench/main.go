@@ -13,8 +13,7 @@
 //	slibench -workload ndbb/mix -agents 16 -sli -duration 5s
 //	slibench -workload tpcb/tpcb -sli -elr -async     # scalable commit pipeline
 //	slibench -workload tpcb/tpcb -datadir /tmp/slidb  # durable run (real fsyncs)
-//	slibench -ablation log-tail -datadir /tmp/slidb   # fixed vs adaptive group commit
-//	slibench -workload tpcb/tpcb -datadir /tmp/slidb -adaptivegc -prealloc  # self-tuning log tail
+//	slibench -workload tpcb/tpcb -sli -elr -async -datadir /tmp/slidb -prealloc  # preallocated segments
 //	slibench -recover /tmp/slidb/tpcb_tpcb-1234       # replay a data directory
 //	slibench -benchout BENCH_quick.json    # baseline vs SLI vs SLI+ELR, JSON artifact
 //	slibench -list                         # show available workloads
@@ -39,7 +38,7 @@ import (
 func main() {
 	var (
 		figureN     = flag.Int("figure", 0, "paper figure to regenerate (1, 6, 7, 8, 9, 10, 11); 0 = none")
-		ablation    = flag.String("ablation", "", "ablation study to run (hot-threshold, levels, bimodal, roving-hotspot, sli-elr, log-tail, abort-elr)")
+		ablation    = flag.String("ablation", "", "ablation study to run (hot-threshold, levels, bimodal, roving-hotspot, sli-elr, abort-elr)")
 		wl          = flag.String("workload", "", "single workload to run, e.g. ndbb/mix, tpcb/tpcb, tpcc/Payment")
 		scale       = flag.String("scale", "quick", "dataset/measurement scale: quick, default, or paper")
 		agents      = flag.Int("agents", 0, "agent (worker) count for -workload runs; 0 = scale default")
@@ -49,11 +48,7 @@ func main() {
 		elrAborts   = flag.Bool("elraborts", false, "enable Early Lock Release on the abort path only (see -elr; the two knobs are independent in core.Config)")
 		async       = flag.Bool("async", false, "enable flush pipelining (agents run ahead of the log force, bounded by the pipeline depth)")
 		abortRate   = flag.Float64("abortrate", 0, "fraction of transactions forced to abort after doing their work (exercises the CLR rollback path; used by -workload and as the -ablation abort-elr rate)")
-		adaptiveGC  = flag.Bool("adaptivegc", false, "replace the fixed group-commit window with the self-tuning controller (bounds set by -gcmin/-gcmax)")
-		gcMin       = flag.Duration("gcmin", 0, "lower bound for the adaptive group-commit window; 0 = engine default")
-		gcMax       = flag.Duration("gcmax", 0, "upper bound for the adaptive group-commit window; 0 = engine default")
 		prealloc    = flag.Bool("prealloc", false, "preallocate durable WAL segments at creation (fallocate, falling back to truncate); only meaningful with -datadir")
-		gcWindow    = flag.Duration("gcwindow", 0, "group-commit window for -workload/-benchout engines")
 		flushDelay  = flag.Duration("flushdelay", 0, "simulated log-force latency for -workload/-benchout engines")
 		duration    = flag.Duration("duration", 0, "override measurement duration")
 		warmup      = flag.Duration("warmup", 0, "override warmup duration")
@@ -103,10 +98,6 @@ func main() {
 	opt.EarlyLockRelease = *elr
 	opt.EarlyLockReleaseAborts = *elr || *elrAborts
 	opt.AsyncCommit = *async
-	opt.GroupCommitWindow = *gcWindow
-	opt.AdaptiveGroupCommit = *adaptiveGC
-	opt.GroupCommitMin = *gcMin
-	opt.GroupCommitMax = *gcMax
 	opt.PreallocateSegments = *prealloc
 	opt.LogFlushDelay = *flushDelay
 	opt.Clients = *clients
@@ -194,9 +185,9 @@ func runSingle(wl string, opt figures.Options, agents int, sli bool) {
 	exitOn(err)
 	s := res.Breakdown.GroupedShares()
 	ls := res.LockStats
-	fmt.Printf("%s  (sli=%v elr=%v elraborts=%v async=%v adaptivegc=%v prealloc=%v abortrate=%.2f)\n",
+	fmt.Printf("%s  (sli=%v elr=%v elraborts=%v async=%v prealloc=%v abortrate=%.2f)\n",
 		wl, sli, opt.EarlyLockRelease, opt.EarlyLockReleaseAborts, opt.AsyncCommit,
-		opt.AdaptiveGroupCommit, opt.PreallocateSegments, opt.AbortRate)
+		opt.PreallocateSegments, opt.AbortRate)
 	fmt.Printf("  throughput        %.1f tps (%d committed, %d failed, %d errors)\n",
 		res.Throughput, res.Committed, res.Failed, res.Errors)
 	fmt.Printf("  avg latency       %v\n", res.AvgLatency.Round(time.Microsecond))
@@ -212,9 +203,8 @@ func runSingle(wl string, opt figures.Options, agents int, sli bool) {
 		res.Breakdown.Get(profiler.AbortLogWork).Round(time.Microsecond),
 		es.UndoFailures)
 	fmt.Printf("  durable lag       %d bytes (at measurement end)\n", es.DurableLag)
-	fmt.Printf("  log tail          %d flush cycles, %.2f writes/cycle, avg window %v, fence wait %v\n",
-		es.FlushCycles, es.WritesPerCycle(), es.AvgWindow.Round(time.Microsecond), es.FenceWait.Round(time.Microsecond))
-	fmt.Printf("  gc window         %v final (adaptive=%v)\n", es.FinalWindow.Round(time.Microsecond), opt.AdaptiveGroupCommit)
+	fmt.Printf("  log tail          %d flush cycles, %.2f writes/cycle, fence wait %v\n",
+		es.FlushCycles, es.WritesPerCycle(), es.FenceWait.Round(time.Microsecond))
 }
 
 // benchConfig is one configuration of the -benchout comparison sweep.
@@ -247,11 +237,10 @@ type benchEntry struct {
 	UndoFailures uint64 `json:"undo_failures"`
 	Errors       uint64 `json:"errors"`
 	// Log-tail efficiency: flusher cycles over the run, physical sink writes
-	// per cycle (~1 on the vectored durable path, 0 in-memory), the mean
-	// group-commit window actually waited, and cumulative publish-fence wait.
+	// per cycle (~1 on the vectored durable path, 0 in-memory), and
+	// cumulative publish-fence wait.
 	FlushCycles    uint64  `json:"flush_cycles"`
 	WritesPerCycle float64 `json:"writes_per_cycle"`
-	AvgWindowUs    float64 `json:"avg_window_us"`
 	FenceWaitUs    float64 `json:"fence_wait_us"`
 }
 
@@ -266,9 +255,6 @@ func runBench(opt figures.Options, agents int, outPath string) {
 	// default to a realistic latency unless the caller chose one.
 	if opt.LogFlushDelay == 0 {
 		opt.LogFlushDelay = 500 * time.Microsecond
-	}
-	if opt.GroupCommitWindow == 0 {
-		opt.GroupCommitWindow = 100 * time.Microsecond
 	}
 	if opt.Clients == 0 {
 		// Overcommit clients relative to agents so the sli+elr config can
@@ -309,7 +295,6 @@ func runBench(opt figures.Options, agents int, outPath string) {
 
 				FlushCycles:    es.FlushCycles,
 				WritesPerCycle: es.WritesPerCycle(),
-				AvgWindowUs:    float64(es.AvgWindow.Nanoseconds()) / 1e3,
 				FenceWaitUs:    float64(es.FenceWait.Nanoseconds()) / 1e3,
 			}
 			entries = append(entries, e)

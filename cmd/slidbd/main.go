@@ -34,7 +34,6 @@ func main() {
 		elr          = flag.Bool("elr", true, "enable early lock release for commits")
 		elrAborts    = flag.Bool("elraborts", true, "enable early lock release for aborts")
 		async        = flag.Bool("async", true, "enable the asynchronous commit pipeline")
-		gcWindow     = flag.Duration("gcwindow", 0, "group-commit batching window (0 = engine default)")
 		profile      = flag.Bool("profile", true, "enable the per-component time profiler (feeds slidb_profile_seconds_total and slow-tx breakdowns)")
 		slowtxCap    = flag.Int("slowtx", 0, "slow-transaction trace capacity (0 = default)")
 		slowtxWindow = flag.Duration("slowtx-window", 0, "slow-transaction trace retention window (0 = default)")
@@ -53,7 +52,6 @@ func main() {
 		EarlyLockRelease:       *elr,
 		EarlyLockReleaseAborts: *elrAborts,
 		AsyncCommit:            *async,
-		GroupCommitWindow:      *gcWindow,
 		Profile:                *profile,
 	})
 	if err != nil {

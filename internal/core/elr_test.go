@@ -31,16 +31,16 @@ func openELREngine(t *testing.T, cfg Config) *Engine {
 }
 
 // TestELRReaderObservesPreCommittedData pins the ELR anomaly window: with a
-// long group-commit window, a writer's locks are released at commit-record
-// append, so a reader sees the new value while the writer's durable ack is
-// still pending. Without ELR the reader would block behind the writer's X
-// lock for the whole window.
+// slow log force, a writer's locks are released at commit-record append, so
+// a reader sees the new value while the writer's durable ack is still
+// pending. Without ELR the reader would block behind the writer's X lock for
+// the whole force.
 func TestELRReaderObservesPreCommittedData(t *testing.T) {
 	e := openELREngine(t, Config{
-		Agents:            2,
-		EarlyLockRelease:  true,
-		AsyncCommit:       true,
-		GroupCommitWindow: 300 * time.Millisecond,
+		Agents:           2,
+		EarlyLockRelease: true,
+		AsyncCommit:      true,
+		LogFlushDelay:    300 * time.Millisecond,
 	})
 
 	writerDone := e.ExecAsync(func(tx *Tx) error {
@@ -75,12 +75,12 @@ func TestELRReaderObservesPreCommittedData(t *testing.T) {
 	}
 	readElapsed := time.Since(readStart)
 
-	// The writer's commit must still be inside the group-commit window: its
-	// durable ack is pending even though its data is already visible.
+	// The writer's commit must still be inside the force: its durable ack is
+	// pending even though its data is already visible.
 	if readElapsed < 250*time.Millisecond {
 		select {
 		case err := <-writerDone:
-			t.Fatalf("writer durable ack resolved before the group-commit window elapsed (err=%v)", err)
+			t.Fatalf("writer durable ack resolved before the log force elapsed (err=%v)", err)
 		default:
 		}
 	}
@@ -170,11 +170,11 @@ func TestELRLockHoldExcludesFlushWait(t *testing.T) {
 func TestExecAsyncAckOrderingUnderLoad(t *testing.T) {
 	const writers, perWriter = 8, 25
 	e := openELREngine(t, Config{
-		Agents:            4,
-		EarlyLockRelease:  true,
-		AsyncCommit:       true,
-		GroupCommitWindow: 200 * time.Microsecond,
-		Profile:           true,
+		Agents:           4,
+		EarlyLockRelease: true,
+		AsyncCommit:      true,
+		LogFlushDelay:    200 * time.Microsecond,
+		Profile:          true,
 	})
 
 	var pending [writers * perWriter]<-chan error

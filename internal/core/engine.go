@@ -58,21 +58,9 @@ type Config struct {
 	// IODelay is the artificial latency per page read/write, simulating the
 	// paper's 6 ms disk-seek penalty. Zero disables it (in-memory dataset).
 	IODelay time.Duration
-	// LogFlushDelay simulates the latency of forcing the log at commit.
+	// LogFlushDelay simulates the latency of forcing the log, once per
+	// group-commit cycle (see wal.Config.FlushDelay).
 	LogFlushDelay time.Duration
-	// GroupCommitWindow batches concurrent commits (see wal.Config). Under
-	// AdaptiveGroupCommit it is only the controller's starting point.
-	GroupCommitWindow time.Duration
-	// AdaptiveGroupCommit turns the fixed group-commit window into a
-	// self-tuning one: the WAL flusher grows and shrinks the window between
-	// GroupCommitMin and GroupCommitMax from observed commit arrival and
-	// durable lag, and wakes early once the pending subscription set is
-	// satisfiable (see wal.Config.AdaptiveGroupCommit).
-	AdaptiveGroupCommit bool
-	// GroupCommitMin and GroupCommitMax bound the adaptive window; zero
-	// values default to 10µs and 2ms. Ignored unless AdaptiveGroupCommit.
-	GroupCommitMin time.Duration
-	GroupCommitMax time.Duration
 	// EarlyLockRelease makes a committing transaction release its locks (and
 	// perform SLI inheritance) as soon as its commit record is appended to
 	// the log, instead of holding them across the group-commit fsync. Lock
@@ -102,11 +90,6 @@ type Config struct {
 	// Profile enables the per-component time breakdown used by the figure
 	// harness. It adds a small overhead per operation.
 	Profile bool
-	// LockTimeout bounds lock waits; zero uses the default (10s).
-	LockTimeout time.Duration
-	// DropLogAfterFlush discards flushed log records instead of retaining
-	// them in memory; enable for long benchmark runs.
-	DropLogAfterFlush bool
 	// Dir is the data directory backing the engine's durability subsystem
 	// (WAL segments and checkpoints). It is set by OpenAt; Open ignores it
 	// and runs fully in memory.
@@ -247,24 +230,19 @@ func newEngine(cfg Config, durable *wal.Segments, startLSN wal.LSN) *Engine {
 		SLI:             cfg.SLI,
 		SLIHotThreshold: cfg.SLIHotThreshold,
 		SLIMinLevel:     cfg.SLIMinLevel,
-		LockTimeout:     cfg.LockTimeout,
 	})
+	// In-memory engines retain flushed records for Records(); durable ones
+	// drop them, since the disk holds the records and retaining them as well
+	// would grow without bound.
 	var sink wal.DurableSink
-	dropAfterFlush := cfg.DropLogAfterFlush
 	if durable != nil {
-		// The disk holds the records; retaining them in memory as well would
-		// grow without bound.
-		sink, dropAfterFlush = durable, true
+		sink = durable
 	}
 	e.log = wal.New(wal.Config{
-		FlushDelay:          cfg.LogFlushDelay,
-		GroupCommitWindow:   cfg.GroupCommitWindow,
-		AdaptiveGroupCommit: cfg.AdaptiveGroupCommit,
-		GroupCommitMin:      cfg.GroupCommitMin,
-		GroupCommitMax:      cfg.GroupCommitMax,
-		DropAfterFlush:      dropAfterFlush,
-		Durable:             sink,
-		StartLSN:            startLSN,
+		FlushDelay:     cfg.LogFlushDelay,
+		DropAfterFlush: durable != nil,
+		Durable:        sink,
+		StartLSN:       startLSN,
 	})
 	e.pool = buffer.NewPool(buffer.NewMemStore(), buffer.Config{
 		Frames:  cfg.BufferFrames,

@@ -16,18 +16,14 @@ import (
 // slidbd's /readyz flips unready on it.
 func (e *Engine) LogErr() error { return e.log.Err() }
 
-// LogTail returns the log tail's self-tuning snapshot: the group-commit
-// window controller's state from the WAL plus the segment sink's
-// physical-write counters (zero for in-memory engines). It feeds the
-// slidb_group_commit_window_seconds / slidb_log_* metric families and the
+// LogTail returns the log tail snapshot: flush cycles and append waits from
+// the WAL plus the segment sink's physical-write counters (zero for
+// in-memory engines). It feeds the slidb_log_* metric families and the
 // benchmark harness's writes-per-cycle efficiency stat.
 func (e *Engine) LogTail() obs.LogTailStats {
 	ts := e.log.TailStats()
 	lt := obs.LogTailStats{
 		FlushCycles:           ts.FlushCycles,
-		WindowedCycles:        ts.WindowedCycles,
-		WindowWaitSeconds:     ts.WindowTotal.Seconds(),
-		CurWindowSeconds:      ts.CurWindow.Seconds(),
 		FenceWaitSeconds:      ts.FenceWait.Seconds(),
 		ReserveWaitSeconds:    ts.ReserveWait.Seconds(),
 		BufferFullWaitSeconds: ts.BufferFullWait.Seconds(),

@@ -230,10 +230,9 @@ func AblationRovingHotspot(o Options) (Table, error) {
 }
 
 // AblationSLIELR measures the SLI × Early-Lock-Release grid on TPC-B with a
-// non-zero group-commit window and flush delay, so every commit pays a
-// realistic log-force latency. SLI removes the lock manager from the
-// critical path; ELR (+ flush pipelining) removes the log force from the
-// lock hold time. The grid separates the two effects and shows they
+// non-zero flush delay, so every commit pays a realistic log-force latency.
+// SLI removes the lock manager from the critical path; ELR (+ flush
+// pipelining) removes the log force from the lock hold time. The grid separates the two effects and shows they
 // compose: the hot branch-row locks that SLI passes between transactions
 // are, under ELR, released at commit-record append instead of after the
 // fsync.
@@ -241,9 +240,6 @@ func AblationSLIELR(o Options) (Table, error) {
 	o = o.withDefaults()
 	if o.LogFlushDelay == 0 {
 		o.LogFlushDelay = 500 * time.Microsecond
-	}
-	if o.GroupCommitWindow == 0 {
-		o.GroupCommitWindow = 100 * time.Microsecond
 	}
 	if o.Clients == 0 {
 		// Overcommit clients so the SLI+ELR row can actually fill the
@@ -273,7 +269,6 @@ func AblationSLIELR(o Options) (Table, error) {
 			Agents:                 o.PeakAgents,
 			Profile:                true,
 			BufferFrames:           o.BufferFrames,
-			GroupCommitWindow:      o.GroupCommitWindow,
 			LogFlushDelay:          o.LogFlushDelay,
 			// TPC-B is disk-resident in the paper (§5.2); keep the same
 			// per-I/O penalty the per-workload figures apply.
@@ -323,9 +318,6 @@ func AblationAbortELR(o Options) (Table, error) {
 	if o.LogFlushDelay == 0 {
 		o.LogFlushDelay = 500 * time.Microsecond
 	}
-	if o.GroupCommitWindow == 0 {
-		o.GroupCommitWindow = 100 * time.Microsecond
-	}
 	if o.Clients == 0 {
 		// Overcommit clients so the ELR arm can fill the AsyncCommit
 		// pipeline (see AblationSLIELR).
@@ -347,7 +339,6 @@ func AblationAbortELR(o Options) (Table, error) {
 			Agents:                 o.PeakAgents,
 			Profile:                true,
 			BufferFrames:           o.BufferFrames,
-			GroupCommitWindow:      o.GroupCommitWindow,
 			LogFlushDelay:          o.LogFlushDelay,
 			IODelay:                o.IODelay,
 		})
@@ -380,95 +371,6 @@ func AblationAbortELR(o Options) (Table, error) {
 			100 * res.Breakdown.GroupedShares().LogFlush,
 			perK,
 		}})
-	}
-	return t, nil
-}
-
-// AblationLogTail measures the self-tuning log tail on TPC-B with the full
-// SLI+ELR pipeline: fixed vs adaptive group-commit window, at one agent and
-// at the peak agent count. The adaptive controller should match the fixed
-// window at a single agent (it shrinks toward GroupCommitMin, so a lone
-// committer is not held for a full fixed window) and at peak load (it widens
-// only while subscriptions keep arriving); the fence-us/xct column is the
-// publish fence's share of the append path. Honors Options.DataDir, where
-// the writes/cycle column becomes meaningful: the vectored flush path lands
-// a whole cycle in one segment write, so the value should sit near 1.
-func AblationLogTail(o Options) (Table, error) {
-	o = o.withDefaults()
-	if o.LogFlushDelay == 0 {
-		o.LogFlushDelay = 500 * time.Microsecond
-	}
-	if o.GroupCommitWindow == 0 {
-		o.GroupCommitWindow = 100 * time.Microsecond
-	}
-	userClients := o.Clients != 0
-	if !userClients {
-		// Overcommit clients so the pipeline stays full (see AblationSLIELR).
-		o.Clients = 4 * o.PeakAgents
-	}
-	t := Table{
-		Title:   "Ablation: log tail — fixed vs adaptive group commit (TPC-B, SLI+ELR)",
-		Columns: []string{"agents", "tps", "avg-window-us", "final-window-us", "writes/cycle", "fence-us/xct"},
-	}
-	grid := []struct {
-		name     string
-		adaptive bool
-	}{
-		{"fixed", false},
-		{"adaptive", true},
-	}
-	for _, agents := range []int{1, o.PeakAgents} {
-		for _, g := range grid {
-			oo := o
-			if agents == 1 && !userClients {
-				oo.Clients = 4
-			}
-			e, gen, err := buildTPCBWithEngineConfig(oo, core.Config{
-				SLI:                    true,
-				EarlyLockRelease:       true,
-				EarlyLockReleaseAborts: true,
-				AsyncCommit:            true,
-				Agents:                 agents,
-				Profile:                true,
-				BufferFrames:           oo.BufferFrames,
-				GroupCommitWindow:      oo.GroupCommitWindow,
-				AdaptiveGroupCommit:    g.adaptive,
-				GroupCommitMin:         oo.GroupCommitMin,
-				GroupCommitMax:         oo.GroupCommitMax,
-				PreallocateSegments:    oo.PreallocateSegments,
-				LogFlushDelay:          oo.LogFlushDelay,
-				IODelay:                oo.IODelay,
-			})
-			if err != nil {
-				return t, err
-			}
-			res := oo.run(e, gen, agents)
-			lt := e.LogTail()
-			e.Close()
-			avgWindowUs := 0.0
-			if lt.WindowedCycles > 0 {
-				avgWindowUs = lt.WindowWaitSeconds / float64(lt.WindowedCycles) * 1e6
-			}
-			writesPerCycle := 0.0
-			if lt.FlushCycles > 0 {
-				writesPerCycle = float64(lt.SinkWrites) / float64(lt.FlushCycles)
-			}
-			fencePerXct := 0.0
-			if n := res.Completed(); n > 0 {
-				fencePerXct = lt.FenceWaitSeconds * 1e6 / float64(n)
-			}
-			t.Rows = append(t.Rows, Row{
-				Label: fmt.Sprintf("%s a=%d", g.name, agents),
-				Values: []float64{
-					float64(agents),
-					res.Throughput,
-					avgWindowUs,
-					lt.CurWindowSeconds * 1e6,
-					writesPerCycle,
-					fencePerXct,
-				},
-			})
-		}
 	}
 	return t, nil
 }
@@ -534,18 +436,16 @@ func Ablation(name string, o Options) (Table, error) {
 		return AblationRovingHotspot(o)
 	case "sli-elr":
 		return AblationSLIELR(o)
-	case "log-tail":
-		return AblationLogTail(o)
 	case "abort-elr":
 		return AblationAbortELR(o)
 	default:
-		return Table{}, fmt.Errorf("figures: unknown ablation %q (use hot-threshold, levels, bimodal, roving-hotspot, sli-elr, log-tail, abort-elr)", name)
+		return Table{}, fmt.Errorf("figures: unknown ablation %q (use hot-threshold, levels, bimodal, roving-hotspot, sli-elr, abort-elr)", name)
 	}
 }
 
 // Ablations lists the available ablation study names.
 func Ablations() []string {
-	return []string{"hot-threshold", "levels", "bimodal", "roving-hotspot", "sli-elr", "log-tail", "abort-elr"}
+	return []string{"hot-threshold", "levels", "bimodal", "roving-hotspot", "sli-elr", "abort-elr"}
 }
 
 // quickOptions shrinks an Options for smoke tests; exported for reuse from

@@ -64,18 +64,12 @@ type Options struct {
 	EarlyLockRelease       bool
 	EarlyLockReleaseAborts bool
 	AsyncCommit            bool
-	// GroupCommitWindow and LogFlushDelay configure the engine's commit
-	// force cost (see core.Config). Non-zero values make the fsync latency
-	// that ELR removes from the lock hold time visible on in-memory engines.
-	GroupCommitWindow time.Duration
-	LogFlushDelay     time.Duration
-	// AdaptiveGroupCommit replaces the fixed group-commit window with the
-	// self-tuning controller, bounded by GroupCommitMin/GroupCommitMax
-	// (engine defaults apply when zero). PreallocateSegments preallocates
-	// durable segment files at creation (see core.Config).
-	AdaptiveGroupCommit bool
-	GroupCommitMin      time.Duration
-	GroupCommitMax      time.Duration
+	// LogFlushDelay configures the engine's commit force cost (see
+	// core.Config). A non-zero value makes the fsync latency that ELR
+	// removes from the lock hold time visible on in-memory engines.
+	LogFlushDelay time.Duration
+	// PreallocateSegments preallocates durable segment files at creation
+	// (see core.Config).
 	PreallocateSegments bool
 	// Clients is the number of closed-loop client goroutines driving the
 	// engine; zero means one per agent. Overcommitting clients (> agents)
@@ -283,11 +277,7 @@ func (o Options) buildEngine(key string, sli bool, agents int) (*core.Engine, wo
 		EarlyLockRelease:       o.EarlyLockRelease,
 		EarlyLockReleaseAborts: o.EarlyLockReleaseAborts,
 		AsyncCommit:            o.AsyncCommit,
-		GroupCommitWindow:      o.GroupCommitWindow,
 		LogFlushDelay:          o.LogFlushDelay,
-		AdaptiveGroupCommit:    o.AdaptiveGroupCommit,
-		GroupCommitMin:         o.GroupCommitMin,
-		GroupCommitMax:         o.GroupCommitMax,
 		PreallocateSegments:    o.PreallocateSegments,
 	}
 	// NDBB is the in-memory dataset; TPC-B and TPC-C are "disk-resident" and
@@ -385,14 +375,9 @@ type EngineStats struct {
 	// writes-per-cycle efficiency stat: ~1 on the vectored flush path.
 	FlushCycles uint64
 	SinkWrites  uint64
-	// AvgWindow is the mean group-commit window over the run's windowed
-	// cycles; FinalWindow is the controller's window when the run ended
-	// (equal to the configured window when the controller is off).
 	// FenceWait is cumulative time publishers spent blocked in the publish
 	// fence.
-	AvgWindow   time.Duration
-	FinalWindow time.Duration
-	FenceWait   time.Duration
+	FenceWait time.Duration
 }
 
 // WritesPerCycle returns physical sink writes per flusher cycle, or 0 for
@@ -428,11 +413,7 @@ func RunWorkload(key string, o Options, sli bool, agents int) (workload.Result, 
 	lt := e.LogTail()
 	es.FlushCycles = lt.FlushCycles
 	es.SinkWrites = lt.SinkWrites
-	es.FinalWindow = time.Duration(lt.CurWindowSeconds * float64(time.Second))
 	es.FenceWait = time.Duration(lt.FenceWaitSeconds * float64(time.Second))
-	if lt.WindowedCycles > 0 {
-		es.AvgWindow = time.Duration(lt.WindowWaitSeconds / float64(lt.WindowedCycles) * float64(time.Second))
-	}
 	return res, es, nil
 }
 

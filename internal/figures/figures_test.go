@@ -29,7 +29,7 @@ func TestOptionsDefaults(t *testing.T) {
 	if len(AllWorkloads()) < 10 {
 		t.Fatal("workload list unexpectedly short")
 	}
-	if len(ShortWorkloads()) == 0 || len(Ablations()) != 7 {
+	if len(ShortWorkloads()) == 0 || len(Ablations()) != 6 {
 		t.Fatal("helper listings wrong")
 	}
 	p := PaperOptions()
@@ -130,38 +130,30 @@ func TestAblationsSmoke(t *testing.T) {
 	}
 }
 
-// TestAblationLogTailSmoke runs the log-tail grid durably (real segment
-// files) at tiny scale: all four cells must produce rows, and the durable
-// vectored flush path must stay near one physical write per flush cycle.
-func TestAblationLogTailSmoke(t *testing.T) {
+// TestDurableWorkloadWritesPerCycle runs TPC-B durably (real segment files)
+// through RunWorkload with the full SLI+ELR pipeline at one agent and at
+// two: the durable vectored flush path must stay near one physical write per
+// flush cycle.
+func TestDurableWorkloadWritesPerCycle(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ablations are slow")
+		t.Skip("durable runs are slow")
 	}
 	o := tinyOptions()
-	o.PeakAgents = 2
 	o.DataDir = t.TempDir()
-	tbl, err := AblationLogTail(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("log-tail grid produced %d rows, want 4", len(tbl.Rows))
-	}
-	wpcCol := -1
-	for i, c := range tbl.Columns {
-		if c == "writes/cycle" {
-			wpcCol = i
+	o.EarlyLockRelease, o.EarlyLockReleaseAborts, o.AsyncCommit = true, true, true
+	for _, agents := range []int{1, 2} {
+		o.Clients = 4 * agents
+		res, es, err := RunWorkload(WLTPCB, o, true, agents)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if wpcCol < 0 {
-		t.Fatalf("no writes/cycle column in %v", tbl.Columns)
-	}
-	for _, r := range tbl.Rows {
-		wpc := r.Values[wpcCol]
+		if res.Committed == 0 {
+			t.Fatalf("agents=%d: nothing committed", agents)
+		}
 		// Exactly one vectored submission per data-carrying cycle, plus a
 		// handful of segment creations over a short run.
-		if wpc <= 0 || wpc > 1.5 {
-			t.Fatalf("%s: writes/cycle = %.2f, want ~1 on the vectored durable path", r.Label, wpc)
+		if wpc := es.WritesPerCycle(); wpc <= 0 || wpc > 1.5 {
+			t.Fatalf("agents=%d: writes/cycle = %.2f, want ~1 on the vectored durable path", agents, wpc)
 		}
 	}
 }

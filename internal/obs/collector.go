@@ -32,27 +32,24 @@ type EngineSource interface {
 	ProfileLifetime() profiler.Breakdown
 	// Concurrency is the current agent worker count.
 	Concurrency() int
-	// LogTail is the log tail's self-tuning snapshot (group-commit window,
-	// flush cycles, physical sink writes, publish-fence and append waits).
+	// LogTail is the log tail snapshot (flush cycles, physical sink writes,
+	// publish-fence and append waits).
 	LogTail() LogTailStats
 }
 
-// LogTailStats is the log-tail snapshot the collector exports: the adaptive
-// group-commit controller's state plus the segment sink's physical-write
+// LogTailStats is the log-tail snapshot the collector exports: the WAL's
+// flush-cycle and append-wait totals plus the segment sink's physical-write
 // counters. Defined here (not in wal) so core can satisfy EngineSource with
 // one struct regardless of which WAL pieces an engine configuration uses;
 // in-memory engines report zero sink counters.
 type LogTailStats struct {
-	// FlushCycles is the number of completed group-commit cycles;
-	// WindowedCycles the subset that opened a group-commit window, and
-	// WindowWaitSeconds the window time those cycles actually waited (early
-	// wakes make this less than cycles × window).
-	FlushCycles       uint64
+	// FlushCycles is the number of completed group-commit cycles.
+	FlushCycles uint64
+	// WindowedCycles and WindowWaitSeconds are always 0: the flusher has no
+	// group-commit window. They stay because benchmark/ derives its
+	// wal.avg_window_us metric from them.
 	WindowedCycles    uint64
 	WindowWaitSeconds float64
-	// CurWindowSeconds is the live group-commit window — the adaptive
-	// controller's current value, or the configured fixed one.
-	CurWindowSeconds float64
 	// FenceWaitSeconds is the cumulative time appenders spent blocked
 	// publishing their log-buffer claims.
 	FenceWaitSeconds float64
@@ -107,16 +104,8 @@ func RegisterEngine(r *Registry, e EngineSource) {
 		"Current agent worker count.",
 		func() float64 { return float64(e.Concurrency()) })
 
-	// Log-tail self-tuning surface: the live group-commit window (the
-	// adaptive controller's output), how much window time flush cycles
-	// actually waited, the vectored sink's writes-per-cycle inputs, and the
+	// Log-tail surface: the vectored sink's writes-per-cycle inputs, and the
 	// publish-fence, reservation and buffer-full wait totals.
-	r.GaugeFunc("slidb_group_commit_window_seconds",
-		"Group-commit window currently in effect (adaptive controller output, or the fixed configured window).",
-		func() float64 { return e.LogTail().CurWindowSeconds })
-	r.CounterFunc("slidb_group_commit_window_wait_seconds_total",
-		"Group-commit window time the flusher actually waited (early wakes make this less than cycles x window).",
-		func() float64 { return e.LogTail().WindowWaitSeconds })
 	r.CounterFunc("slidb_log_flush_cycles_total",
 		"Completed group-commit flush cycles.",
 		func() float64 { return float64(e.LogTail().FlushCycles) })

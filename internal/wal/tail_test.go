@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"syscall"
 	"testing"
-	"time"
 )
 
 // swapPrealloc replaces the platform fallocate hook for one test.
@@ -322,80 +321,6 @@ func TestVectoredFlushOneWritePerCycle(t *testing.T) {
 	}
 	if got := collect(t, segs, 0); len(got) != 50 {
 		t.Fatalf("read back %d records, want 50", len(got))
-	}
-}
-
-// TestAdaptiveWindowShrinksToFloor pins the controller's decrease rule: a
-// lone committer never benefits from a group-commit window, so repeated
-// single-subscription cycles must walk the window down to GroupCommitMin —
-// and never below it or above GroupCommitMax.
-func TestAdaptiveWindowShrinksToFloor(t *testing.T) {
-	sink := &captureSink{}
-	min, max := 50*time.Microsecond, 400*time.Microsecond
-	l := New(Config{
-		Durable:             sink,
-		DropAfterFlush:      true,
-		AdaptiveGroupCommit: true,
-		GroupCommitWindow:   time.Millisecond, // clamped into [min, max]
-		GroupCommitMin:      min,
-		GroupCommitMax:      max,
-	})
-	defer l.Close()
-	if w := l.Window(); w != max {
-		t.Fatalf("initial window = %v, want clamped to max %v", w, max)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for i := 0; ; i++ {
-		lsn, err := l.Append(Record{XID: uint64(i), Type: RecCommit})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Flush(lsn); err != nil {
-			t.Fatal(err)
-		}
-		if w := l.Window(); w < min || w > max {
-			t.Fatalf("window %v left bounds [%v, %v]", w, min, max)
-		}
-		if l.Window() == min {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("window stuck at %v after %d single-commit cycles, want %v", l.Window(), i+1, min)
-		}
-	}
-	ts := l.TailStats()
-	if ts.WindowedCycles == 0 || ts.WindowTotal == 0 {
-		t.Fatalf("tail stats recorded no windowed cycles: %+v", ts)
-	}
-}
-
-// TestCloseDrainsWithoutWaitingFullWindow pins the flusher's early wake on
-// drain: Close must not sit out the remainder of an open group-commit
-// window (PR 6 shipped a flusher that slept the full fixed window even when
-// the batch could no longer widen, making Close latency proportional to the
-// window).
-func TestCloseDrainsWithoutWaitingFullWindow(t *testing.T) {
-	sink := &captureSink{}
-	l := New(Config{
-		Durable:           sink,
-		DropAfterFlush:    true,
-		GroupCommitWindow: 2 * time.Second, // fixed, enormous
-	})
-	lsn, err := l.Append(Record{XID: 1, Type: RecCommit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := l.FlushAsync(lsn) // opens a 2s group-commit window
-	time.Sleep(5 * time.Millisecond)
-	start := time.Now()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("Close took %v, want the drain wake to cut the 2s window short", elapsed)
-	}
-	if err := <-ch; err != nil {
-		t.Fatalf("subscription failed across Close: %v", err)
 	}
 }
 

@@ -399,28 +399,11 @@ type DurableSink interface {
 // Config configures the log.
 type Config struct {
 	// FlushDelay simulates the latency of forcing the log to stable storage
-	// (one per group-commit batch, not per transaction). Zero disables it.
+	// (one per group-commit cycle, not per transaction). It elapses between
+	// the cycle's consume and its write: commits arriving meanwhile join the
+	// next cycle, and a crash inside it leaves the batch off the sink, as a
+	// crash before a real write would. Zero disables it.
 	FlushDelay time.Duration
-	// GroupCommitWindow is how long the flusher waits to batch commits.
-	// Zero means flush requests are served immediately (still batched with
-	// any concurrent requests). Under AdaptiveGroupCommit it is only the
-	// controller's starting point.
-	GroupCommitWindow time.Duration
-	// AdaptiveGroupCommit replaces the fixed group-commit window with a
-	// controller that retunes it every flush cycle from what the cycle
-	// observed: the window halves when it closed with at most one
-	// subscriber (it only added latency) or when the durable lag has grown
-	// past a quarter of the log buffer (the flusher is behind — flush more,
-	// wait less), and widens by 25% when subscriptions were still arriving
-	// as the window closed (the batch was still widening). The window also
-	// ends early once the pending subscription set is satisfiable — as many
-	// subscribers as a typical recent batch, all of their bytes published —
-	// so a correct window costs no idle tail.
-	AdaptiveGroupCommit bool
-	// GroupCommitMin and GroupCommitMax bound the adaptive window. Zero
-	// values default to 10µs and 2ms. Ignored unless AdaptiveGroupCommit.
-	GroupCommitMin time.Duration
-	GroupCommitMax time.Duration
 	// Durable, if non-nil, receives every flushed byte followed by one Sync
 	// per group-commit batch; DurableLSN only advances past bytes the sink
 	// has accepted and synced. A write or sync error wedges the log: every
@@ -500,20 +483,6 @@ type Log struct {
 	waiters       []flushWaiter // pending durability subscriptions
 	failed        error         // first durable-sink error; wedges the log
 
-	// Group-commit window state. window is the live value (fixed, or driven
-	// by the adaptive controller between winMin and winMax); the sum/count
-	// pair averages the time actually waited per windowed cycle; ewmaBatch
-	// is the flusher-private estimate of subscriptions per batch that the
-	// early-wake check compares against.
-	window         atomic.Int64 // current window in nanoseconds
-	winMin, winMax time.Duration
-	windowNanos    atomic.Int64 // total window time actually waited
-	windowedCycles atomic.Uint64
-	ewmaBatch      float64 // flusher-private; no lock needed
-	ewmaFlush      float64 // flusher-private EWMA of flush-cycle cost, in nanoseconds
-
-	draining atomic.Bool // Close/Crash started: no new appends can arrive
-
 	stats Stats
 }
 
@@ -525,28 +494,6 @@ func New(cfg Config) *Log {
 	}
 	l := &Log{cfg: cfg, lb: newLogBuffer(cfg.BufferBytes, start), flushLSN: start}
 	l.flushWork = sync.NewCond(&l.mu)
-	l.winMin, l.winMax = cfg.GroupCommitMin, cfg.GroupCommitMax
-	if cfg.AdaptiveGroupCommit {
-		if l.winMin <= 0 {
-			l.winMin = 10 * time.Microsecond
-		}
-		if l.winMax < l.winMin {
-			l.winMax = 2 * time.Millisecond
-		}
-		if l.winMax < l.winMin {
-			l.winMax = l.winMin
-		}
-		initial := cfg.GroupCommitWindow
-		if initial < l.winMin {
-			initial = l.winMin
-		}
-		if initial > l.winMax {
-			initial = l.winMax
-		}
-		l.window.Store(int64(initial))
-	} else {
-		l.window.Store(int64(cfg.GroupCommitWindow))
-	}
 	return l
 }
 
@@ -689,20 +636,6 @@ func (l *Log) pendingFlushLocked() bool {
 	return false
 }
 
-// pendingWaitersLocked returns the unsatisfied subscription count and the
-// highest target among them — the group-commit pause's early-wake inputs.
-func (l *Log) pendingWaitersLocked() (n int, maxTarget LSN) {
-	for _, w := range l.waiters {
-		if w.upTo > l.flushLSN {
-			n++
-			if w.upTo > maxTarget {
-				maxTarget = w.upTo
-			}
-		}
-	}
-	return n, maxTarget
-}
-
 // workPendingLocked reports whether the flusher has anything actionable:
 // an unsatisfied durability subscription, or reservers blocked on a full
 // buffer (which must be drained even when no commit has subscribed yet,
@@ -712,9 +645,10 @@ func (l *Log) workPendingLocked() bool {
 }
 
 // flusherLoop is the dedicated flush daemon: one group-commit cycle per
-// wakeup, batching every record published up to the moment the physical
-// write starts (commits arriving during the group-commit window join the
-// batch).
+// wakeup, started as soon as work is pending and batching every record
+// published up to that moment. There is no batching window: commits that
+// arrive while a cycle forces the log join the next cycle, so the force
+// itself is the window.
 func (l *Log) flusherLoop() {
 	for {
 		l.mu.Lock()
@@ -736,179 +670,36 @@ func (l *Log) flusherLoop() {
 			l.mu.Unlock()
 			return
 		}
-		// The group-commit window exists to widen commit batches; when the
-		// only pending work is reservers blocked on a full buffer (no
-		// durability subscription yet), drain immediately instead of
-		// stalling bulk appends one buffer per window.
-		subscriptionsPending := l.pendingFlushLocked()
 		l.mu.Unlock()
-
-		var arrived bool
-		if window := time.Duration(l.window.Load()); window > 0 && subscriptionsPending {
-			var crashed bool
-			arrived, crashed = l.groupCommitPause(window)
-			if crashed {
-				// Crashed or wedged while the window was open: nothing from
-				// this cycle (or the append buffer) may reach the sink.
-				continue
-			}
-		}
-		flushStart := time.Now()
-		progressed, acked := l.flushCycle()
-		if progressed {
-			l.ewmaFlush = 0.75*l.ewmaFlush + 0.25*float64(time.Since(flushStart))
-		}
-		if !progressed {
+		if !l.flushCycle() {
 			// Work is pending but nothing was consumable: a lower-LSN
 			// reservation is still being filled (a concurrent memcpy, gone in
 			// microseconds). Yield instead of spinning.
 			runtime.Gosched()
-		} else if l.cfg.AdaptiveGroupCommit && subscriptionsPending {
-			l.tuneWindow(acked, arrived)
 		}
 	}
-}
-
-// groupCommitPause waits out the group-commit window in short slices so the
-// flusher can wake as soon as waiting longer cannot widen the batch: the log
-// is draining (Close/Crash — no new appends can arrive), reservers are
-// blocked on a full buffer (nothing widens until we drain), or — adaptive
-// mode — the pending subscription set is already satisfiable: every target
-// offset published and a typical recent batch's worth of subscribers
-// waiting. arrived — the controller's grow
-// signal — reports that the window expired at its deadline with the batch
-// still widening in the final slice; crashed reports the log failed.
-func (l *Log) groupCommitPause(window time.Duration) (arrived, crashed bool) {
-	l.mu.Lock()
-	startWaiters, _ := l.pendingWaitersLocked()
-	l.mu.Unlock()
-	// A typical batch, per the EWMA the controller maintains; only the
-	// flusher goroutine touches ewmaBatch so the read is unsynchronized.
-	satisfiable := int(l.ewmaBatch + 0.5)
-	if satisfiable < 2 {
-		satisfiable = 2
-	}
-	slice := window / 8
-	const sliceMin, sliceMax = 20 * time.Microsecond, 250 * time.Microsecond
-	if slice < sliceMin {
-		slice = sliceMin
-	}
-	if slice > sliceMax {
-		slice = sliceMax
-	}
-	deadline := time.Now().Add(window)
-	waited := time.Now()
-	prevN := startWaiters
-	arrivedLast := false
-	for {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			// Deadline expiry with a subscriber still arriving in the final
-			// slice is the controller's only grow signal: the window closed
-			// on a batch that was still widening. Any early wake below means
-			// the window was already long enough.
-			arrived = arrivedLast
-			break
-		}
-		step := slice
-		if remaining < step {
-			step = remaining
-		}
-		if step < sliceMin {
-			// Sub-timer-resolution wait: a timed sleep here would overshoot
-			// by more than the whole window (the OS timer floor is tens of
-			// microseconds), erasing everything the controller shrank the
-			// window for. Yield-spin so a 10µs window costs ~10µs.
-			for spin := time.Now(); time.Since(spin) < step; {
-				runtime.Gosched()
-			}
-		} else {
-			time.Sleep(step)
-		}
-		l.mu.Lock()
-		n, maxTarget := l.pendingWaitersLocked()
-		crashed = l.failed != nil
-		l.mu.Unlock()
-		arrivedLast = n > prevN
-		prevN = n
-		if crashed {
-			break
-		}
-		if l.draining.Load() || l.lb.wedged.Load() || l.lb.fullWaiters.Load() > 0 {
-			break
-		}
-		if l.cfg.AdaptiveGroupCommit && n >= satisfiable && LSN(l.lb.published.Load()) >= maxTarget {
-			// The pending set is satisfiable — every subscriber's bytes are
-			// published and the batch already holds a typical recent cycle's
-			// worth of subscribers — so waiting longer buys latency, not
-			// batching. (Waking on a merely quiet slice instead was a
-			// throughput trap: at peak load the commit inter-arrival time
-			// exceeds a slice, so "no arrival this slice" routinely fires
-			// mid-batch and halves the cycle.)
-			break
-		}
-	}
-	l.windowNanos.Add(int64(time.Since(waited)))
-	l.windowedCycles.Add(1)
-	return arrived, crashed
-}
-
-// tuneWindow is the adaptive group-commit controller, run once per windowed
-// flush cycle. acked is how many subscriptions the cycle satisfied; arrived
-// reports whether new subscriptions showed up while the window was open.
-// Multiplicative decrease on a wasted window (≤1 subscriber: the window only
-// added latency) or on high durable lag (more than a quarter of the log
-// buffer unflushed: stop waiting, start writing); multiplicative increase
-// while batches are still widening when the window closes.
-func (l *Log) tuneWindow(acked int, arrived bool) {
-	w := time.Duration(l.window.Load())
-	l.ewmaBatch = 0.75*l.ewmaBatch + 0.25*float64(acked)
-	lag := l.lb.head.Load() - l.lb.published.Load()
-	if pending := l.PendingBytes(); pending > lag {
-		lag = pending
-	}
-	lagHigh := lag > l.lb.size/4
-	switch {
-	case acked <= 1 || lagHigh:
-		w /= 2
-	case arrived:
-		// arrived is deliberately narrow (deadline expiry with the batch
-		// still widening in the final slice; see groupCommitPause): growing
-		// on any mid-window arrival pegs the window at the cap under steady
-		// load even when the extra wait stopped adding subscribers.
-		w += w / 4
-	}
-	// The force itself is a batching window: commits arriving while the
-	// flush runs join the next cycle for free, so a cycle's batch already
-	// spans one flush cost with a zero window. Keep the explicit window a
-	// bounded fraction of the cycle (half the flush cost's EWMA): it still
-	// widens batches under load, but its latency cost can never exceed a
-	// third of the cycle no matter what the grow rule does.
-	if cap := time.Duration(l.ewmaFlush) / 2; cap > 0 && w > cap {
-		w = cap
-	}
-	if w < l.winMin {
-		w = l.winMin
-	}
-	if w > l.winMax {
-		w = l.winMax
-	}
-	l.window.Store(int64(w))
 }
 
 // flushCycle is one group-commit cycle: consume the contiguous published
 // prefix of the log buffer, hand every consumed byte range to the durable
 // sink in one call — no per-record re-encode, one vectored submission for
-// the whole cycle — then force, advance the watermark and acknowledge. It
-// returns false when nothing was consumable, plus the number of
-// subscriptions the cycle acknowledged, the adaptive controller's batch-size
-// signal.
-func (l *Log) flushCycle() (bool, int) {
+// the whole cycle — then force, advance the watermark and acknowledge, or
+// wedge the log on a sink error. It returns false when nothing was
+// consumable.
+func (l *Log) flushCycle() bool {
 	// Records are only decoded back out of the buffer for in-memory
 	// retention (Records()).
 	ranges, recs, count, end := l.lb.consume(!l.cfg.DropAfterFlush)
 	if end == 0 {
-		return false, 0
+		return false
+	}
+	if l.cfg.FlushDelay > 0 {
+		time.Sleep(l.cfg.FlushDelay)
+		if l.Err() != nil {
+			// Crashed inside the simulated force: the batch never reaches
+			// the sink. The loop top fails the waiters.
+			return true
+		}
 	}
 	var durableErr error
 	if l.cfg.Durable != nil {
@@ -918,20 +709,9 @@ func (l *Log) flushCycle() (bool, int) {
 	// (Sync forces the OS, it never touches the buffer), so the space goes
 	// back to reservers before the sync latency is paid.
 	l.lb.release(end)
-	return true, l.finishCycle(recs, count, LSN(end), durableErr)
-}
-
-// finishCycle is the tail of a group-commit cycle: the single physical
-// force, retention, the durable-watermark advance, and the LSN-ordered
-// acknowledgements — or the wedge/crash handling that replaces them. It
-// returns the number of subscriptions acknowledged.
-func (l *Log) finishCycle(recs []Record, count int, target LSN, durableErr error) int {
 	if durableErr == nil && l.cfg.Durable != nil {
 		// The single physical force of the group commit.
 		durableErr = l.cfg.Durable.Sync()
-	}
-	if l.cfg.FlushDelay > 0 {
-		time.Sleep(l.cfg.FlushDelay)
 	}
 
 	l.mu.Lock()
@@ -944,26 +724,26 @@ func (l *Log) finishCycle(recs []Record, count int, target LSN, durableErr error
 		// Crashed while the batch was in flight: even if the sync succeeded,
 		// never acknowledge — crash semantics allow un-acked records to
 		// survive, never the reverse. The loop top fails the waiters.
-		return 0
+		return true
 	}
 	if durableErr != nil {
 		// The durable prefix can no longer grow contiguously: wedge the log
 		// so no later record is ever reported durable past the gap. The loop
 		// top fails the waiters and exits.
 		l.failed = durableErr
-		return 0
+		return true
 	}
-	if l.flushLSN < target {
-		l.flushLSN = target
+	if l.flushLSN < LSN(end) {
+		l.flushLSN = LSN(end)
 	}
 	l.stats.Synced.Add(uint64(count))
-	return l.notifyWaitersLocked()
+	l.notifyWaitersLocked()
+	return true
 }
 
 // notifyWaitersLocked acknowledges every subscription satisfied by the
-// current durable watermark, in ascending LSN order, returning how many it
-// acknowledged.
-func (l *Log) notifyWaitersLocked() int {
+// current durable watermark, in ascending LSN order.
+func (l *Log) notifyWaitersLocked() {
 	var remaining []flushWaiter
 	var done []flushWaiter
 	for _, w := range l.waiters {
@@ -978,7 +758,6 @@ func (l *Log) notifyWaitersLocked() int {
 		w.ch <- nil
 	}
 	l.waiters = remaining
-	return len(done)
 }
 
 // failWaitersLocked delivers err to every pending subscription.
@@ -1032,51 +811,28 @@ func (l *Log) StatsSnapshot() (appends, flushes, synced uint64) {
 	return l.stats.Appends.Load(), l.stats.Flushes.Load(), l.stats.Synced.Load()
 }
 
-// TailStats is a point-in-time snapshot of the log tail's self-tuning state:
-// how many group-commit cycles ran, how much group-commit window time they
-// actually waited (early wakes make this less than cycles×window), the
-// controller's live window, and the cumulative time appenders spent blocked
-// on the publish fence.
+// TailStats is a point-in-time snapshot of the log tail: how many
+// group-commit cycles ran and the cumulative time appenders spent on the
+// publish fence, the reservation and a full buffer.
 //
 // Unlike Stats, this is a plain value snapshot built from atomic loads —
 // it contains no atomics (the atomicmix analyzer verifies that) and is safe
 // to copy, return and compare freely.
 type TailStats struct {
 	FlushCycles    uint64        // group-commit cycles completed
-	WindowedCycles uint64        // cycles that opened a group-commit window
-	WindowTotal    time.Duration // window time actually waited across those cycles
-	CurWindow      time.Duration // live window (the fixed value when not adaptive)
 	FenceWait      time.Duration // cumulative publish-fence block time
 	ReserveWait    time.Duration // cumulative reserve wait (profiled appends only)
 	BufferFullWait time.Duration // cumulative buffer-full wait (timed unconditionally)
 }
 
-// AvgWindow returns the average group-commit window time actually waited per
-// windowed cycle.
-func (ts TailStats) AvgWindow() time.Duration {
-	if ts.WindowedCycles == 0 {
-		return 0
-	}
-	return ts.WindowTotal / time.Duration(ts.WindowedCycles)
-}
-
-// TailStats returns the log tail's self-tuning snapshot.
+// TailStats returns the log tail snapshot.
 func (l *Log) TailStats() TailStats {
 	return TailStats{
 		FlushCycles:    l.stats.Flushes.Load(),
-		WindowedCycles: l.windowedCycles.Load(),
-		WindowTotal:    time.Duration(l.windowNanos.Load()),
-		CurWindow:      time.Duration(l.window.Load()),
 		FenceWait:      time.Duration(l.lb.fenceNanos.Load()),
 		ReserveWait:    time.Duration(l.lb.reserveNanos.Load()),
 		BufferFullWait: time.Duration(l.lb.fullNanos.Load()),
 	}
-}
-
-// Window returns the group-commit window currently in effect — the adaptive
-// controller's live value, or the configured fixed window.
-func (l *Log) Window() time.Duration {
-	return time.Duration(l.window.Load())
 }
 
 // Close drains every pending record to the sinks and shuts the log down.
@@ -1085,9 +841,6 @@ func (l *Log) Window() time.Duration {
 // every record ever accepted by Append. The flusher goroutine exits once the
 // drain completes. Close is idempotent.
 func (l *Log) Close() error {
-	// No new appends from here on: the group-commit pause wakes immediately
-	// instead of letting each drain cycle pay a full window.
-	l.draining.Store(true)
 	// Refuse new reservations first so the drain below is complete; records
 	// already reserved still fill, publish and drain.
 	l.lb.close(ErrClosed)
@@ -1118,7 +871,6 @@ func (l *Log) Close() error {
 // acknowledged even if its sync happens to complete — crash semantics allow
 // un-acked records to survive on disk, never an acked record to be lost.
 func (l *Log) Crash() {
-	l.draining.Store(true)
 	l.mu.Lock()
 	if l.failed == nil {
 		l.failed = ErrCrashed

@@ -273,7 +273,7 @@ func TestFlushIdempotentAndOrdered(t *testing.T) {
 }
 
 func TestGroupCommitBatchesConcurrentCommitters(t *testing.T) {
-	l := New(Config{FlushDelay: 2 * time.Millisecond, GroupCommitWindow: time.Millisecond})
+	l := New(Config{FlushDelay: 3 * time.Millisecond})
 	const committers = 16
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -300,7 +300,7 @@ func TestGroupCommitBatchesConcurrentCommitters(t *testing.T) {
 	if flushes >= committers {
 		t.Fatalf("group commit did not batch: %d flushes for %d committers", flushes, committers)
 	}
-	// Without batching this would take committers * (delay+window) ≈ 48ms.
+	// Without batching this would take committers * delay ≈ 48ms.
 	if elapsed > 40*time.Millisecond {
 		t.Logf("warning: group commit slower than expected: %v (%d flushes)", elapsed, flushes)
 	}
@@ -335,7 +335,7 @@ func TestDropAfterFlush(t *testing.T) {
 }
 
 func TestFlushAsyncAcknowledgesDurability(t *testing.T) {
-	l := New(Config{GroupCommitWindow: time.Millisecond})
+	l := New(Config{FlushDelay: time.Millisecond})
 	lsn1, _ := l.Append(Record{XID: 1, Type: RecCommit})
 	lsn2, _ := l.Append(Record{XID: 2, Type: RecCommit})
 	ack1 := l.FlushAsync(lsn1)
@@ -368,8 +368,8 @@ func TestFlushAsyncAcknowledgesDurability(t *testing.T) {
 }
 
 func TestCrashFailsWaitersAndDiscardsBuffer(t *testing.T) {
-	// A slow group-commit window guarantees the crash lands before the sync.
-	l := New(Config{GroupCommitWindow: 200 * time.Millisecond})
+	// A slow simulated force guarantees the crash lands before the sync.
+	l := New(Config{FlushDelay: 200 * time.Millisecond})
 	lsn, _ := l.Append(Record{XID: 1, Type: RecCommit})
 	ack := l.FlushAsync(lsn)
 	l.Crash()
@@ -389,6 +389,36 @@ func TestCrashFailsWaitersAndDiscardsBuffer(t *testing.T) {
 	}
 	if err := <-l.FlushAsync(lsn); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("FlushAsync after crash = %v, want ErrCrashed", err)
+	}
+}
+
+// TestCrashInsideFlushDelayReachesNoSink pins where the simulated force
+// latency sits in a cycle: after the consume, before the write. A crash while
+// the cycle sleeps must leave its batch off the sink, as a crash before a
+// real write would.
+func TestCrashInsideFlushDelayReachesNoSink(t *testing.T) {
+	sink := &captureSink{}
+	l := New(Config{Durable: sink, FlushDelay: 200 * time.Millisecond})
+	lsn, err := l.Append(Record{XID: 1, Type: RecCommit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack := l.FlushAsync(lsn)
+	time.Sleep(20 * time.Millisecond) // the cycle has consumed the record and is inside the delay
+	l.Crash()
+	select {
+	case err := <-ack:
+		if !errors.Is(err, ErrCrashed) {
+			t.Fatalf("ack err = %v, want ErrCrashed", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("crash did not fail the pending flush subscription")
+	}
+	if n := len(sink.bytes()); n != 0 {
+		t.Fatalf("sink holds %d bytes, want the crashed batch kept off it", n)
+	}
+	if l.DurableLSN() > lsn {
+		t.Fatal("crashed log reported the unwritten record durable")
 	}
 }
 

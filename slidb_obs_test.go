@@ -140,8 +140,13 @@ func TestMetricsSurface(t *testing.T) {
 		"slidb_undo_failures_total",
 		"slidb_durable_lag_bytes",
 		"slidb_log_wedged",
+		"slidb_log_flush_cycles_total",
+		"slidb_log_sink_writes_total",
+		"slidb_log_fence_wait_seconds_total",
 		"slidb_log_reserve_wait_seconds_total",
 		"slidb_log_buffer_full_wait_seconds_total",
+		"slidb_log_segment_rotations_total",
+		"slidb_log_segment_preallocs_total",
 		"slidb_agents",
 		"slidb_lock_acquires_total",
 		"slidb_lock_acquires_mode_total",
@@ -162,6 +167,10 @@ func TestMetricsSurface(t *testing.T) {
 		if !strings.Contains(body, name) {
 			t.Errorf("/metrics missing %s", name)
 		}
+	}
+	// The flusher has no group-commit window, so neither has a metric.
+	if strings.Contains(body, "slidb_group_commit_window") {
+		t.Error("/metrics still exports a group-commit window family")
 	}
 	// Every profiler category label must be present, even the zero ones.
 	for c := profiler.Category(0); c.String() != "category("+strconv.Itoa(int(c))+")"; c++ {

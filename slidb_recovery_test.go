@@ -184,16 +184,12 @@ func TestCrashRecoveryTorture(t *testing.T) {
 	runCrashRecoveryTorture(t, slidb.Config{})
 }
 
-// TestCrashRecoveryTorturePreallocated is the same torture with the PR-7 log
-// tail fully enabled: preallocated segment files (the crash abandons a live
-// segment carrying a zero tail at its full rotation size), the adaptive
-// group-commit controller, and the relaxed publish fence. Recovery must be
-// indistinguishable from the unallocated layout's.
+// TestCrashRecoveryTorturePreallocated is the same torture with preallocated
+// segment files: the crash abandons a live segment carrying a zero tail at
+// its full rotation size. Recovery must be indistinguishable from the
+// unallocated layout's.
 func TestCrashRecoveryTorturePreallocated(t *testing.T) {
-	runCrashRecoveryTorture(t, slidb.Config{
-		PreallocateSegments: true,
-		AdaptiveGroupCommit: true,
-	})
+	runCrashRecoveryTorture(t, slidb.Config{PreallocateSegments: true})
 }
 
 func runCrashRecoveryTorture(t *testing.T, cfg slidb.Config) {
@@ -340,10 +336,10 @@ func TestELRCrashInPreCommitWindow(t *testing.T) {
 		Agents:           4,
 		EarlyLockRelease: true,
 		AsyncCommit:      true,
-		// A long group-commit window (relative to the milliseconds the crash
+		// A slow simulated force (relative to the milliseconds the crash
 		// below takes to land) guarantees the phase-2 commit records never
-		// reach the disk.
-		GroupCommitWindow: 500 * time.Millisecond,
+		// reach the disk: a crash inside the force keeps its batch off it.
+		LogFlushDelay: 500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +347,7 @@ func TestELRCrashInPreCommitWindow(t *testing.T) {
 	setupBank(t, db, 2, 16)
 
 	// Phase 1: transfers we wait out — durably acked, must survive. They are
-	// submitted as one batch so they share group-commit windows.
+	// submitted as one batch so they share group-commit cycles.
 	durable := make(map[int64]int64)
 	var phase1 []<-chan error
 	for i := 0; i < durableTransfers; i++ {
@@ -368,7 +364,7 @@ func TestELRCrashInPreCommitWindow(t *testing.T) {
 	}
 
 	// Phase 2: transfers we do NOT wait for. Their futures resolve only when
-	// the 500ms group-commit window closes; we crash long before that.
+	// the 500ms force completes; we crash long before that.
 	var futures []<-chan error
 	for i := 0; i < windowTransfers; i++ {
 		hid, delta := int64(1000+i), int64(7)
@@ -401,7 +397,7 @@ func TestELRCrashInPreCommitWindow(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// CRASH inside the window: commit records appended, nothing synced.
+	// CRASH inside the force: commit records appended, nothing written.
 	db.SimulateCrash()
 	for i, fut := range futures {
 		select {
@@ -995,9 +991,9 @@ func TestSavepointCrashRecovery(t *testing.T) {
 		EarlyLockRelease:       true,
 		EarlyLockReleaseAborts: true,
 		AsyncCommit:            true,
-		// A long window keeps the second transaction's commit record off
-		// disk until the crash lands.
-		GroupCommitWindow: 500 * time.Millisecond,
+		// A slow simulated force keeps the second transaction's commit
+		// record off disk until the crash lands.
+		LogFlushDelay: 500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1031,7 +1027,7 @@ func TestSavepointCrashRecovery(t *testing.T) {
 	}
 
 	// Transaction 2: same shape, but pre-committed only — its commit record
-	// sits in the group-commit window when the machine dies.
+	// sits inside the force when the machine dies.
 	pending := db.ExecAsync(func(tx *slidb.Tx) error {
 		if err := tx.Update("accounts", []slidb.Value{slidb.Int(0)}, func(r slidb.Row) (slidb.Row, error) {
 			r[2] = slidb.Int(r[2].AsInt() + 1000)
@@ -1074,7 +1070,7 @@ func TestSavepointCrashRecovery(t *testing.T) {
 			return r, nil
 		})
 	})
-	// Give the pre-commit a moment to append (the window holds the force).
+	// Give the pre-commit a moment to append (the delay holds the write).
 	time.Sleep(50 * time.Millisecond)
 	db.SimulateCrash()
 	<-pending // resolves with the crash error; ignore it
