@@ -6,7 +6,6 @@ import (
 
 	"slidb/internal/catalog"
 	"slidb/internal/heap"
-	"slidb/internal/record"
 	"slidb/internal/recovery"
 	"slidb/internal/wal"
 )
@@ -165,7 +164,7 @@ func (e *Engine) restoreSnapshot(snap *recovery.Snapshot) error {
 		hf, pk := e.heaps[tbl.ID], e.pkTrees[tbl.ID]
 		e.mu.RUnlock()
 		for _, data := range ts.Rows {
-			row, err := tbl.Schema.Decode(data)
+			key, err := rowKey(tbl, nil, data, heap.RID{})
 			if err != nil {
 				return fmt.Errorf("core: checkpoint row of %q: %w", tbl.Name, err)
 			}
@@ -173,7 +172,7 @@ func (e *Engine) restoreSnapshot(snap *recovery.Snapshot) error {
 			if err != nil {
 				return err
 			}
-			pk.tree.insert(record.EncodeKey(tbl.PrimaryKeyOf(row)...), rid)
+			pk.tree.insert(key, rid)
 		}
 	}
 	for _, im := range snap.Indexes {
@@ -186,6 +185,22 @@ func (e *Engine) restoreSnapshot(snap *recovery.Snapshot) error {
 		}
 	}
 	return nil
+}
+
+// rowKey is indexKey of rid's entry in ix (nil: the primary key), read
+// straight from tbl's encoded row data: restart never decodes a Row. It
+// rejects data exactly as Decode does, so a row that passed once passes.
+func rowKey(tbl *catalog.Table, ix *catalog.Index, data []byte, rid heap.RID) (string, error) {
+	cols, unique := tbl.PrimaryKeyIndexes(), true
+	if ix != nil {
+		cols, unique = ix.ColumnIndexes(), ix.Unique
+	}
+	var buf [64]byte
+	k, err := tbl.Schema.AppendKey(buf[:0], data, cols)
+	if err != nil || unique {
+		return string(k), err
+	}
+	return string(k) + indexKey(nil, rid, false), nil // the RID suffix alone
 }
 
 // redoRuntime bundles the structures the redo appliers operate on.
@@ -245,7 +260,7 @@ func (a engineApplier) Insert(tableID uint32, after []byte) error {
 	if err != nil {
 		return err
 	}
-	row, err := rt.tbl.Schema.Decode(after)
+	pkKey, err := rowKey(rt.tbl, nil, after, heap.RID{})
 	if err != nil {
 		return err
 	}
@@ -253,9 +268,10 @@ func (a engineApplier) Insert(tableID uint32, after []byte) error {
 	if err != nil {
 		return err
 	}
-	rt.pk.tree.insert(record.EncodeKey(rt.tbl.PrimaryKeyOf(row)...), rid)
+	rt.pk.tree.insert(pkKey, rid)
 	for _, sec := range rt.secs {
-		sec.tree.insert(indexKey(sec.meta.KeyOf(row), rid, sec.meta.Unique), rid)
+		key, _ := rowKey(rt.tbl, sec.meta, after, rid) // after passed above
+		sec.tree.insert(key, rid)
 	}
 	return nil
 }
@@ -265,28 +281,23 @@ func (a engineApplier) Update(tableID uint32, before, after []byte) error {
 	if err != nil {
 		return err
 	}
-	newRow, err := rt.tbl.Schema.Decode(after)
+	pkKey, err := rowKey(rt.tbl, nil, after, heap.RID{})
 	if err != nil {
 		return err
 	}
-	rid, ok := rt.pk.tree.get(record.EncodeKey(rt.tbl.PrimaryKeyOf(newRow)...))
+	rid, ok := rt.pk.tree.get(pkKey)
 	if !ok {
 		return fmt.Errorf("core: redo update of missing row in table %d", tableID)
 	}
 	if err := rt.hf.Update(nil, rid, after); err != nil {
 		return err
 	}
-	if len(rt.secs) > 0 {
-		oldRow, derr := rt.tbl.Schema.Decode(before)
-		if derr != nil {
-			return derr
+	for _, sec := range rt.secs {
+		oldKey, err := rowKey(rt.tbl, sec.meta, before, rid)
+		if err != nil {
+			return err
 		}
-		for _, sec := range rt.secs {
-			oldKey := indexKey(sec.meta.KeyOf(oldRow), rid, sec.meta.Unique)
-			newKey := indexKey(sec.meta.KeyOf(newRow), rid, sec.meta.Unique)
-			if oldKey == newKey {
-				continue
-			}
+		if newKey, _ := rowKey(rt.tbl, sec.meta, after, rid); newKey != oldKey { // after passed above
 			sec.tree.remove(oldKey)
 			sec.tree.insert(newKey, rid)
 		}
@@ -299,17 +310,17 @@ func (a engineApplier) Delete(tableID uint32, before []byte) error {
 	if err != nil {
 		return err
 	}
-	oldRow, err := rt.tbl.Schema.Decode(before)
+	pkKey, err := rowKey(rt.tbl, nil, before, heap.RID{})
 	if err != nil {
 		return err
 	}
-	pkKey := record.EncodeKey(rt.tbl.PrimaryKeyOf(oldRow)...)
 	rid, ok := rt.pk.tree.get(pkKey)
 	if !ok {
 		return fmt.Errorf("core: redo delete of missing row in table %d", tableID)
 	}
 	for _, sec := range rt.secs {
-		sec.tree.remove(indexKey(sec.meta.KeyOf(oldRow), rid, sec.meta.Unique))
+		key, _ := rowKey(rt.tbl, sec.meta, before, rid) // before passed above
+		sec.tree.remove(key)
 	}
 	rt.pk.tree.remove(pkKey)
 	return rt.hf.Delete(nil, rid)

@@ -696,12 +696,11 @@ func (e *Engine) installIndex(ix *catalog.Index) error {
 	e.mu.Unlock()
 	var err error
 	serr := hf.Scan(nil, func(rid heap.RID, rec []byte) bool {
-		row, derr := tbl.Schema.Decode(rec)
-		if derr != nil {
-			err = derr
+		var key string
+		if key, err = rowKey(tbl, ix, rec, rid); err != nil {
 			return false
 		}
-		idx.tree.insert(indexKey(ix.KeyOf(row), rid, ix.Unique), rid)
+		idx.tree.insert(key, rid)
 		return true
 	})
 	if err == nil {

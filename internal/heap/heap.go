@@ -4,6 +4,11 @@
 // structure that tracks how much room each page has left — the component the
 // paper observes absorbing contention from New Order once SLI removes the
 // lock-manager bottleneck (§7.2).
+//
+// The free space manager's invariant: every page it maps other than the
+// append page has fewer than bound free bytes. An insert needing bound or
+// more goes to the append page or a new one without scanning the file, so a
+// bulk load costs one map lookup per row, not a pass over earlier pages.
 package heap
 
 import (
@@ -36,6 +41,10 @@ type freeSpaceManager struct {
 	free      map[uint64]int // page -> free bytes (approximate)
 	numPages  uint64
 	appendPos uint64 // page currently receiving appends
+	// bound > free[p] for every mapped p != appendPos: a scan that fails for
+	// need sets it to need; an update or a retirement that reaches it lifts it.
+	bound   int
+	visited uint64 // free-map entries examined by choosePage's scans
 }
 
 // File is a heap file: the records of one table.
@@ -77,14 +86,23 @@ func (f *File) choosePage(h *profiler.Handle, need int) uint64 {
 	// Prefer the current append page (the common case and the paper's
 	// "roving hotspot": appends concentrate on the last page until it fills).
 	if f.fsm.numPages > 0 {
-		if free, ok := f.fsm.free[f.fsm.appendPos]; ok && free >= need {
+		appendFree := f.fsm.free[f.fsm.appendPos] // 0 once unmapped (full)
+		if appendFree >= need {
 			return f.fsm.appendPos
 		}
-		// Otherwise any page with room.
-		for p, free := range f.fsm.free {
-			if free >= need {
-				return p
+		// Otherwise any page with room; the bound rules out a scan that
+		// cannot find one.
+		if need < f.fsm.bound {
+			for p, free := range f.fsm.free {
+				f.fsm.visited++
+				if free >= need {
+					return p
+				}
 			}
+			f.fsm.bound = need
+		}
+		if appendFree >= f.fsm.bound { // the append page retires
+			f.fsm.bound = appendFree + 1
 		}
 	}
 	p := f.fsm.numPages
@@ -101,6 +119,9 @@ func (f *File) updateFree(pageNo uint64, free int) {
 		delete(f.fsm.free, pageNo)
 	} else {
 		f.fsm.free[pageNo] = free
+		if pageNo != f.fsm.appendPos && free >= f.fsm.bound {
+			f.fsm.bound = free + 1
+		}
 	}
 	f.fsm.latch.Unlock()
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"slidb/internal/buffer"
+	"slidb/internal/page"
 )
 
 func newTestFile(t *testing.T, frames int) *File {
@@ -199,6 +201,94 @@ func TestConcurrentInsertsAndReads(t *testing.T) {
 		got, err := f.Get(nil, rid)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("record %v = %q want %q (%v)", rid, got, want, err)
+		}
+	}
+}
+
+// TestAppendLoadScansLinearly loads fixed-size rows that leave every page a
+// remainder too small for the next row, so every page stays in the free
+// map. Without the bound each full append page rescans all of them, which
+// makes the load quadratic in pages.
+func TestAppendLoadScansLinearly(t *testing.T) {
+	f := newTestFile(t, 16)
+	rec := bytes.Repeat([]byte("r"), 100)
+	for i := 0; i < 200_000; i++ {
+		if _, err := f.Insert(nil, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pages := f.NumPages()
+	if mapped := uint64(len(f.fsm.free)); mapped != pages {
+		t.Fatalf("%d of %d pages keep a remainder; the load does not exercise the scan", mapped, pages)
+	}
+	if f.fsm.visited > 2*pages {
+		t.Fatalf("loading %d pages visited %d free-map entries, want at most %d", pages, f.fsm.visited, 2*pages)
+	}
+}
+
+// checkBound asserts the free space manager's invariant: every mapped page
+// other than the append page has fewer than bound free bytes.
+func checkBound(t *testing.T, f *File) {
+	t.Helper()
+	for p, free := range f.fsm.free {
+		if p != f.fsm.appendPos && free >= f.fsm.bound {
+			t.Fatalf("page %d has %d free bytes, bound is %d", p, free, f.fsm.bound)
+		}
+	}
+}
+
+// TestFreeSpaceBoundInvariant runs a seeded mix of inserts of random sizes,
+// growing and shrinking updates and deletes, checking the bound after every
+// operation and, before every insert, that choosePage allocates a new page
+// only when a brute-force search of the free map finds no page with room.
+func TestFreeSpaceBoundInvariant(t *testing.T) {
+	f := newTestFile(t, 16)
+	rng := rand.New(rand.NewSource(42))
+	live := map[RID][]byte{}
+	var rids []RID
+	randomRecord := func(op int) []byte { return bytes.Repeat([]byte{byte(op)}, 1+rng.Intn(1+rng.Intn(3000))) }
+	for op := 0; op < 5000; op++ {
+		switch r := rng.Intn(10); {
+		case r < 5 || len(rids) == 0:
+			rec := randomRecord(op)
+			need := len(rec) + 8
+			room := false
+			for _, free := range f.fsm.free {
+				room = room || free >= need
+			}
+			before := f.fsm.numPages
+			if p := f.choosePage(nil, need); p >= before && room {
+				t.Fatalf("op %d: allocated page %d for %d bytes while a page had room", op, p, need)
+			} else if p < before && f.fsm.free[p] < need {
+				t.Fatalf("op %d: chose page %d with %d free bytes for %d", op, p, f.fsm.free[p], need)
+			}
+			rid, err := f.Insert(nil, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live[rid] = rec
+			rids = append(rids, rid)
+		case r < 8:
+			rid, rec := rids[rng.Intn(len(rids))], randomRecord(op)
+			if err := f.Update(nil, rid, rec); err == nil {
+				live[rid] = rec
+			} else if !errors.Is(err, page.ErrPageFull) {
+				t.Fatal(err)
+			}
+		default:
+			i := rng.Intn(len(rids))
+			if err := f.Delete(nil, rids[i]); err != nil {
+				t.Fatal(err)
+			}
+			delete(live, rids[i])
+			rids[i] = rids[len(rids)-1]
+			rids = rids[:len(rids)-1]
+		}
+		checkBound(t, f)
+	}
+	for rid, want := range live {
+		if got, err := f.Get(nil, rid); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("record %v: %d bytes, %v; want %d bytes", rid, len(got), err, len(want))
 		}
 	}
 }

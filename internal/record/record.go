@@ -250,49 +250,98 @@ func (s *Schema) Encode(r Row) ([]byte, error) {
 	return buf, nil
 }
 
-// Decode deserializes a row previously produced by Encode with the same
-// schema.
-func (s *Schema) Decode(data []byte) (Row, error) {
-	row := make(Row, 0, len(s.cols))
+// walk checks that data encodes one row of s — tags match the column types,
+// payloads fit, nothing trails — and passes fn each column's position, type
+// and payload (an int's or a float's 8 bytes, a string's bytes). Decode and
+// AppendKey both read rows through it, so they reject the same inputs.
+func (s *Schema) walk(data []byte, fn func(col int, typ Type, payload []byte)) error {
 	pos := 0
 	for i := range s.cols {
 		if pos >= len(data) {
-			return nil, fmt.Errorf("record: truncated row at column %d", i)
+			return fmt.Errorf("record: truncated row at column %d", i)
 		}
 		typ := Type(data[pos])
 		pos++
 		if typ != s.cols[i].Type {
-			return nil, fmt.Errorf("record: column %q encoded as %v, schema says %v", s.cols[i].Name, typ, s.cols[i].Type)
+			return fmt.Errorf("record: column %q encoded as %v, schema says %v", s.cols[i].Name, typ, s.cols[i].Type)
 		}
+		start := pos
 		switch typ {
 		case TypeInt:
 			if pos+8 > len(data) {
-				return nil, errors.New("record: truncated int")
+				return errors.New("record: truncated int")
 			}
-			row = append(row, Int(int64(binary.LittleEndian.Uint64(data[pos:]))))
 			pos += 8
 		case TypeFloat:
 			if pos+8 > len(data) {
-				return nil, errors.New("record: truncated float")
+				return errors.New("record: truncated float")
 			}
-			row = append(row, Float(math.Float64frombits(binary.LittleEndian.Uint64(data[pos:]))))
 			pos += 8
 		case TypeString:
 			n, used := binary.Uvarint(data[pos:])
-			if used <= 0 || pos+used+int(n) > len(data) {
-				return nil, errors.New("record: truncated string")
+			if used <= 0 || n > uint64(len(data)-pos-used) {
+				return errors.New("record: truncated string")
 			}
-			pos += used
-			row = append(row, String(string(data[pos:pos+int(n)])))
-			pos += int(n)
+			start = pos + used
+			pos = start + int(n)
 		default:
-			return nil, fmt.Errorf("record: unknown type tag %d", typ)
+			return fmt.Errorf("record: unknown type tag %d", typ)
 		}
+		fn(i, typ, data[start:pos])
 	}
 	if pos != len(data) {
-		return nil, fmt.Errorf("record: %d trailing bytes after row", len(data)-pos)
+		return fmt.Errorf("record: %d trailing bytes after row", len(data)-pos)
+	}
+	return nil
+}
+
+// Decode deserializes a row previously produced by Encode with the same
+// schema.
+func (s *Schema) Decode(data []byte) (Row, error) {
+	row := make(Row, len(s.cols))
+	err := s.walk(data, func(col int, typ Type, p []byte) {
+		switch typ {
+		case TypeInt:
+			row[col] = Int(int64(binary.LittleEndian.Uint64(p)))
+		case TypeFloat:
+			row[col] = Float(math.Float64frombits(binary.LittleEndian.Uint64(p)))
+		default:
+			row[col] = String(string(p))
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return row, nil
+}
+
+// AppendKey appends EncodeKey of columns cols (in cols order) of the encoded
+// row data to dst without building a Row. It checks data exactly as Decode
+// does and fails with Decode's error, leaving dst unchanged.
+func (s *Schema) AppendKey(dst, data []byte, cols []int) ([]byte, error) {
+	var small [4][]byte
+	payloads := small[:]
+	if len(cols) > len(small) {
+		payloads = make([][]byte, len(cols))
+	}
+	err := s.walk(data, func(col int, _ Type, p []byte) {
+		for k, c := range cols {
+			if c == col {
+				payloads[k] = p
+			}
+		}
+	})
+	if err != nil {
+		return dst, err
+	}
+	for k, c := range cols {
+		typ, w := s.cols[c].Type, uint64(0)
+		if typ != TypeString {
+			w = binary.LittleEndian.Uint64(payloads[k]) // an int's or a float's bits
+		}
+		dst = appendKeyValue(dst, typ, w, payloads[k])
+	}
+	return dst, nil
 }
 
 // EncodeKey builds an order-preserving (memcomparable) byte-string key from
@@ -306,37 +355,34 @@ func (s *Schema) Decode(data []byte) (Row, error) {
 func EncodeKey(vals ...Value) string {
 	var b []byte
 	for _, v := range vals {
-		switch v.typ {
-		case TypeInt:
-			var tmp [8]byte
-			binary.BigEndian.PutUint64(tmp[:], uint64(v.i)^(1<<63))
-			b = append(b, byte(TypeInt))
-			b = append(b, tmp[:]...)
-		case TypeFloat:
-			bits := math.Float64bits(v.f)
-			if bits&(1<<63) != 0 {
-				bits = ^bits
-			} else {
-				bits ^= 1 << 63
-			}
-			var tmp [8]byte
-			binary.BigEndian.PutUint64(tmp[:], bits)
-			b = append(b, byte(TypeFloat))
-			b = append(b, tmp[:]...)
-		case TypeString:
-			b = append(b, byte(TypeString))
-			for i := 0; i < len(v.s); i++ {
-				c := v.s[i]
-				if c == 0x00 {
-					b = append(b, 0x00, 0xff)
-				} else {
-					b = append(b, c)
-				}
-			}
-			b = append(b, 0x00, 0x00)
-		default:
-			b = append(b, 0)
+		w := uint64(v.i)
+		if v.typ == TypeFloat {
+			w = math.Float64bits(v.f)
 		}
+		b = appendKeyValue(b, v.typ, w, v.s)
 	}
 	return string(b)
+}
+
+// appendKeyValue appends the key encoding of one value of type typ: w holds
+// an int's or a float's bits, s a string's bytes. The zero Value (typ 0)
+// encodes as its tag alone.
+func appendKeyValue[S string | []byte](b []byte, typ Type, w uint64, s S) []byte {
+	b = append(b, byte(typ))
+	switch typ {
+	case TypeInt:
+		return binary.BigEndian.AppendUint64(b, w^(1<<63))
+	case TypeFloat: // a negative flips every bit, anything else just the sign
+		return binary.BigEndian.AppendUint64(b, w^(uint64(int64(w)>>63)|1<<63))
+	case TypeString:
+		for i := 0; i < len(s); i++ {
+			if c := s[i]; c == 0x00 {
+				b = append(b, 0x00, 0xff)
+			} else {
+				b = append(b, c)
+			}
+		}
+		return append(b, 0x00, 0x00)
+	}
+	return b
 }

@@ -99,10 +99,11 @@ func decodeSnapshot(payload []byte) (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		if pos+int(n) > len(payload) {
+		if n > uint64(len(payload)-pos) {
 			return nil, ErrBadCheckpoint
 		}
-		b := payload[pos : pos+int(n)]
+		// Capped, so a caller's append cannot overwrite what follows.
+		b := payload[pos : pos+int(n) : pos+int(n)]
 		pos += int(n)
 		return b, nil
 	}
@@ -132,13 +133,15 @@ func decodeSnapshot(payload []byte) (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		t := TableSnapshot{Meta: meta}
+		// Every row takes at least its length byte, which caps the
+		// preallocation at the bytes left; rows alias the checked payload.
+		t := TableSnapshot{Meta: meta, Rows: make([][]byte, 0, min(nRows, uint64(len(payload)-pos)))}
 		for j := uint64(0); j < nRows; j++ {
 			row, err := getBytes()
 			if err != nil {
 				return nil, err
 			}
-			t.Rows = append(t.Rows, append([]byte(nil), row...))
+			t.Rows = append(t.Rows, row)
 		}
 		s.Tables = append(s.Tables, t)
 	}

@@ -1,9 +1,13 @@
 package recovery
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"slidb/internal/catalog"
@@ -411,5 +415,36 @@ func TestCheckpointDetectsCorruption(t *testing.T) {
 	}
 	if _, _, err := ReadCheckpoint(dir); err == nil {
 		t.Fatal("corrupt checkpoint read back without error")
+	}
+
+	// Payloads whose checksum is right but whose counts lie: a table claiming
+	// 2^60 rows, and a row claiming a length that overflows int. Both must
+	// fail as corrupt, without sizing an allocation from the claim.
+	meta := catalog.TableMeta{ID: 1, Name: "t", Columns: []record.Column{{Name: "k", Type: record.TypeInt}}, PrimaryKey: []string{"k"}}.Encode()
+	for _, tail := range [][]uint64{{1 << 60}, {1, 1<<64 - 1}} {
+		payload := binary.AppendUvarint(nil, 7)    // LSN
+		payload = binary.AppendUvarint(payload, 1) // NextXID
+		payload = binary.AppendUvarint(payload, 1) // tables
+		payload = binary.AppendUvarint(payload, uint64(len(meta)))
+		payload = append(payload, meta...)
+		for _, v := range tail { // row count, then row lengths
+			payload = binary.AppendUvarint(payload, v)
+		}
+		payload = append(payload, 'x')
+		file := binary.LittleEndian.AppendUint64(append([]byte(nil), checkpointMagic...), uint64(len(payload)))
+		file = binary.LittleEndian.AppendUint32(append(file, payload...), crc32.ChecksumIEEE(payload))
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := ReadCheckpoint(dir)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("counts %v: err = %v, want ErrBadCheckpoint", tail, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("counts %v: reading a %d-byte checkpoint allocated %d bytes", tail, len(file), grew)
+		}
 	}
 }
