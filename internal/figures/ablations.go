@@ -3,17 +3,24 @@ package figures
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"sync/atomic"
 	"time"
 
-	"slidb/internal/bench/tm1"
-	"slidb/internal/bench/tpcb"
 	"slidb/internal/core"
 	"slidb/internal/lockmgr"
-	"slidb/internal/profiler"
 	"slidb/internal/record"
 	"slidb/internal/workload"
+)
+
+// The commit-pipeline ablations (sli-elr, abort-elr) make every log force
+// cost simulatedForce on top of any real fsync, and overcommit clients to
+// clientsPerAgent per agent so their ELR arms can fill the AsyncCommit
+// pipeline: with one blocking client per agent the in-flight window never
+// exceeds one. abort-elr rolls back forcedAbortRate of its transactions.
+const (
+	simulatedForce  = 500 * time.Microsecond
+	clientsPerAgent = 4
+	forcedAbortRate = 0.3
 )
 
 // AblationHotThreshold varies the SLI hot-lock detection threshold
@@ -27,30 +34,15 @@ func AblationHotThreshold(o Options) (Table, error) {
 		Columns: []string{"threshold", "tps", "passed-per-1k-xct", "reclaimed-%"},
 	}
 	for _, threshold := range []float64{0.01, 0.1, 0.25, 0.5, 0.9} {
-		e, gen, err := buildNDBBWithEngineConfig(o, core.Config{
-			SLI:             true,
-			SLIHotThreshold: threshold,
-			Agents:          o.PeakAgents,
-			Profile:         true,
-			BufferFrames:    o.BufferFrames,
-		})
+		res, err := o.measure(WLNDBBMix, core.Config{SLI: true, SLIHotThreshold: threshold, Agents: o.PeakAgents})
 		if err != nil {
 			return t, err
 		}
-		res := o.run(e, gen, o.PeakAgents)
-		e.Close()
 		ls := res.LockStats
-		resolved := float64(ls.SLIReclaimed + ls.SLIInvalidated + ls.SLIDiscarded)
-		if resolved == 0 {
-			resolved = 1
-		}
-		perK := 0.0
-		if ls.Transactions > 0 {
-			perK = 1000 * float64(ls.SLIPassed) / float64(ls.Transactions)
-		}
+		reclaimed, _, _ := sliOutcomes(ls)
 		t.Rows = append(t.Rows, Row{
 			Label:  fmt.Sprintf("%.2f", threshold),
-			Values: []float64{threshold, res.Throughput, perK, 100 * float64(ls.SLIReclaimed) / resolved},
+			Values: []float64{threshold, res.Throughput, per1k(ls.SLIPassed, ls), reclaimed},
 		})
 	}
 	return t, nil
@@ -72,23 +64,11 @@ func AblationEligibleLevels(o Options) (Table, error) {
 		{"page-and-above (paper)", lockmgr.LevelPage},
 	}
 	for _, lv := range levels {
-		e, gen, err := buildNDBBWithEngineConfig(o, core.Config{
-			SLI:          true,
-			SLIMinLevel:  lv.level,
-			Agents:       o.PeakAgents,
-			Profile:      true,
-			BufferFrames: o.BufferFrames,
-		})
+		res, err := o.measure(WLNDBBMix, core.Config{SLI: true, SLIMinLevel: lv.level, Agents: o.PeakAgents})
 		if err != nil {
 			return t, err
 		}
-		res := o.run(e, gen, o.PeakAgents)
-		e.Close()
-		perK := 0.0
-		if res.LockStats.Transactions > 0 {
-			perK = 1000 * float64(res.LockStats.SLIPassed) / float64(res.LockStats.Transactions)
-		}
-		t.Rows = append(t.Rows, Row{Label: lv.name, Values: []float64{res.Throughput, perK}})
+		t.Rows = append(t.Rows, Row{Label: lv.name, Values: []float64{res.Throughput, per1k(res.LockStats.SLIPassed, res.LockStats)}})
 	}
 	return t, nil
 }
@@ -106,7 +86,10 @@ func AblationBimodal(o Options) (Table, error) {
 	}
 
 	build := func() (*core.Engine, error) {
-		e := core.Open(core.Config{SLI: true, Agents: o.PeakAgents, Profile: true, BufferFrames: o.BufferFrames})
+		e, err := o.open("bimodal", core.Config{SLI: true, Agents: o.PeakAgents})
+		if err != nil {
+			return nil, err
+		}
 		schema := record.MustSchema(
 			record.Column{Name: "id", Type: record.TypeInt},
 			record.Column{Name: "v", Type: record.TypeInt},
@@ -117,7 +100,7 @@ func AblationBimodal(o Options) (Table, error) {
 				return nil, err
 			}
 		}
-		err := e.Exec(func(tx *core.Tx) error {
+		err = e.Exec(func(tx *core.Tx) error {
 			for i := 0; i < 1000; i++ {
 				if err := tx.Insert("group_a", record.Row{record.Int(int64(i)), record.Int(0)}); err != nil {
 					return err
@@ -162,18 +145,13 @@ func AblationBimodal(o Options) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		res := o.run(e, c.gen, o.PeakAgents)
+		res, err := o.run(e, c.gen, o.PeakAgents)
 		e.Close()
-		ls := res.LockStats
-		resolved := float64(ls.SLIReclaimed + ls.SLIInvalidated + ls.SLIDiscarded)
-		if resolved == 0 {
-			resolved = 1
+		if err != nil {
+			return t, err
 		}
-		t.Rows = append(t.Rows, Row{Label: c.name, Values: []float64{
-			res.Throughput,
-			100 * float64(ls.SLIReclaimed) / resolved,
-			100 * float64(ls.SLIDiscarded) / resolved,
-		}})
+		reclaimed, _, discarded := sliOutcomes(res.LockStats)
+		t.Rows = append(t.Rows, Row{Label: c.name, Values: []float64{res.Throughput, reclaimed, discarded}})
 	}
 	return t, nil
 }
@@ -189,7 +167,10 @@ func AblationRovingHotspot(o Options) (Table, error) {
 		Columns: []string{"tps", "passed-per-1k-xct", "invalidated-%", "discarded-%"},
 	}
 	for _, sli := range []bool{false, true} {
-		e := core.Open(core.Config{SLI: sli, Agents: o.PeakAgents, Profile: true, BufferFrames: o.BufferFrames})
+		e, err := o.open("roving-hotspot", core.Config{SLI: sli, Agents: o.PeakAgents})
+		if err != nil {
+			return t, err
+		}
 		schema := record.MustSchema(
 			record.Column{Name: "id", Type: record.TypeInt},
 			record.Column{Name: "payload", Type: record.TypeString},
@@ -205,26 +186,18 @@ func AblationRovingHotspot(o Options) (Table, error) {
 				return tx.Insert("history", record.Row{record.Int(id), record.String("event payload......")})
 			}
 		}}}
-		res := o.run(e, gen, o.PeakAgents)
+		res, err := o.run(e, gen, o.PeakAgents)
 		e.Close()
+		if err != nil {
+			return t, err
+		}
 		ls := res.LockStats
-		resolved := float64(ls.SLIReclaimed + ls.SLIInvalidated + ls.SLIDiscarded)
-		if resolved == 0 {
-			resolved = 1
-		}
-		perK := 0.0
-		if ls.Transactions > 0 {
-			perK = 1000 * float64(ls.SLIPassed) / float64(ls.Transactions)
-		}
+		_, invalidated, discarded := sliOutcomes(ls)
 		label := "baseline (SLI off)"
 		if sli {
 			label = "SLI on"
 		}
-		t.Rows = append(t.Rows, Row{Label: label, Values: []float64{
-			res.Throughput, perK,
-			100 * float64(ls.SLIInvalidated) / resolved,
-			100 * float64(ls.SLIDiscarded) / resolved,
-		}})
+		t.Rows = append(t.Rows, Row{Label: label, Values: []float64{res.Throughput, per1k(ls.SLIPassed, ls), invalidated, discarded}})
 	}
 	return t, nil
 }
@@ -232,21 +205,12 @@ func AblationRovingHotspot(o Options) (Table, error) {
 // AblationSLIELR measures the SLI × Early-Lock-Release grid on TPC-B with a
 // non-zero flush delay, so every commit pays a realistic log-force latency.
 // SLI removes the lock manager from the critical path; ELR (+ flush
-// pipelining) removes the log force from the lock hold time. The grid separates the two effects and shows they
-// compose: the hot branch-row locks that SLI passes between transactions
-// are, under ELR, released at commit-record append instead of after the
-// fsync.
+// pipelining) removes the log force from the lock hold time. The grid
+// separates the two effects and shows they compose: the hot branch-row locks
+// that SLI passes between transactions are, under ELR, released at
+// commit-record append instead of after the fsync.
 func AblationSLIELR(o Options) (Table, error) {
 	o = o.withDefaults()
-	if o.LogFlushDelay == 0 {
-		o.LogFlushDelay = 500 * time.Microsecond
-	}
-	if o.Clients == 0 {
-		// Overcommit clients so the SLI+ELR row can actually fill the
-		// AsyncCommit pipeline; with one blocking client per agent the
-		// in-flight window never exceeds one.
-		o.Clients = 4 * o.PeakAgents
-	}
 	t := Table{
 		Title:   "Ablation: SLI x Early Lock Release grid (TPC-B, non-zero log force latency)",
 		Columns: []string{"tps", "log-flush-%", "lock-wait-ms/xct", "elr/1k-xct", "sli-passed/1k"},
@@ -261,41 +225,29 @@ func AblationSLIELR(o Options) (Table, error) {
 		{"SLI+ELR", true, true},
 	}
 	for _, g := range grid {
-		e, gen, err := buildTPCBWithEngineConfig(o, core.Config{
+		e, gen, err := o.build(WLTPCB, core.Config{
 			SLI:                    g.sli,
 			EarlyLockRelease:       g.elr,
 			EarlyLockReleaseAborts: g.elr,
 			AsyncCommit:            g.elr,
 			Agents:                 o.PeakAgents,
-			Profile:                true,
-			BufferFrames:           o.BufferFrames,
-			LogFlushDelay:          o.LogFlushDelay,
-			// TPC-B is disk-resident in the paper (§5.2); keep the same
-			// per-I/O penalty the per-workload figures apply.
-			IODelay: o.IODelay,
+			LogFlushDelay:          simulatedForce,
 		})
 		if err != nil {
 			return t, err
 		}
-		res := o.run(e, gen, o.PeakAgents)
+		res, err := o.run(e, gen, clientsPerAgent*o.PeakAgents)
 		e.Close()
+		if err != nil {
+			return t, err
+		}
 		ls := res.LockStats
-		perK := func(v uint64) float64 {
-			if ls.Transactions == 0 {
-				return 0
-			}
-			return 1000 * float64(v) / float64(ls.Transactions)
-		}
-		lockWaitMs := 0.0
-		if n := res.Completed(); n > 0 {
-			lockWaitMs = res.Breakdown.Get(profiler.LockWait).Seconds() * 1000 / float64(n)
-		}
 		t.Rows = append(t.Rows, Row{Label: g.name, Values: []float64{
 			res.Throughput,
 			100 * res.Breakdown.GroupedShares().LogFlush,
-			lockWaitMs,
-			perK(ls.ELRReleases),
-			perK(ls.SLIPassed),
+			lockWaitMsPerXct(res),
+			per1k(ls.ELRReleases, ls),
+			per1k(ls.SLIPassed, ls),
 		}})
 	}
 	return t, nil
@@ -315,50 +267,30 @@ func AblationSLIELR(o Options) (Table, error) {
 // abort-record append and the lock-wait column collapses.
 func AblationAbortELR(o Options) (Table, error) {
 	o = o.withDefaults()
-	if o.LogFlushDelay == 0 {
-		o.LogFlushDelay = 500 * time.Microsecond
-	}
-	if o.Clients == 0 {
-		// Overcommit clients so the ELR arm can fill the AsyncCommit
-		// pipeline (see AblationSLIELR).
-		o.Clients = 4 * o.PeakAgents
-	}
-	if o.AbortRate == 0 {
-		o.AbortRate = 0.3
-	}
 	t := Table{
-		Title:   fmt.Sprintf("Ablation: ELR for aborts (TPC-B, %.0f%% forced aborts, non-zero log force latency)", 100*o.AbortRate),
+		Title:   fmt.Sprintf("Ablation: ELR for aborts (TPC-B, %.0f%% forced aborts, non-zero log force latency)", 100*forcedAbortRate),
 		Columns: []string{"tps", "abort-%", "lock-wait-ms/xct", "log-flush-%", "elr-aborts/1k"},
 	}
 	for _, abortELR := range []bool{false, true} {
-		e, gen, err := buildTPCBWithEngineConfig(o, core.Config{
+		e, gen, err := o.build(WLTPCB, core.Config{
 			SLI:                    true,
 			EarlyLockRelease:       true,
 			EarlyLockReleaseAborts: abortELR,
 			AsyncCommit:            true,
 			Agents:                 o.PeakAgents,
-			Profile:                true,
-			BufferFrames:           o.BufferFrames,
-			LogFlushDelay:          o.LogFlushDelay,
-			IODelay:                o.IODelay,
+			LogFlushDelay:          simulatedForce,
 		})
 		if err != nil {
 			return t, err
 		}
-		gen = workload.WithAbortRate(gen, o.AbortRate)
-		res := o.run(e, gen, o.PeakAgents)
+		res, err := o.run(e, workload.WithAbortRate(gen, forcedAbortRate), clientsPerAgent*o.PeakAgents)
 		elrAborts, undoFailures := e.ELRAborts(), e.UndoFailures()
 		e.Close()
+		if err != nil {
+			return t, err
+		}
 		if undoFailures != 0 {
 			return t, fmt.Errorf("figures: abort-elr ablation recorded %d undo failures (abortELR=%v)", undoFailures, abortELR)
-		}
-		lockWaitMs := 0.0
-		if n := res.Completed(); n > 0 {
-			lockWaitMs = res.Breakdown.Get(profiler.LockWait).Seconds() * 1000 / float64(n)
-		}
-		perK := 0.0
-		if res.LockStats.Transactions > 0 {
-			perK = 1000 * float64(elrAborts) / float64(res.LockStats.Transactions)
 		}
 		label := "strict aborts (hold until durable)"
 		if abortELR {
@@ -367,60 +299,12 @@ func AblationAbortELR(o Options) (Table, error) {
 		t.Rows = append(t.Rows, Row{Label: label, Values: []float64{
 			res.Throughput,
 			100 * res.FailureRate(),
-			lockWaitMs,
+			lockWaitMsPerXct(res),
 			100 * res.Breakdown.GroupedShares().LogFlush,
-			perK,
+			per1k(elrAborts, res.LockStats),
 		}})
 	}
 	return t, nil
-}
-
-// buildTPCBWithEngineConfig loads the TPC-B dataset into an engine with a
-// custom configuration (used by the commit-pipeline ablations). When
-// Options.DataDir is set the engine is disk-backed (real WAL segments and
-// fsyncs) in a fresh subdirectory, matching Options.buildEngine.
-func buildTPCBWithEngineConfig(o Options, cfg core.Config) (*core.Engine, workload.Generator, error) {
-	var e *core.Engine
-	if o.DataDir != "" {
-		dir, err := os.MkdirTemp(o.DataDir, "ablation-tpcb-*")
-		if err != nil {
-			return nil, nil, err
-		}
-		e, err = core.OpenAt(dir, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		e = core.Open(cfg)
-	}
-	bcfg := tpcb.Config{Branches: o.TPCBBranches, AccountsPerBranch: o.TPCBAccountsPerBranch, Seed: o.Seed}
-	if err := tpcb.Load(e, bcfg); err != nil {
-		e.Close()
-		return nil, nil, err
-	}
-	gen, err := tpcb.NewGenerator(bcfg, tpcb.TxAccountUpdate)
-	if err != nil {
-		e.Close()
-		return nil, nil, err
-	}
-	return e, gen, nil
-}
-
-// buildNDBBWithEngineConfig loads the NDBB dataset into an engine with a
-// custom configuration (used by the ablations that vary lock-manager knobs).
-func buildNDBBWithEngineConfig(o Options, cfg core.Config) (*core.Engine, workload.Generator, error) {
-	e := core.Open(cfg)
-	bcfg := tm1.Config{Subscribers: o.TM1Subscribers, Seed: o.Seed}
-	if err := tm1.Load(e, bcfg); err != nil {
-		e.Close()
-		return nil, nil, err
-	}
-	gen, err := tm1.NewGenerator(bcfg, tm1.MixNDBB)
-	if err != nil {
-		e.Close()
-		return nil, nil, err
-	}
-	return e, gen, nil
 }
 
 // Ablation returns the named ablation table.
@@ -446,19 +330,4 @@ func Ablation(name string, o Options) (Table, error) {
 // Ablations lists the available ablation study names.
 func Ablations() []string {
 	return []string{"hot-threshold", "levels", "bimodal", "roving-hotspot", "sli-elr", "abort-elr"}
-}
-
-// quickOptions shrinks an Options for smoke tests; exported for reuse from
-// the repository-level benchmarks.
-func (o Options) Quick() Options {
-	o = o.withDefaults()
-	o.AgentCounts = []int{1, 4, 8}
-	o.PeakAgents = 8
-	o.Duration = 200 * time.Millisecond
-	o.Warmup = 30 * time.Millisecond
-	o.TM1Subscribers = 500
-	o.TPCBBranches = 8
-	o.TPCBAccountsPerBranch = 200
-	o.TPCCWarehouses = 2
-	return o
 }

@@ -6,14 +6,12 @@
 // the headline numbers as benchmark metrics.
 //
 // Absolute numbers will differ from the paper's Niagara II / Shore-MT
-// results; what these reproductions preserve is the shape of each figure
-// (see EXPERIMENTS.md).
+// results; what these reproductions preserve is the shape of each figure.
 package figures
 
 import (
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -21,6 +19,8 @@ import (
 	"slidb/internal/bench/tpcb"
 	"slidb/internal/bench/tpcc"
 	"slidb/internal/core"
+	"slidb/internal/lockmgr"
+	"slidb/internal/profiler"
 	"slidb/internal/workload"
 )
 
@@ -57,37 +57,6 @@ type Options struct {
 	// run leaves a recoverable data directory behind. Empty keeps the
 	// paper's in-memory configuration.
 	DataDir string
-	// EarlyLockRelease and AsyncCommit enable the scalable commit pipeline
-	// (locks released at commit-record append; agents pipeline flush waits).
-	// EarlyLockReleaseAborts applies the release-at-append policy to the
-	// abort path independently (see core.Config).
-	EarlyLockRelease       bool
-	EarlyLockReleaseAborts bool
-	AsyncCommit            bool
-	// LogFlushDelay configures the engine's commit force cost (see
-	// core.Config). A non-zero value makes the fsync latency that ELR
-	// removes from the lock hold time visible on in-memory engines.
-	LogFlushDelay time.Duration
-	// PreallocateSegments preallocates durable segment files at creation
-	// (see core.Config).
-	PreallocateSegments bool
-	// Clients is the number of closed-loop client goroutines driving the
-	// engine; zero means one per agent. Overcommitting clients (> agents)
-	// is required to exercise AsyncCommit's flush pipelining: with exactly
-	// one blocking client per agent the per-worker in-flight window can
-	// never hold more than one transaction.
-	Clients int
-	// AbortRate, when positive, makes that fraction of generated
-	// transactions perform their full body and then abort, exercising the
-	// compensation-logged rollback path (see workload.WithAbortRate). Zero
-	// keeps every transaction committing.
-	AbortRate float64
-	// OnEngine, when non-nil, is called with every engine the sweep builds,
-	// after its dataset is loaded and before the workload starts. Figure
-	// sweeps open and close many engines; the hook lets a harness attach
-	// per-engine state — cmd/slibench uses it to point its -metricsaddr
-	// exporter at whichever engine is currently measuring.
-	OnEngine func(*core.Engine)
 }
 
 // DefaultOptions returns a laptop-scale configuration: small datasets and
@@ -123,6 +92,21 @@ func PaperOptions() Options {
 	o.TPCBAccountsPerBranch = 10000
 	o.TPCCWarehouses = 8
 	o.IODelay = 6 * time.Millisecond
+	return o
+}
+
+// Quick shrinks an Options for smoke tests and the repository-level
+// benchmarks (slibench -scale quick).
+func (o Options) Quick() Options {
+	o = o.withDefaults()
+	o.AgentCounts = []int{1, 4, 8}
+	o.PeakAgents = 8
+	o.Duration = 200 * time.Millisecond
+	o.Warmup = 30 * time.Millisecond
+	o.TM1Subscribers = 500
+	o.TPCBBranches = 8
+	o.TPCBAccountsPerBranch = 200
+	o.TPCCWarehouses = 2
 	return o
 }
 
@@ -248,12 +232,6 @@ func AllWorkloads() []string {
 	}
 }
 
-// ShortWorkloads is the subset of workloads dominated by short transactions
-// (the ones the paper expects SLI to speed up by 10-40%).
-func ShortWorkloads() []string {
-	return []string{WLGetSub, WLGetDest, WLGetAccess, WLUpdateSub, WLUpdateLoc, WLNDBBForward, WLNDBBMix, WLTPCB, WLPayment}
-}
-
 func (o Options) selectedWorkloads() []string {
 	if len(o.Workloads) == 0 {
 		return AllWorkloads()
@@ -261,168 +239,132 @@ func (o Options) selectedWorkloads() []string {
 	return o.Workloads
 }
 
-// buildEngine creates an engine for the given workload key with SLI on or
-// off, loads its dataset and returns the engine plus a workload generator.
-func (o Options) buildEngine(key string, sli bool, agents int) (*core.Engine, workload.Generator, error) {
-	parts := strings.SplitN(key, "/", 2)
-	if len(parts) != 2 {
+// loaders maps each benchmark name of a workload key to the function that
+// loads its dataset into an engine and returns the generator for one of its
+// transactions or mixes.
+var loaders = map[string]func(o Options, e *core.Engine, tx string) (workload.Generator, error){
+	"ndbb": func(o Options, e *core.Engine, tx string) (workload.Generator, error) {
+		cfg := tm1.Config{Subscribers: o.TM1Subscribers, Seed: o.Seed}
+		if err := tm1.Load(e, cfg); err != nil {
+			return nil, err
+		}
+		return tm1.NewGenerator(cfg, tx)
+	},
+	"tpcb": func(o Options, e *core.Engine, _ string) (workload.Generator, error) {
+		cfg := tpcb.Config{Branches: o.TPCBBranches, AccountsPerBranch: o.TPCBAccountsPerBranch, Seed: o.Seed}
+		if err := tpcb.Load(e, cfg); err != nil {
+			return nil, err
+		}
+		return tpcb.NewGenerator(cfg, tpcb.TxAccountUpdate)
+	},
+	"tpcc": func(o Options, e *core.Engine, tx string) (workload.Generator, error) {
+		cfg := tpcc.Config{Warehouses: o.TPCCWarehouses, Seed: o.Seed}
+		if err := tpcc.Load(e, cfg); err != nil {
+			return nil, err
+		}
+		return tpcc.NewGenerator(cfg, tx)
+	},
+}
+
+// open creates a profiling engine with cfg. Under DataDir the engine is
+// durable, rooted at a fresh subdirectory named after name: sweeps open many
+// engines and each needs its own log.
+func (o Options) open(name string, cfg core.Config) (*core.Engine, error) {
+	cfg.Profile = true
+	cfg.BufferFrames = o.BufferFrames
+	if o.DataDir == "" {
+		return core.Open(cfg), nil
+	}
+	dir, err := os.MkdirTemp(o.DataDir, strings.ReplaceAll(name, "/", "_")+"-*")
+	if err != nil {
+		return nil, err
+	}
+	return core.OpenAt(dir, cfg)
+}
+
+// build opens an engine with cfg for the given workload key, loads its
+// dataset and returns the engine plus the key's workload generator.
+func (o Options) build(key string, cfg core.Config) (*core.Engine, workload.Generator, error) {
+	benchName, txName, ok := strings.Cut(key, "/")
+	if !ok {
 		return nil, nil, fmt.Errorf("figures: bad workload key %q", key)
 	}
-	benchName, txName := parts[0], parts[1]
-	cfg := core.Config{
-		SLI:                    sli,
-		Agents:                 agents,
-		Profile:                true,
-		BufferFrames:           o.BufferFrames,
-		EarlyLockRelease:       o.EarlyLockRelease,
-		EarlyLockReleaseAborts: o.EarlyLockReleaseAborts,
-		AsyncCommit:            o.AsyncCommit,
-		LogFlushDelay:          o.LogFlushDelay,
-		PreallocateSegments:    o.PreallocateSegments,
+	load, ok := loaders[benchName]
+	if !ok {
+		return nil, nil, fmt.Errorf("figures: unknown benchmark %q", benchName)
 	}
 	// NDBB is the in-memory dataset; TPC-B and TPC-C are "disk-resident" and
 	// pay the artificial I/O penalty (paper §5.2).
 	if benchName != "ndbb" {
 		cfg.IODelay = o.IODelay
 	}
-	var e *core.Engine
-	if o.DataDir != "" {
-		// One subdirectory per engine build: figure sweeps open many engines
-		// and each needs its own log.
-		dir, err := os.MkdirTemp(o.DataDir, strings.ReplaceAll(key, "/", "_")+"-*")
-		if err != nil {
-			return nil, nil, err
-		}
-		e, err = core.OpenAt(dir, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		e = core.Open(cfg)
+	e, err := o.open(key, cfg)
+	if err != nil {
+		return nil, nil, err
 	}
-	var gen workload.Generator
-	var err error
-	switch benchName {
-	case "ndbb":
-		bcfg := tm1.Config{Subscribers: o.TM1Subscribers, Seed: o.Seed}
-		if err = tm1.Load(e, bcfg); err == nil {
-			gen, err = tm1.NewGenerator(bcfg, txName)
-		}
-	case "tpcb":
-		bcfg := tpcb.Config{Branches: o.TPCBBranches, AccountsPerBranch: o.TPCBAccountsPerBranch, Seed: o.Seed}
-		if err = tpcb.Load(e, bcfg); err == nil {
-			gen, err = tpcb.NewGenerator(bcfg, tpcb.TxAccountUpdate)
-		}
-	case "tpcc":
-		bcfg := tpcc.Config{Warehouses: o.TPCCWarehouses, Seed: o.Seed}
-		if err = tpcc.Load(e, bcfg); err == nil {
-			gen, err = tpcc.NewGenerator(bcfg, txName)
-		}
-	default:
-		err = fmt.Errorf("figures: unknown benchmark %q", benchName)
-	}
+	gen, err := load(o, e, txName)
 	if err != nil {
 		e.Close()
 		return nil, nil, err
 	}
-	if o.AbortRate > 0 {
-		gen = workload.WithAbortRate(gen, o.AbortRate)
-	}
-	if o.OnEngine != nil {
-		o.OnEngine(e)
-	}
 	return e, gen, nil
 }
 
-func (o Options) run(e *core.Engine, gen workload.Generator, clients int) workload.Result {
-	if o.Clients > 0 {
-		clients = o.Clients
-	}
-	return workload.Run(e, gen, workload.Options{
+// run drives e with gen from the given number of closed-loop clients. A
+// transaction that fails with anything but core.Abort fails the run.
+func (o Options) run(e *core.Engine, gen workload.Generator, clients int) (workload.Result, error) {
+	res := workload.Run(e, gen, workload.Options{
 		Clients:  clients,
 		Duration: o.Duration,
 		Warmup:   o.Warmup,
 		Seed:     o.Seed,
 	})
+	if res.Errors > 0 {
+		return res, fmt.Errorf("figures: %d transactions failed with an unexpected error", res.Errors)
+	}
+	return res, nil
 }
 
-// measure builds, runs and tears down one workload configuration.
-func (o Options) measure(key string, sli bool, agents int) (workload.Result, error) {
-	e, gen, err := o.buildEngine(key, sli, agents)
+// measure builds, runs and tears down one configuration of a workload key,
+// driven by one closed-loop client per agent.
+func (o Options) measure(key string, cfg core.Config) (workload.Result, error) {
+	e, gen, err := o.build(key, cfg)
 	if err != nil {
 		return workload.Result{}, err
 	}
 	defer e.Close()
-	return o.run(e, gen, agents), nil
+	res, err := o.run(e, gen, cfg.Agents)
+	if err != nil {
+		return res, fmt.Errorf("%s: %w", key, err)
+	}
+	return res, nil
 }
 
-// EngineStats carries engine-side counters sampled the moment a RunWorkload
-// measurement ends, complementing the interval-scoped workload.Result.
-type EngineStats struct {
-	// DurableLag is the number of log bytes appended but not yet forced —
-	// the visible depth of the asynchronous commit pipeline. (Bytes, not
-	// records: byte-offset LSNs have no record count.)
-	DurableLag uint64
-	// ELRAborts counts aborting transactions that released their locks at
-	// abort-record append (before the force) under EarlyLockReleaseAborts.
-	ELRAborts uint64
-	// UndoFailures counts rollback undo actions that failed; non-zero means
-	// the run corrupted in-memory state.
-	UndoFailures uint64
-	// FlushCycles counts group-commit flusher cycles over the engine's
-	// lifetime; SinkWrites counts physical writes the durable segment sink
-	// issued (zero for in-memory engines). SinkWrites/FlushCycles is the
-	// writes-per-cycle efficiency stat: ~1 on the vectored flush path.
-	FlushCycles uint64
-	SinkWrites  uint64
-	// FenceWait is cumulative time publishers spent blocked in the publish
-	// fence.
-	FenceWait time.Duration
-}
-
-// WritesPerCycle returns physical sink writes per flusher cycle, or 0 for
-// in-memory runs.
-func (es EngineStats) WritesPerCycle() float64 {
-	if es.FlushCycles == 0 {
+// per1k returns v per thousand transactions of ls.
+func per1k(v uint64, ls lockmgr.StatsSnapshot) float64 {
+	if ls.Transactions == 0 {
 		return 0
 	}
-	return float64(es.SinkWrites) / float64(es.FlushCycles)
+	return 1000 * float64(v) / float64(ls.Transactions)
 }
 
-// RunWorkload builds, runs and tears down one workload configuration,
-// additionally reporting engine-side counters (durable lag, abort-path ELR
-// releases, undo failures) sampled the moment the measurement ended. It is
-// the entry point used by cmd/slibench for single-workload and comparison
-// runs.
-func RunWorkload(key string, o Options, sli bool, agents int) (workload.Result, EngineStats, error) {
-	o = o.withDefaults()
-	if agents <= 0 {
-		agents = o.PeakAgents
+// sliOutcomes returns the shares (%) of the SLI inheritances resolved in ls
+// that were reclaimed, invalidated and discarded.
+func sliOutcomes(ls lockmgr.StatsSnapshot) (reclaimed, invalidated, discarded float64) {
+	resolved := float64(ls.SLIReclaimed + ls.SLIInvalidated + ls.SLIDiscarded)
+	if resolved == 0 {
+		resolved = 1
 	}
-	e, gen, err := o.buildEngine(key, sli, agents)
-	if err != nil {
-		return workload.Result{}, EngineStats{}, err
-	}
-	defer e.Close()
-	res := o.run(e, gen, agents)
-	es := EngineStats{
-		DurableLag:   e.DurableLag(),
-		ELRAborts:    e.ELRAborts(),
-		UndoFailures: e.UndoFailures(),
-	}
-	lt := e.LogTail()
-	es.FlushCycles = lt.FlushCycles
-	es.SinkWrites = lt.SinkWrites
-	es.FenceWait = time.Duration(lt.FenceWaitSeconds * float64(time.Second))
-	return res, es, nil
+	return 100 * float64(ls.SLIReclaimed) / resolved,
+		100 * float64(ls.SLIInvalidated) / resolved,
+		100 * float64(ls.SLIDiscarded) / resolved
 }
 
-// sortedKeys returns map keys in deterministic order (helper for summaries).
-func sortedKeys(m map[string]uint64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// lockWaitMsPerXct returns the lock-wait time per completed transaction.
+func lockWaitMsPerXct(res workload.Result) float64 {
+	n := res.Completed()
+	if n == 0 {
+		return 0
 	}
-	sort.Strings(keys)
-	return keys
+	return res.Breakdown.Get(profiler.LockWait).Seconds() * 1000 / float64(n)
 }

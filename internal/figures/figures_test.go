@@ -1,9 +1,14 @@
 package figures
 
 import (
+	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
+
+	"slidb/internal/core"
+	"slidb/internal/workload"
 )
 
 // tinyOptions keeps figure smoke tests fast.
@@ -29,8 +34,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if len(AllWorkloads()) < 10 {
 		t.Fatal("workload list unexpectedly short")
 	}
-	if len(ShortWorkloads()) == 0 || len(Ablations()) != 6 {
-		t.Fatal("helper listings wrong")
+	if len(Ablations()) != 6 {
+		t.Fatal("ablation listing wrong")
 	}
 	p := PaperOptions()
 	if p.PeakAgents != 64 || p.IODelay == 0 {
@@ -116,7 +121,7 @@ func TestAblationsSmoke(t *testing.T) {
 		t.Skip("ablations are slow")
 	}
 	o := tinyOptions()
-	for _, name := range []string{"levels", "bimodal", "roving-hotspot", "sli-elr"} {
+	for _, name := range Ablations() {
 		tbl, err := Ablation(name, o)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -130,20 +135,49 @@ func TestAblationsSmoke(t *testing.T) {
 	}
 }
 
+// TestUnexpectedErrorsFailFigures swaps the TPC-B loader for one whose
+// generator returns a plain (non-core.Abort) error: the ablation and the
+// figure that drive it must fail instead of reporting a throughput that
+// leaves those transactions out.
+func TestUnexpectedErrorsFailFigures(t *testing.T) {
+	boom := errors.New("boom")
+	saved := loaders["tpcb"]
+	t.Cleanup(func() { loaders["tpcb"] = saved })
+	loaders["tpcb"] = func(Options, *core.Engine, string) (workload.Generator, error) {
+		return workload.Mix{{Name: "boom", Weight: 1, Make: func(*rand.Rand) workload.TxFunc {
+			return func(*core.Tx) error { return boom }
+		}}}, nil
+	}
+	o := tinyOptions()
+	o.Duration = 20 * time.Millisecond
+	if _, err := Ablation("sli-elr", o); err == nil {
+		t.Fatal("sli-elr ablation ignored unexpected transaction errors")
+	}
+	o.Workloads = []string{WLTPCB}
+	if _, err := Figure(11, o); err == nil || !strings.Contains(err.Error(), WLTPCB) {
+		t.Fatalf("figure 11 error = %v, want one naming %s", err, WLTPCB)
+	}
+}
+
 // TestDurableWorkloadWritesPerCycle runs TPC-B durably (real segment files)
-// through RunWorkload with the full SLI+ELR pipeline at one agent and at
-// two: the durable vectored flush path must stay near one physical write per
-// flush cycle.
+// with the full SLI+ELR pipeline at one agent and at two: the durable
+// vectored flush path must stay near one physical write per flush cycle.
 func TestDurableWorkloadWritesPerCycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("durable runs are slow")
 	}
 	o := tinyOptions()
 	o.DataDir = t.TempDir()
-	o.EarlyLockRelease, o.EarlyLockReleaseAborts, o.AsyncCommit = true, true, true
 	for _, agents := range []int{1, 2} {
-		o.Clients = 4 * agents
-		res, es, err := RunWorkload(WLTPCB, o, true, agents)
+		e, gen, err := o.build(WLTPCB, core.Config{
+			SLI: true, EarlyLockRelease: true, EarlyLockReleaseAborts: true, AsyncCommit: true, Agents: agents,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := o.run(e, gen, 4*agents)
+		lt := e.LogTail()
+		e.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +186,10 @@ func TestDurableWorkloadWritesPerCycle(t *testing.T) {
 		}
 		// Exactly one vectored submission per data-carrying cycle, plus a
 		// handful of segment creations over a short run.
-		if wpc := es.WritesPerCycle(); wpc <= 0 || wpc > 1.5 {
+		if lt.FlushCycles == 0 {
+			t.Fatalf("agents=%d: no flush cycles", agents)
+		}
+		if wpc := float64(lt.SinkWrites) / float64(lt.FlushCycles); wpc <= 0 || wpc > 1.5 {
 			t.Fatalf("agents=%d: writes/cycle = %.2f, want ~1 on the vectored durable path", agents, wpc)
 		}
 	}
@@ -160,13 +197,13 @@ func TestDurableWorkloadWritesPerCycle(t *testing.T) {
 
 func TestBuildEngineRejectsBadKeys(t *testing.T) {
 	o := tinyOptions()
-	if _, _, err := o.buildEngine("garbage", false, 1); err == nil {
+	if _, _, err := o.build("garbage", core.Config{Agents: 1}); err == nil {
 		t.Fatal("bad key accepted")
 	}
-	if _, _, err := o.buildEngine("nosuch/benchmark", false, 1); err == nil {
+	if _, _, err := o.build("nosuch/benchmark", core.Config{Agents: 1}); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
-	if _, err := o.measure("ndbb/nosuchtx", false, 1); err == nil {
+	if _, err := o.measure("ndbb/nosuchtx", core.Config{Agents: 1}); err == nil {
 		t.Fatal("unknown transaction accepted")
 	}
 }

@@ -3,7 +3,7 @@ package figures
 import (
 	"fmt"
 
-	"slidb/internal/profiler"
+	"slidb/internal/core"
 )
 
 // Figure1 reproduces Figure 1: the fraction of transaction CPU time spent in
@@ -16,7 +16,7 @@ func Figure1(o Options) (Table, error) {
 		Columns: []string{"agents", "tps", "lockmgr-work-%", "lockmgr-contention-%", "other-%"},
 	}
 	for _, agents := range o.AgentCounts {
-		res, err := o.measure(WLNDBBMix, false, agents)
+		res, err := o.measure(WLNDBBMix, core.Config{Agents: agents})
 		if err != nil {
 			return t, err
 		}
@@ -42,7 +42,7 @@ func breakdownFigure(o Options, sli bool, title string) (Table, error) {
 		Columns: []string{"tps", "lockmgr-work-%", "lockmgr-cont-%", "sli-%", "other-work-%", "other-cont-%", "log-flush-%"},
 	}
 	for _, wl := range o.selectedWorkloads() {
-		res, err := o.measure(wl, sli, o.PeakAgents)
+		res, err := o.measure(wl, core.Config{SLI: sli, Agents: o.PeakAgents})
 		if err != nil {
 			return t, err
 		}
@@ -83,7 +83,7 @@ func Figure7(o Options) (Table, error) {
 	for _, agents := range o.AgentCounts {
 		row := Row{Label: fmt.Sprintf("%d", agents), Values: []float64{float64(agents)}}
 		for _, wl := range workloads {
-			res, err := o.measure(wl, false, agents)
+			res, err := o.measure(wl, core.Config{Agents: agents})
 			if err != nil {
 				return t, err
 			}
@@ -104,7 +104,7 @@ func Figure8(o Options) (Table, error) {
 		Columns: []string{"locks-per-xct", "hot-heritable-%", "hot-other-%", "cold-heritable-%", "cold-other-%", "row-locks-%"},
 	}
 	for _, wl := range o.selectedWorkloads() {
-		res, err := o.measure(wl, false, o.PeakAgents)
+		res, err := o.measure(wl, core.Config{Agents: o.PeakAgents})
 		if err != nil {
 			return t, err
 		}
@@ -137,27 +137,15 @@ func Figure9(o Options) (Table, error) {
 		Columns: []string{"passed-per-1k-xct", "reclaimed-%", "invalidated-%", "discarded-%"},
 	}
 	for _, wl := range o.selectedWorkloads() {
-		res, err := o.measure(wl, true, o.PeakAgents)
+		res, err := o.measure(wl, core.Config{SLI: true, Agents: o.PeakAgents})
 		if err != nil {
 			return t, err
 		}
 		ls := res.LockStats
-		resolved := float64(ls.SLIReclaimed + ls.SLIInvalidated + ls.SLIDiscarded)
-		if resolved == 0 {
-			resolved = 1
-		}
-		perKXct := 0.0
-		if ls.Transactions > 0 {
-			perKXct = 1000 * float64(ls.SLIPassed) / float64(ls.Transactions)
-		}
+		reclaimed, invalidated, discarded := sliOutcomes(ls)
 		t.Rows = append(t.Rows, Row{
-			Label: wl,
-			Values: []float64{
-				perKXct,
-				100 * float64(ls.SLIReclaimed) / resolved,
-				100 * float64(ls.SLIInvalidated) / resolved,
-				100 * float64(ls.SLIDiscarded) / resolved,
-			},
+			Label:  wl,
+			Values: []float64{per1k(ls.SLIPassed, ls), reclaimed, invalidated, discarded},
 		})
 	}
 	return t, nil
@@ -173,11 +161,11 @@ func Figure11(o Options) (Table, error) {
 		Columns: []string{"baseline-tps", "sli-tps", "speedup-%"},
 	}
 	for _, wl := range o.selectedWorkloads() {
-		base, err := o.measure(wl, false, o.PeakAgents)
+		base, err := o.measure(wl, core.Config{Agents: o.PeakAgents})
 		if err != nil {
 			return t, err
 		}
-		withSLI, err := o.measure(wl, true, o.PeakAgents)
+		withSLI, err := o.measure(wl, core.Config{SLI: true, Agents: o.PeakAgents})
 		if err != nil {
 			return t, err
 		}
@@ -191,13 +179,6 @@ func Figure11(o Options) (Table, error) {
 		})
 	}
 	return t, nil
-}
-
-// LockManagerShare is a convenience helper returning the lock manager's
-// total share (work + contention) of a breakdown, used by tests and benches.
-func LockManagerShare(b profiler.Breakdown) float64 {
-	s := b.GroupedShares()
-	return s.LockMgrWork + s.LockMgrContention
 }
 
 // Figure returns the named figure (1, 6, 7, 8, 9, 10 or 11).

@@ -131,8 +131,6 @@ type Result struct {
 	Breakdown profiler.Breakdown
 	// LockStats is the lock-manager counter delta over the measured interval.
 	LockStats lockmgr.StatsSnapshot
-	// PerTx aggregates committed counts per transaction name.
-	PerTx map[string]uint64
 }
 
 // Run drives the engine with the generator according to opts and returns the
@@ -156,8 +154,6 @@ func Run(e *core.Engine, gen Generator, opts Options) Result {
 		failed     atomic.Uint64
 		errCount   atomic.Uint64
 		latencySum atomic.Int64
-		perTxMu    sync.Mutex
-		perTx      = map[string]uint64{}
 	)
 
 	var wg sync.WaitGroup
@@ -167,7 +163,7 @@ func Run(e *core.Engine, gen Generator, opts Options) Result {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(opts.Seed + int64(id)*104729 + 1))
 			for !stop.Load() {
-				name, fn := gen.Next(rng)
+				_, fn := gen.Next(rng)
 				start := time.Now()
 				err := e.Exec(fn)
 				elapsed := time.Since(start)
@@ -186,9 +182,6 @@ func Run(e *core.Engine, gen Generator, opts Options) Result {
 					continue
 				}
 				latencySum.Add(int64(elapsed))
-				perTxMu.Lock()
-				perTx[name]++
-				perTxMu.Unlock()
 			}
 		}(c)
 	}
@@ -218,7 +211,6 @@ func Run(e *core.Engine, gen Generator, opts Options) Result {
 		Errors:     errCount.Load(),
 		Breakdown:  breakdown,
 		LockStats:  lockAfter.Diff(lockBefore),
-		PerTx:      perTx,
 		Throughput: float64(completed) / elapsed.Seconds(),
 	}
 	if completed > 0 {

@@ -87,9 +87,6 @@ func TestRunMeasuresThroughputAndFailures(t *testing.T) {
 	if res.FailureRate() < 0.1 || res.FailureRate() > 0.45 {
 		t.Fatalf("failure rate %.2f outside expected ~0.25 band", res.FailureRate())
 	}
-	if len(res.PerTx) != 2 {
-		t.Fatalf("per-transaction counts missing: %v", res.PerTx)
-	}
 	if res.LockStats.Transactions == 0 {
 		t.Fatal("lock stats not collected")
 	}

@@ -10,10 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"slidb/internal/bench/tpcb"
 	"slidb/internal/core"
-	"slidb/internal/figures"
 	"slidb/internal/obs/obstest"
 	"slidb/internal/profiler"
+	"slidb/internal/workload"
 )
 
 // scrape fetches path from the engine's observability handler.
@@ -21,6 +22,24 @@ func scrape(e *core.Engine, path string) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
 	e.ObsHandler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 	return rec
+}
+
+// openTPCB opens an in-memory engine with cfg and loads a TPC-B dataset of
+// the given size into it, returning the engine and its workload generator.
+func openTPCB(t *testing.T, cfg core.Config, branches, accountsPerBranch int) (*core.Engine, workload.Generator) {
+	t.Helper()
+	e := core.Open(cfg)
+	bcfg := tpcb.Config{Branches: branches, AccountsPerBranch: accountsPerBranch, Seed: 1}
+	if err := tpcb.Load(e, bcfg); err != nil {
+		e.Close()
+		t.Fatal(err)
+	}
+	gen, err := tpcb.NewGenerator(bcfg, tpcb.TxAccountUpdate)
+	if err != nil {
+		e.Close()
+		t.Fatal(err)
+	}
+	return e, gen
 }
 
 // metricValue extracts the value of an unlabeled sample line from exposition
@@ -44,26 +63,19 @@ func metricValue(exposition, name string) float64 {
 // backwards — i.e. concurrent transaction completion never tears a scrape.
 // Run under -race this also exercises the wait-free hot-path claims.
 func TestMetricsScrapeUnderLoad(t *testing.T) {
-	opt := figures.DefaultOptions()
-	opt.Duration = 300 * time.Millisecond
-	opt.Warmup = 20 * time.Millisecond
-	opt.TPCBBranches = 4
-	opt.TPCBAccountsPerBranch = 100
-	opt.EarlyLockRelease = true
-	opt.AsyncCommit = true
+	e, gen := openTPCB(t, core.Config{
+		SLI: true, EarlyLockRelease: true, AsyncCommit: true, Agents: 4, Profile: true,
+	}, 4, 100)
+	defer e.Close()
 
 	var (
-		engCh = make(chan *core.Engine, 1)
-		stop  = make(chan struct{})
-		wg    sync.WaitGroup
+		stop    = make(chan struct{})
+		wg      sync.WaitGroup
+		scrapes atomic.Int64
 	)
-	opt.OnEngine = func(e *core.Engine) { engCh <- e }
-
-	var scrapes atomic.Int64
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		e := <-engCh
 		var lastCommitted float64
 		for {
 			select {
@@ -91,17 +103,17 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 		}
 	}()
 
-	res, es, err := figures.RunWorkload(figures.WLTPCB, opt, true, 4)
+	res := workload.Run(e, gen, workload.Options{Clients: 4, Duration: 300 * time.Millisecond, Warmup: 20 * time.Millisecond, Seed: 1})
 	close(stop)
 	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Committed == 0 {
 		t.Fatal("workload committed nothing")
 	}
-	if es.UndoFailures != 0 {
-		t.Fatalf("undo failures: %d", es.UndoFailures)
+	if res.Errors != 0 {
+		t.Fatalf("unexpected transaction errors: %d", res.Errors)
+	}
+	if n := e.UndoFailures(); n != 0 {
+		t.Fatalf("undo failures: %d", n)
 	}
 	if scrapes.Load() == 0 {
 		t.Fatal("no scrape completed during the run")
@@ -112,25 +124,18 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 // TestMetricsSurface asserts the stable metric names and full label sets the
 // README documents: every profiler category is present even at zero, the
 // histogram renders, and /debug/slowtx serves the documented JSON schema
-// with per-category breakdowns (profiling is on in figures engines).
+// with per-category breakdowns (the engine profiles).
 func TestMetricsSurface(t *testing.T) {
-	opt := figures.DefaultOptions()
-	opt.Duration = 150 * time.Millisecond
-	opt.Warmup = 10 * time.Millisecond
-	opt.TPCBBranches = 2
-	opt.TPCBAccountsPerBranch = 50
-
-	var eng *core.Engine
-	opt.OnEngine = func(e *core.Engine) { eng = e; e.Observe() }
-	res, _, err := figures.RunWorkload(figures.WLTPCB, opt, true, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, gen := openTPCB(t, core.Config{SLI: true, Agents: 2, Profile: true}, 2, 50)
+	eng.Observe()
+	res := workload.Run(eng, gen, workload.Options{Clients: 2, Duration: 150 * time.Millisecond, Warmup: 10 * time.Millisecond, Seed: 1})
 	if res.Committed == 0 {
+		eng.Close()
 		t.Fatal("workload committed nothing")
 	}
-	// The engine is closed once RunWorkload returns; scrapes still work —
-	// the counters are snapshots of final state.
+	// Scrapes still work once the engine is closed — the counters are
+	// snapshots of final state.
+	eng.Close()
 	body := scrape(eng, "/metrics").Body.String()
 
 	for _, name := range []string{
