@@ -145,35 +145,45 @@ func BenchmarkSLIInvalidate(b *testing.B) {
 	}
 }
 
-// BenchmarkDeadlockProbe is one wait-for-graph probe that finds no cycle: w
-// waits for a record lock whose holder waits for nobody.
-func BenchmarkDeadlockProbe(b *testing.B) {
-	m := New(Config{DeadlockCheckEvery: time.Hour, LockTimeout: time.Hour})
-	holder, w := m.NewOwner(nil, nil), m.NewOwner(nil, nil)
+// blockedWaiter returns a manager on which w waits for a record lock whose
+// holder waits for nobody, so a probe from w finds no cycle, and a function
+// that ends the wait.
+func blockedWaiter(tb testing.TB) (m *Manager, w *Owner, unblock func()) {
+	m = New(Config{DeadlockCheckEvery: time.Hour, LockTimeout: time.Hour})
+	holder := m.NewOwner(nil, nil)
+	w = m.NewOwner(nil, nil)
 	id := benchRecord(0)
 	if err := holder.Lock(id, X); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() { done <- w.Lock(id, X) }()
-	req := waitBlocked(b, w)
+	waitBlocked(tb, w)
+	return m, w, func() {
+		holder.ReleaseAll()
+		if err := <-done; err != nil {
+			tb.Fatal(err)
+		}
+		w.ReleaseAll()
+	}
+}
+
+// BenchmarkDeadlockProbe is one wait-for-graph probe that finds no cycle.
+func BenchmarkDeadlockProbe(b *testing.B) {
+	m, w, unblock := blockedWaiter(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if m.detectDeadlock(w, req, uint64(i)) {
+		if m.detectDeadlock(w) {
 			b.Fatal("cycle reported where there is none")
 		}
 	}
 	b.StopTimer()
-	holder.ReleaseAll()
-	if err := <-done; err != nil {
-		b.Fatal(err)
-	}
-	w.ReleaseAll()
+	unblock()
 }
 
-// TestHotPathAllocs holds the three single-agent paths to zero heap
-// allocations per operation once warm (ROADMAP 1a).
+// TestHotPathAllocs holds the three single-agent paths and a deadlock probe
+// to zero heap allocations per operation once warm (ROADMAP 1a).
 func TestHotPathAllocs(t *testing.T) {
 	i := 0
 	xct := func(m *Manager, a *Agent) func() {
@@ -184,6 +194,7 @@ func TestHotPathAllocs(t *testing.T) {
 	hot := newHotManager()
 	held := plain.NewOwner(plain.NewAgent(), nil)
 	mustLock(t, held, benchRecord(0), S)
+	probing, w, unblock := blockedWaiter(t)
 	for _, c := range []struct {
 		name string
 		op   func()
@@ -191,12 +202,18 @@ func TestHotPathAllocs(t *testing.T) {
 		{"acquire+release", xct(plain, plain.NewAgent())},
 		{"SLI reclaim", xct(hot, hot.NewAgent())},
 		{"cache hit", func() { mustLock(t, held, benchRecord(0), S) }},
+		{"deadlock probe", func() {
+			if probing.detectDeadlock(w) {
+				t.Error("cycle reported where there is none")
+			}
+		}},
 	} {
 		if n := testing.AllocsPerRun(2000, c.op); n > 0 {
 			t.Errorf("%s: %v allocs/op, want 0", c.name, n)
 		}
 	}
 	held.ReleaseAll()
+	unblock()
 	if s := hot.Stats().Snapshot(); s.SLIReclaimed < 2*2000 {
 		t.Fatalf("SLI reclaim case reclaimed only %d locks", s.SLIReclaimed)
 	}

@@ -56,7 +56,7 @@ func TestBlockersOfConvertingOwnerDeduped(t *testing.T) {
 	go func() { cDone <- c.Lock(id, S) }()
 	waitBlocked(t, c)
 
-	blockers := m.blockersOf(waitEdge{c, c.id.Load()})
+	blockers := m.blockersOf(waitEdge{c, c.id.Load()}, nil)
 	if blockers == nil {
 		t.Fatal("blockersOf returned nil (lock-head latch busy) in a quiescent state")
 	}

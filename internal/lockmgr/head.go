@@ -18,11 +18,6 @@ type lockHead struct {
 	id   LockID
 	hash uint64 // id.hash()
 
-	// part is the index of the lock-table partition the head lives in, so
-	// deadlock probes can tell local wait-for edges from cross-partition
-	// ones without re-hashing the LockID on every hop.
-	part uint32
-
 	// latch protects the queue, the hot-ness window and the used and dead
 	// flags, and serializes writes to waiters. Its per-acquisition
 	// contention signal drives hot-lock detection.
@@ -179,7 +174,7 @@ func (t *lockTable) insert(id LockID, hash uint64) *lockHead {
 	if 2*(p.count+1) > len(a.s) {
 		a = t.rebuild(p, a, 2*(p.count+1))
 	}
-	h := &lockHead{id: id, hash: hash, part: uint32(hash & t.mask), used: true}
+	h := &lockHead{id: id, hash: hash, used: true}
 	_, i := t.probe(a, id, hash)
 	a.s[i].Store(h)
 	p.count++

@@ -197,6 +197,11 @@ type Owner struct {
 	waiting  atomic.Pointer[Request]
 	waitHead atomic.Pointer[lockHead]
 	finished bool
+
+	// probe and seen are the scratch space of the owner's own deadlock
+	// probes: the wait-for edges still to visit and the owners visited.
+	probe []waitEdge
+	seen  []*Owner
 }
 
 // NewOwner returns the locking context for a new transaction running on the
@@ -536,12 +541,12 @@ func (m *Manager) waitFor(o *Owner, req *Request, isConversion bool) error {
 		}
 		return done(err, c)
 	}
-	for tick := uint64(1); ; tick++ {
+	for {
 		select {
 		case <-req.ready:
 			return done(nil, 0)
 		case <-check.C:
-			if m.detectDeadlock(o, req, tick) {
+			if m.detectDeadlock(o) {
 				return abort(ErrDeadlock, ctrDeadlocks)
 			}
 			check.Reset(m.cfg.DeadlockCheckEvery)

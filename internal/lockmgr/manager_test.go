@@ -579,7 +579,9 @@ func TestRequestQueueOperations(t *testing.T) {
 	q.remove(reqs[0])
 	q.remove(reqs[4])
 	var order []*Request
-	q.forEach(func(r *Request) { order = append(order, r) })
+	for r := q.head; r != nil; r = r.next {
+		order = append(order, r)
+	}
 	if len(order) != 2 || order[0] != reqs[1] || order[1] != reqs[3] {
 		t.Fatalf("queue order wrong after removals: %v", order)
 	}

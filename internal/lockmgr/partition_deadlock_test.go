@@ -47,9 +47,8 @@ func crossDeadlock(t *testing.T, m *Manager, ra, rb LockID) {
 	}
 }
 
-// TestDeadlockLocalPartition pins the sharded probe's fast path: with a
-// single-partition lock table every wait-for edge is local, so the cycle is
-// found by local probes alone and the global search is never escalated to.
+// TestDeadlockLocalPartition drives a cycle on a single-partition lock
+// table through the blocked owners' own probes: it must be found and counted.
 func TestDeadlockLocalPartition(t *testing.T) {
 	m := New(Config{
 		Partitions:         1,
@@ -57,27 +56,20 @@ func TestDeadlockLocalPartition(t *testing.T) {
 		LockTimeout:        30 * time.Second,
 	})
 	crossDeadlock(t, m, RecordLock(1, 1, 1, 1), RecordLock(1, 1, 1, 2))
-	s := m.Stats().Snapshot()
-	if s.Deadlocks == 0 {
+	if s := m.Stats().Snapshot(); s.Deadlocks == 0 {
 		t.Fatal("Deadlocks counter not incremented")
-	}
-	if s.DeadlockLocalProbes == 0 {
-		t.Fatal("DeadlockLocalProbes counter not incremented")
-	}
-	if s.DeadlockEscalations != 0 {
-		t.Fatalf("DeadlockEscalations = %d on a single-partition table, want 0", s.DeadlockEscalations)
 	}
 }
 
-// TestDeadlockCrossPartitionEscalation pins the escalation path: a cycle
-// between two rows whose lock heads hash to different partitions is
-// invisible to local probes (the edge escapes), so detection must come from
-// an escalated cross-partition search.
+// TestDeadlockCrossPartitionEscalation holds the search to one pass over the
+// whole wait-for graph: the very first probe finds a two-owner cycle whose
+// lock heads live in different lock-table partitions. The owners never probe
+// themselves; the lock timeout unwinds the cycle afterwards.
 func TestDeadlockCrossPartitionEscalation(t *testing.T) {
 	m := New(Config{
 		Partitions:         128,
-		DeadlockCheckEvery: time.Millisecond,
-		LockTimeout:        30 * time.Second,
+		DeadlockCheckEvery: time.Hour,
+		LockTimeout:        time.Second,
 	})
 	// Find two record locks in different lock-table partitions.
 	ra := RecordLock(1, 1, 1, 1)
@@ -88,12 +80,34 @@ func TestDeadlockCrossPartitionEscalation(t *testing.T) {
 			break
 		}
 	}
-	crossDeadlock(t, m, ra, rb)
-	s := m.Stats().Snapshot()
-	if s.Deadlocks == 0 {
-		t.Fatal("Deadlocks counter not incremented")
+	a, b := m.NewOwner(nil, nil), m.NewOwner(nil, nil)
+	mustLock(t, a, ra, X)
+	mustLock(t, b, rb, X)
+	done := make(chan error, 2)
+	for _, w := range []struct {
+		o  *Owner
+		id LockID
+	}{{a, rb}, {b, ra}} {
+		go func() {
+			err := w.o.Lock(w.id, X)
+			w.o.ReleaseAll()
+			done <- err
+		}()
+		waitBlocked(t, w.o)
 	}
-	if s.DeadlockEscalations == 0 {
-		t.Fatal("cross-partition cycle resolved without any DeadlockEscalations")
+	if !m.detectDeadlock(a) {
+		t.Error("the first probe missed the cross-partition cycle")
+	}
+	timeouts := 0
+	for range 2 {
+		switch err := <-done; {
+		case errors.Is(err, ErrLockTimeout):
+			timeouts++
+		case err != nil:
+			t.Fatal(err)
+		}
+	}
+	if timeouts != 1 {
+		t.Fatalf("%d lock timeouts unwound the cycle, want 1", timeouts)
 	}
 }

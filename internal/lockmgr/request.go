@@ -132,11 +132,3 @@ func (q *requestQueue) remove(r *Request) {
 
 // empty reports whether the queue has no requests.
 func (q *requestQueue) empty() bool { return q.head == nil }
-
-// forEach calls fn for every request in FIFO order. fn must not modify the
-// queue; use collect-then-mutate patterns for removal during iteration.
-func (q *requestQueue) forEach(fn func(*Request)) {
-	for r := q.head; r != nil; r = r.next {
-		fn(r)
-	}
-}

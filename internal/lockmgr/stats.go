@@ -14,8 +14,6 @@ const (
 	ctrLatchContended
 	ctrWaits
 	ctrDeadlocks
-	ctrDeadlockLocalProbes
-	ctrDeadlockEscalations
 	ctrTimeouts
 	ctrSLIPassed
 	ctrSLIInvalidated
@@ -113,14 +111,6 @@ type StatsSnapshot struct {
 	Waits uint64
 	// Deadlocks counts requests aborted by deadlock detection.
 	Deadlocks uint64
-	// DeadlockLocalProbes counts wait-for-graph probes confined to the
-	// blocked request's lock-table partition — the cheap, every-tick search.
-	DeadlockLocalProbes uint64
-	// DeadlockEscalations counts probes that escalated to the full
-	// cross-partition wait-for search because a local probe hit an edge
-	// leaving its partition. A high escalation:probe ratio means the
-	// workload's conflicts do not respect the partitioning.
-	DeadlockEscalations uint64
 	// Timeouts counts requests aborted by lock wait timeout.
 	Timeouts uint64
 
@@ -162,9 +152,8 @@ type StatsSnapshot struct {
 // counter order) first.
 func (s *StatsSnapshot) counters() []*uint64 {
 	return []*uint64{&s.CacheHits, &s.Conversions, &s.LatchContended, &s.Waits, &s.Deadlocks,
-		&s.DeadlockLocalProbes, &s.DeadlockEscalations, &s.Timeouts, &s.SLIPassed, &s.SLIInvalidated,
-		&s.SLIDiscarded, &s.SLIIneligibleWaiter, &s.SLIIneligibleMode, &s.SLIIneligibleParent,
-		&s.ELRReleases, &s.Transactions,
+		&s.Timeouts, &s.SLIPassed, &s.SLIInvalidated, &s.SLIDiscarded, &s.SLIIneligibleWaiter,
+		&s.SLIIneligibleMode, &s.SLIIneligibleParent, &s.ELRReleases, &s.Transactions,
 		&s.SLIReclaimed, &s.SharedAcquires, &s.ExclusiveAcquires, &s.HotHeritable, &s.HotNonHeritable,
 		&s.ColdHeritable, &s.ColdOther, &s.AcquiresByLevel[0], &s.AcquiresByLevel[1],
 		&s.AcquiresByLevel[2], &s.AcquiresByLevel[3]}

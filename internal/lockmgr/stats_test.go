@@ -16,8 +16,7 @@ func TestSnapshotFieldOrder(t *testing.T) {
 	want := StatsSnapshot{
 		CacheHits: uint64(ctrCacheHits) + 1, Conversions: uint64(ctrConversions) + 1,
 		LatchContended: uint64(ctrLatchContended) + 1, Waits: uint64(ctrWaits) + 1,
-		Deadlocks: uint64(ctrDeadlocks) + 1, DeadlockLocalProbes: uint64(ctrDeadlockLocalProbes) + 1,
-		DeadlockEscalations: uint64(ctrDeadlockEscalations) + 1, Timeouts: uint64(ctrTimeouts) + 1,
+		Deadlocks: uint64(ctrDeadlocks) + 1, Timeouts: uint64(ctrTimeouts) + 1,
 		SLIPassed: uint64(ctrSLIPassed) + 1, SLIInvalidated: uint64(ctrSLIInvalidated) + 1,
 		SLIDiscarded: uint64(ctrSLIDiscarded) + 1, SLIIneligibleWaiter: uint64(ctrSLIIneligibleWaiter) + 1,
 		SLIIneligibleMode: uint64(ctrSLIIneligibleMode) + 1, SLIIneligibleParent: uint64(ctrSLIIneligibleParent) + 1,

@@ -238,17 +238,14 @@ func TestStaleOwnerEdgeNotFollowed(t *testing.T) {
 
 	self := waitEdge{c, c.id.Load()}
 	current := waitEdge{o2, o2.id.Load()}
-	probe := func(from waitEdge) bool {
-		escaped := false
-		return m.findCycle(self, from, map[*Owner]bool{}, 0, allPartitions, &escaped)
-	}
-	if got := m.blockersOf(current); len(got) != 1 || got[0] != self {
+	probe := func(from waitEdge) bool { return m.findCycle(self, from, 0) }
+	if got := m.blockersOf(current, nil); len(got) != 1 || got[0] != self {
 		t.Fatalf("blockers of the live transaction = %v, want [%v]", got, self)
 	}
 	if !probe(current) {
 		t.Fatal("the live edge must lead back to c")
 	}
-	if got := m.blockersOf(stale); got != nil {
+	if got := m.blockersOf(stale, nil); got != nil {
 		t.Fatalf("a stale edge yielded blockers %v", got)
 	}
 	if probe(stale) {

@@ -181,12 +181,6 @@ func RegisterEngine(r *Registry, e EngineSource) {
 	r.CounterFunc("slidb_lock_deadlocks_total",
 		"Lock requests aborted by deadlock detection.",
 		func() float64 { return float64(e.LockStats().Deadlocks) })
-	r.CounterFunc("slidb_lock_deadlock_local_probes_total",
-		"Wait-for-graph probes confined to one lock-table partition.",
-		func() float64 { return float64(e.LockStats().DeadlockLocalProbes) })
-	r.CounterFunc("slidb_lock_deadlock_escalations_total",
-		"Deadlock probes escalated to the full cross-partition search.",
-		func() float64 { return float64(e.LockStats().DeadlockEscalations) })
 	r.CounterFunc("slidb_lock_timeouts_total",
 		"Lock requests aborted by wait timeout.",
 		func() float64 { return float64(e.LockStats().Timeouts) })

@@ -177,6 +177,12 @@ func TestMetricsSurface(t *testing.T) {
 	if strings.Contains(body, "slidb_group_commit_window") {
 		t.Error("/metrics still exports a group-commit window family")
 	}
+	// Deadlock detection is one search, so it has no probe/escalation split.
+	for _, gone := range []string{"slidb_lock_deadlock_local_probes", "slidb_lock_deadlock_escalations"} {
+		if strings.Contains(body, gone) {
+			t.Errorf("/metrics still exports %s", gone)
+		}
+	}
 	// Every profiler category label must be present, even the zero ones.
 	for c := profiler.Category(0); c.String() != "category("+strconv.Itoa(int(c))+")"; c++ {
 		want := `slidb_profile_seconds_total{category="` + c.String() + `"}`

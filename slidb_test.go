@@ -3,8 +3,10 @@ package slidb_test
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"slidb"
 )
@@ -157,4 +159,120 @@ func TestLockHierarchyLevelsExported(t *testing.T) {
 	if errors.Is(slidb.ErrNotFound, slidb.ErrDeadlock) {
 		t.Fatal("sentinel errors must be distinct")
 	}
+}
+
+// TestDeadlockStormResolves runs a deadlock storm through the engine: eight
+// clients move one unit at a time between two of four accounts, updating
+// them in random order, so transactions routinely meet the other way round.
+// Every cycle must be broken by deadlock detection and the victim retried
+// or, once its retries are exhausted, reported as ErrDeadlock; no victim's
+// write may survive, so every balance ends exactly where the committed
+// transfers put it.
+func TestDeadlockStormResolves(t *testing.T) {
+	const accounts, clients, initial = 4, 8, 1000
+	xcts := 300
+	if testing.Short() {
+		xcts = 60
+	}
+	db := slidb.Open(slidb.Config{Agents: 8})
+	defer db.Close()
+	schema := slidb.MustSchema(
+		slidb.Column{Name: "id", Type: slidb.TypeInt},
+		slidb.Column{Name: "balance", Type: slidb.TypeInt},
+	)
+	if err := db.CreateTable("accounts", schema, []string{"id"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Exec(func(tx *slidb.Tx) error {
+		for id := int64(0); id < accounts; id++ {
+			if err := tx.Insert("accounts", slidb.Row{slidb.Int(id), slidb.Int(initial)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	var (
+		mu                 sync.Mutex
+		want               [accounts]int64
+		commits, exhausted int
+		wg                 sync.WaitGroup
+	)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(c) + 1))
+			var delta [accounts]int64
+			ok, gaveUp := 0, 0
+			for i := 0; i < xcts; i++ {
+				from := r.Int63n(accounts)
+				to := (from + 1 + r.Int63n(accounts-1)) % accounts
+				order := [][2]int64{{from, -1}, {to, +1}}
+				if r.Intn(2) == 0 {
+					order[0], order[1] = order[1], order[0]
+				}
+				err := db.Exec(func(tx *slidb.Tx) error {
+					for _, u := range order {
+						if err := tx.Update("accounts", []slidb.Value{slidb.Int(u[0])}, func(row slidb.Row) (slidb.Row, error) {
+							row[1] = slidb.Int(row[1].AsInt() + u[1])
+							return row, nil
+						}); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				switch {
+				case err == nil:
+					ok++
+					delta[from]--
+					delta[to]++
+				case errors.Is(err, slidb.ErrDeadlock):
+					gaveUp++
+				default:
+					t.Errorf("client %d: %v", c, err)
+					return
+				}
+			}
+			mu.Lock()
+			commits, exhausted = commits+ok, exhausted+gaveUp
+			for id, d := range delta {
+				want[id] += d
+			}
+			mu.Unlock()
+		}()
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the clients did not finish within 30 s")
+	}
+	if t.Failed() {
+		return
+	}
+
+	if err := db.Exec(func(tx *slidb.Tx) error {
+		for id := int64(0); id < accounts; id++ {
+			row, found, err := tx.Get("accounts", slidb.Int(id))
+			if err != nil || !found {
+				return fmt.Errorf("account %d: found=%v err=%v", id, found, err)
+			}
+			if got := row[1].AsInt(); got != initial+want[id] {
+				t.Errorf("account %d: balance %d, want %d", id, got, initial+want[id])
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	deadlocks := db.LockStats().Deadlocks
+	if deadlocks == 0 {
+		t.Error("no deadlock was detected: the storm did not storm")
+	}
+	t.Logf("%d commits, %d gave up after their retries, %d deadlock victims", commits, exhausted, deadlocks)
 }
