@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -343,4 +344,108 @@ func lookupByV(e *Engine, v int64) ([]record.Row, error) {
 		return lerr
 	})
 	return rows, err
+}
+
+// TestRollbackFindsMovedRow rolls back an update and then a delete of the
+// same row. Undoing the delete re-inserts the row at a fresh RID, so the
+// update's compensation must find the row by primary key: written to the
+// RID the update was logged at, it misses (or hits another row) and the
+// rolled-back value survives. Row 1 sits on an older heap page than the
+// append page, so the re-insert cannot land back in its old slot.
+func TestRollbackFindsMovedRow(t *testing.T) {
+	const rows = 301
+	setup := func(t *testing.T) *Engine {
+		e := Open(Config{})
+		t.Cleanup(func() { e.Close() })
+		schema := record.MustSchema(
+			record.Column{Name: "id", Type: record.TypeInt},
+			record.Column{Name: "pad", Type: record.TypeString},
+			record.Column{Name: "v", Type: record.TypeInt},
+		)
+		if err := e.CreateTable("t", schema, []string{"id"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.CreateIndex("t_by_v", "t", []string{"v"}, false); err != nil {
+			t.Fatal(err)
+		}
+		pad := record.String(strings.Repeat("x", 100))
+		if err := e.Exec(func(tx *Tx) error {
+			for id := int64(1); id <= rows; id++ {
+				if err := tx.Insert("t", record.Row{record.Int(id), pad, record.Int(10)}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		rt, _ := e.tableRuntime("t")
+		first, _ := rt.pk.tree.get(record.EncodeKey(record.Int(1)))
+		last, _ := rt.pk.tree.get(record.EncodeKey(record.Int(rows)))
+		if first.Page == last.Page {
+			t.Fatalf("row 1 shares the append page %d; the test needs it on an older page", last.Page)
+		}
+		return e
+	}
+	updateThenDelete := func(tx *Tx) error {
+		if err := tx.Update("t", []record.Value{record.Int(1)}, func(r record.Row) (record.Row, error) {
+			r[2] = record.Int(11)
+			return r, nil
+		}); err != nil {
+			return err
+		}
+		return tx.Delete("t", record.Int(1))
+	}
+	check := func(t *testing.T, e *Engine) {
+		t.Helper()
+		if err := e.Exec(func(tx *Tx) error {
+			row, ok, err := tx.Get("t", record.Int(1))
+			if err != nil || !ok || row[2].AsInt() != 10 {
+				t.Errorf("row 1 after rollback = %v/%v/%v, want v=10", row, ok, err)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := lookupByV(e, 10); err != nil || len(got) != rows {
+			t.Errorf("index lookup v=10 found %d rows (err %v), want %d", len(got), err, rows)
+		}
+		if got, err := lookupByV(e, 11); err != nil || len(got) != 0 {
+			t.Errorf("index lookup v=11 found %d rows (err %v), want 0", len(got), err)
+		}
+		if got := e.UndoFailures(); got != 0 {
+			t.Errorf("UndoFailures = %d, want 0", got)
+		}
+	}
+
+	t.Run("abort", func(t *testing.T) {
+		e := setup(t)
+		errStop := errors.New("stop")
+		if err := e.Exec(func(tx *Tx) error {
+			if err := updateThenDelete(tx); err != nil {
+				return err
+			}
+			return errStop
+		}); !errors.Is(err, errStop) {
+			t.Fatalf("Exec = %v, want %v", err, errStop)
+		}
+		check(t, e)
+	})
+
+	t.Run("savepoint", func(t *testing.T) {
+		e := setup(t)
+		if err := e.Exec(func(tx *Tx) error {
+			sp := tx.Savepoint()
+			if err := updateThenDelete(tx); err != nil {
+				return err
+			}
+			if err := tx.RollbackTo(sp); err != nil {
+				t.Errorf("RollbackTo = %v, want nil", err)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		check(t, e)
+	})
 }

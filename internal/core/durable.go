@@ -6,6 +6,7 @@ import (
 
 	"slidb/internal/catalog"
 	"slidb/internal/heap"
+	"slidb/internal/profiler"
 	"slidb/internal/recovery"
 	"slidb/internal/wal"
 )
@@ -115,7 +116,7 @@ func OpenAt(dir string, cfg Config) (*Engine, error) {
 			e.nextXID.Store(snap.NextXID)
 		}
 	}
-	redo, err := recovery.Redo(iter, an, engineApplier{e})
+	redo, err := recovery.Redo(iter, an, engineApplier{e: e})
 	if err != nil {
 		segs.Close()
 		return nil, err
@@ -124,7 +125,7 @@ func OpenAt(dir string, cfg Config) (*Engine, error) {
 	// per record undone plus an abort record per completed rollback, so the
 	// next restart sees these losers as fully rolled back instead of
 	// re-undoing them on top of whatever commits in the meantime.
-	undo, err := recovery.Undo(iter, an, engineApplier{e}, func(rec wal.Record) error {
+	undo, err := recovery.Undo(iter, an, engineApplier{e: e}, func(rec wal.Record) error {
 		_, aerr := e.log.Append(rec)
 		return aerr
 	})
@@ -203,32 +204,25 @@ func rowKey(tbl *catalog.Table, ix *catalog.Index, data []byte, rid heap.RID) (s
 	return string(k) + indexKey(nil, rid, false), nil // the RID suffix alone
 }
 
-// redoRuntime bundles the structures the redo appliers operate on.
-type redoRuntime struct {
-	tbl  *catalog.Table
-	hf   *heap.File
-	pk   *index
-	secs []*index
+// engineApplier applies the recovery package's replay calls to the engine's
+// heap files and B+trees, finding each row by primary key — never by the RID
+// it was logged at, since an undone delete re-inserts its row elsewhere. The
+// restart passes run it single-threaded before the agent pool starts (prof
+// nil); a live rollback runs it under the rolling-back transaction's locks,
+// with that transaction's profiler handle. It takes no locks and appends no
+// log records of its own.
+type engineApplier struct {
+	e    *Engine
+	prof *profiler.Handle
 }
 
-func (e *Engine) redoRuntime(tableID uint32) (*redoRuntime, error) {
-	tbl, ok := e.cat.TableByID(tableID)
-	if !ok {
-		return nil, fmt.Errorf("core: redo references unknown table %d", tableID)
+// table returns the published runtime of the table the log calls tableID.
+func (a engineApplier) table(tableID uint32) (*tableRuntime, error) {
+	if tbl, ok := a.e.cat.TableByID(tableID); ok {
+		return a.e.tableRuntime(tbl.Name)
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	rt := &redoRuntime{tbl: tbl, hf: e.heaps[tableID], pk: e.pkTrees[tableID]}
-	for _, ix := range e.cat.TableIndexes(tableID) {
-		rt.secs = append(rt.secs, e.secs[ix.Name])
-	}
-	return rt, nil
+	return nil, fmt.Errorf("core: log references unknown table %d", tableID)
 }
-
-// engineApplier adapts the engine's heap files and B+trees to the recovery
-// package's redo interface. Redo runs single-threaded before the agent pool
-// starts, so no locks or log appends are taken.
-type engineApplier struct{ e *Engine }
 
 func (a engineApplier) CreateTable(m catalog.TableMeta) error {
 	if _, ok := a.e.cat.TableByID(m.ID); ok {
@@ -256,48 +250,48 @@ func (a engineApplier) CreateIndex(m catalog.IndexMeta) error {
 }
 
 func (a engineApplier) Insert(tableID uint32, after []byte) error {
-	rt, err := a.e.redoRuntime(tableID)
+	rt, err := a.table(tableID)
 	if err != nil {
 		return err
 	}
-	pkKey, err := rowKey(rt.tbl, nil, after, heap.RID{})
+	pkKey, err := rowKey(rt.meta, nil, after, heap.RID{})
 	if err != nil {
 		return err
 	}
-	rid, err := rt.hf.Insert(nil, after)
+	rid, err := rt.hf.Insert(a.prof, after)
 	if err != nil {
 		return err
 	}
 	rt.pk.tree.insert(pkKey, rid)
 	for _, sec := range rt.secs {
-		key, _ := rowKey(rt.tbl, sec.meta, after, rid) // after passed above
+		key, _ := rowKey(rt.meta, sec.meta, after, rid) // after passed above
 		sec.tree.insert(key, rid)
 	}
 	return nil
 }
 
 func (a engineApplier) Update(tableID uint32, before, after []byte) error {
-	rt, err := a.e.redoRuntime(tableID)
+	rt, err := a.table(tableID)
 	if err != nil {
 		return err
 	}
-	pkKey, err := rowKey(rt.tbl, nil, after, heap.RID{})
+	pkKey, err := rowKey(rt.meta, nil, after, heap.RID{})
 	if err != nil {
 		return err
 	}
 	rid, ok := rt.pk.tree.get(pkKey)
 	if !ok {
-		return fmt.Errorf("core: redo update of missing row in table %d", tableID)
+		return fmt.Errorf("core: update of missing row in table %d", tableID)
 	}
-	if err := rt.hf.Update(nil, rid, after); err != nil {
+	if err := rt.hf.Update(a.prof, rid, after); err != nil {
 		return err
 	}
 	for _, sec := range rt.secs {
-		oldKey, err := rowKey(rt.tbl, sec.meta, before, rid)
+		oldKey, err := rowKey(rt.meta, sec.meta, before, rid)
 		if err != nil {
 			return err
 		}
-		if newKey, _ := rowKey(rt.tbl, sec.meta, after, rid); newKey != oldKey { // after passed above
+		if newKey, _ := rowKey(rt.meta, sec.meta, after, rid); newKey != oldKey { // after passed above
 			sec.tree.remove(oldKey)
 			sec.tree.insert(newKey, rid)
 		}
@@ -306,24 +300,24 @@ func (a engineApplier) Update(tableID uint32, before, after []byte) error {
 }
 
 func (a engineApplier) Delete(tableID uint32, before []byte) error {
-	rt, err := a.e.redoRuntime(tableID)
+	rt, err := a.table(tableID)
 	if err != nil {
 		return err
 	}
-	pkKey, err := rowKey(rt.tbl, nil, before, heap.RID{})
+	pkKey, err := rowKey(rt.meta, nil, before, heap.RID{})
 	if err != nil {
 		return err
 	}
 	rid, ok := rt.pk.tree.get(pkKey)
 	if !ok {
-		return fmt.Errorf("core: redo delete of missing row in table %d", tableID)
+		return fmt.Errorf("core: delete of missing row in table %d", tableID)
 	}
 	for _, sec := range rt.secs {
-		key, _ := rowKey(rt.tbl, sec.meta, before, rid) // before passed above
+		key, _ := rowKey(rt.meta, sec.meta, before, rid) // before passed above
 		sec.tree.remove(key)
 	}
 	rt.pk.tree.remove(pkKey)
-	return rt.hf.Delete(nil, rid)
+	return rt.hf.Delete(a.prof, rid)
 }
 
 // Checkpoint persists a point-in-time image of the database and truncates

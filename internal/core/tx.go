@@ -9,6 +9,7 @@ import (
 	"slidb/internal/lockmgr"
 	"slidb/internal/profiler"
 	"slidb/internal/record"
+	"slidb/internal/recovery"
 	"slidb/internal/wal"
 	"time"
 )
@@ -55,21 +56,17 @@ func indexKey(vals []record.Value, rid heap.RID, unique bool) string {
 	return k + record.EncodeKey(record.Int(int64(rid.Page)), record.Int(int64(rid.Slot)))
 }
 
-// undoAction rolls back one data modification during abort.
-type undoAction func(tx *Tx) error
-
-// undoEntry is one registered rollback action: the in-memory undo of a
-// logged data modification, the LSN of the original record (the CLR chain's
-// UndoNext pointer targets it), and the redo-only compensation record that
-// tx.abort logs after applying the undo. seq is the entry's birth stamp
-// within the transaction, used to detect stale savepoints: after a
-// RollbackTo truncates the stack, later entries reuse the same positions but
-// carry new stamps.
+// undoEntry is one registered rollback step: the LSN of a logged data
+// record (the CLR chain's UndoNext pointer targets it) and that record's
+// recovery.Compensation, which a rollback applies through the restart
+// applier — finding the row by primary key, wherever it now lives — and then
+// logs as a redo-only CLR. seq is the entry's birth stamp within the
+// transaction, used to detect stale savepoints: after a RollbackTo truncates
+// the stack, later entries reuse the same positions but carry new stamps.
 type undoEntry struct {
-	lsn   wal.LSN
-	seq   uint64
-	apply undoAction
-	clr   wal.Record
+	lsn wal.LSN
+	seq uint64
+	clr wal.Record
 }
 
 // Tx is a transaction handle passed to the function given to Engine.Exec.
@@ -190,12 +187,14 @@ func (tx *Tx) preCommit() (<-chan error, error) {
 
 // abort rolls back every modification (in reverse order) and releases locks.
 //
-// Rollback is compensation-logged, ARIES-style: each undo action is applied
-// in memory and then logged as a redo-only CLR whose UndoNext points at the
-// transaction's next still-to-be-undone record, so a restart that finds a
-// partial CLR chain resumes the rollback where it stopped instead of
-// re-undoing compensated work. Once the chain is complete an abort record is
-// appended; a durable abort record marks the rollback as fully logged.
+// Rollback is compensation-logged, ARIES-style: each entry's CLR (the
+// recovery.Compensation of its record) is applied in memory through the
+// applier restart uses, which finds the row by primary key, and then logged
+// as a redo-only CLR whose UndoNext points at the transaction's next
+// still-to-be-undone record, so a restart that finds a partial CLR chain
+// resumes the rollback where it stopped instead of re-undoing compensated
+// work. Once the chain is complete an abort record is appended; a durable
+// abort record marks the rollback as fully logged.
 //
 // Lock release mirrors preCommit, governed by its own knob
 // (Config.EarlyLockReleaseAborts) so the abort-elr ablation can isolate the
@@ -217,7 +216,7 @@ func (tx *Tx) abort() {
 		// since locks are still held and memory must stay as consistent as
 		// possible.
 		//slint:ignore errwedge failures are counted in UndoFailures by applyUndo; rollback must continue under held locks
-		_ = tx.applyUndo(ent)
+		_ = tx.applyUndo(ent.clr)
 		if logOK {
 			if _, err := tx.logCLR(ent, i); err != nil {
 				// The log is wedged or crashed: keep applying the in-memory
@@ -257,15 +256,16 @@ func (tx *Tx) abort() {
 	tx.undo = nil
 }
 
-// applyUndo applies one registered undo action in memory, attributing its
-// time to the UndoWork profiler category and counting failures (which mean
-// the in-memory state may be corrupt — torture tests fail loudly on them).
-func (tx *Tx) applyUndo(ent undoEntry) error {
+// applyUndo applies compensation record clr in memory through the restart
+// applier, attributing its time to the UndoWork profiler category and
+// counting failures (which mean the in-memory state may be corrupt — torture
+// tests fail loudly on them).
+func (tx *Tx) applyUndo(clr wal.Record) error {
 	var undoStart time.Time
 	if tx.prof != nil {
 		undoStart = time.Now()
 	}
-	err := ent.apply(tx)
+	err := recovery.ApplyCLR(engineApplier{tx.e, tx.prof}, clr)
 	if err != nil {
 		tx.e.undoFailures.Add(1)
 	}
@@ -280,7 +280,6 @@ func (tx *Tx) applyUndo(ent undoEntry) error {
 // compensation closes the chain).
 func (tx *Tx) logCLR(ent undoEntry, i int) (wal.LSN, error) {
 	clr := ent.clr
-	clr.Type = wal.RecCLR
 	clr.XID = tx.xid
 	if i > 0 {
 		clr.UndoNext = tx.undo[i-1].lsn
@@ -319,10 +318,11 @@ func (tx *Tx) Savepoint() Savepoint {
 var ErrBadSavepoint = errors.New("core: invalid savepoint")
 
 // RollbackTo rolls the transaction back to sp: every modification registered
-// after the savepoint is undone in memory and compensation-logged exactly as
-// an abort would — one redo-only CLR per record, newest first, chained
-// through UndoNext past the rolled-back span — but the transaction keeps its
-// locks and remains open. Work done before the savepoint, and work done
+// after the savepoint is undone exactly as an abort would — its CLR applied
+// through the restart applier, which finds the row by primary key, then
+// logged: one redo-only CLR per record, newest first, chained through
+// UndoNext past the rolled-back span — but the transaction keeps its locks
+// and remains open. Work done before the savepoint, and work done
 // after RollbackTo returns, commits or aborts with the transaction as usual;
 // a crash at any point is handled by recovery, which resumes from the last
 // durable CLR and also undoes records logged after it (the post-savepoint
@@ -350,7 +350,7 @@ func (tx *Tx) RollbackTo(sp Savepoint) error {
 		// with uncompensated records in it. Only a log failure stops
 		// appending (the log is wedged; recovery finishes the rollback from
 		// the durable prefix).
-		if err := tx.applyUndo(ent); err != nil && retErr == nil {
+		if err := tx.applyUndo(ent.clr); err != nil && retErr == nil {
 			retErr = err
 		}
 		if logErr == nil {
@@ -428,28 +428,17 @@ func (tx *Tx) Insert(table string, row record.Row) error {
 			return fmt.Errorf("%w: index %s", ErrDuplicateKey, rt.secs[i].meta.Name)
 		}
 	}
-	undo := func(tx *Tx) error {
-		for i, sec := range rt.secs {
-			sec.tree.remove(secKeys[i])
-		}
-		rt.pk.tree.remove(pkKey)
-		return rt.hf.Delete(tx.prof, rid)
-	}
-	if err := tx.logAppend(wal.Record{Type: wal.RecInsert, Table: rt.meta.ID, Page: rid.Page, Slot: rid.Slot, After: data}); err != nil {
+	rec := wal.Record{Type: wal.RecInsert, Table: rt.meta.ID, Page: rid.Page, Slot: rid.Slot, After: data}
+	if err := tx.logAppend(rec); err != nil {
 		// The row is already in the heap and indexes but nothing reached the
 		// log: roll the mutation back inline so a wedged log cannot leave a
 		// phantom row with no registered undo.
-		if uerr := undo(tx); uerr != nil {
-			tx.e.undoFailures.Add(1)
+		if uerr := tx.applyUndo(recovery.Compensation(rec)); uerr != nil {
+			return errors.Join(err, uerr)
 		}
 		return err
 	}
-	tx.pushUndo(undoEntry{
-		lsn:   tx.lastLSN,
-		apply: undo,
-		// Compensating an insert is a delete: Before carries the row image.
-		clr: wal.Record{Table: rt.meta.ID, Page: rid.Page, Slot: rid.Slot, Before: data},
-	})
+	tx.pushUndo(undoEntry{lsn: tx.lastLSN, clr: recovery.Compensation(rec)})
 	return nil
 }
 
@@ -539,48 +528,32 @@ func (tx *Tx) Update(table string, key []record.Value, mutate func(record.Row) (
 		return err
 	}
 	// Maintain secondary indexes whose key changed.
-	type secChange struct {
-		sec      *index
-		old, new string
-	}
-	var changes []secChange
 	for _, sec := range rt.secs {
 		oldKey := indexKey(sec.meta.KeyOf(oldRow), rid, sec.meta.Unique)
-		newKey := indexKey(sec.meta.KeyOf(newRow), rid, sec.meta.Unique)
-		if oldKey == newKey {
-			continue
+		if newKey := indexKey(sec.meta.KeyOf(newRow), rid, sec.meta.Unique); newKey != oldKey {
+			sec.tree.remove(oldKey)
+			sec.tree.insert(newKey, rid)
 		}
-		sec.tree.remove(oldKey)
-		sec.tree.insert(newKey, rid)
-		changes = append(changes, secChange{sec, oldKey, newKey})
 	}
-	undo := func(tx *Tx) error {
-		for _, ch := range changes {
-			ch.sec.tree.remove(ch.new)
-			ch.sec.tree.insert(ch.old, rid)
-		}
-		return rt.hf.Update(tx.prof, rid, oldData)
-	}
-	if err := tx.logAppend(wal.Record{Type: wal.RecUpdate, Table: rt.meta.ID, Page: rid.Page, Slot: rid.Slot, Before: oldData, After: newData}); err != nil {
+	rec := wal.Record{Type: wal.RecUpdate, Table: rt.meta.ID, Page: rid.Page, Slot: rid.Slot, Before: oldData, After: newData}
+	if err := tx.logAppend(rec); err != nil {
 		// Heap and index already carry the new image; restore the old one
 		// inline since no undo was registered for this mutation.
-		if uerr := undo(tx); uerr != nil {
-			tx.e.undoFailures.Add(1)
+		if uerr := tx.applyUndo(recovery.Compensation(rec)); uerr != nil {
+			return errors.Join(err, uerr)
 		}
 		return err
 	}
-	tx.pushUndo(undoEntry{
-		lsn:   tx.lastLSN,
-		apply: undo,
-		// Compensating an update restores the before-image: update the row
-		// matching Before's primary key back to After.
-		clr: wal.Record{Table: rt.meta.ID, Page: rid.Page, Slot: rid.Slot, Before: newData, After: oldData},
-	})
+	tx.pushUndo(undoEntry{lsn: tx.lastLSN, clr: recovery.Compensation(rec)})
 	return nil
 }
 
 // Delete removes the row with the given primary key. It returns ErrNotFound
-// if the row does not exist.
+// if the row does not exist. Rolling the delete back applies its
+// recovery.Compensation, which re-inserts the row at a fresh RID and rebuilds
+// its index keys there; the RID it occupied is not reserved. Every rollback
+// step finds its row by primary key, so none writes to the RID the row was
+// logged at.
 func (tx *Tx) Delete(table string, key ...record.Value) error {
 	rt, err := tx.e.tableRuntime(table)
 	if err != nil {
@@ -611,33 +584,16 @@ func (tx *Tx) Delete(table string, key ...record.Value) error {
 		}
 		return err
 	}
-	// The undo re-inserts the row at a fresh RID and rebuilds every index key
-	// from it; the RIDs the original row occupied are not reserved.
-	undo := func(tx *Tx) error {
-		newRID, uerr := rt.hf.Insert(tx.prof, oldData)
-		if uerr != nil {
-			return uerr
-		}
-		rt.pk.tree.insert(pkKey, newRID)
-		for _, sec := range rt.secs {
-			sec.tree.insert(indexKey(sec.meta.KeyOf(oldRow), newRID, sec.meta.Unique), newRID)
-		}
-		return nil
-	}
-	if err := tx.logAppend(wal.Record{Type: wal.RecDelete, Table: rt.meta.ID, Page: rid.Page, Slot: rid.Slot, Before: oldData}); err != nil {
+	rec := wal.Record{Type: wal.RecDelete, Table: rt.meta.ID, Page: rid.Page, Slot: rid.Slot, Before: oldData}
+	if err := tx.logAppend(rec); err != nil {
 		// The row is already gone from heap and indexes; put it back inline
 		// since no undo was registered for this mutation.
-		if uerr := undo(tx); uerr != nil {
-			tx.e.undoFailures.Add(1)
+		if uerr := tx.applyUndo(recovery.Compensation(rec)); uerr != nil {
+			return errors.Join(err, uerr)
 		}
 		return err
 	}
-	tx.pushUndo(undoEntry{
-		lsn:   tx.lastLSN,
-		apply: undo,
-		// Compensating a delete re-inserts the row: After carries the image.
-		clr: wal.Record{Table: rt.meta.ID, Page: rid.Page, Slot: rid.Slot, After: oldData},
-	})
+	tx.pushUndo(undoEntry{lsn: tx.lastLSN, clr: recovery.Compensation(rec)})
 	return nil
 }
 

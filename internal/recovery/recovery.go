@@ -161,8 +161,9 @@ func Analyze(iter Iterator) (*Analysis, error) {
 	return an, nil
 }
 
-// Applier receives the redo and undo passes' replay calls. The engine
-// implements it on top of its heap files and B+tree indexes.
+// Applier receives the replay calls of the redo and undo passes, and of a
+// live rollback's ApplyCLR. The engine implements it on top of its heap
+// files and B+tree indexes.
 type Applier interface {
 	// CreateTable replays table DDL. It must be idempotent with respect to
 	// tables already present (e.g. restored from a checkpoint).
@@ -189,10 +190,18 @@ type RedoStats struct {
 	DDL int
 }
 
-// applyCLR replays one compensation record. The compensating operation is
+// Compensation returns the CLR that undoes data record rec: its images
+// swapped, so ApplyCLR puts the row back. It is the one statement of a
+// change's inverse — a live rollback and the restart undo both log and
+// apply it.
+func Compensation(rec wal.Record) wal.Record {
+	return wal.Record{Type: wal.RecCLR, XID: rec.XID, Table: rec.Table, Page: rec.Page, Slot: rec.Slot, Before: rec.After, After: rec.Before}
+}
+
+// ApplyCLR applies one compensation record. The compensating operation is
 // carried by the images: Before+After restores a row to After, After alone
 // re-inserts a deleted row, Before alone removes an inserted row.
-func applyCLR(ap Applier, rec wal.Record) error {
+func ApplyCLR(ap Applier, rec wal.Record) error {
 	switch {
 	case len(rec.Before) > 0 && len(rec.After) > 0:
 		return ap.Update(rec.Table, rec.Before, rec.After)
@@ -241,7 +250,7 @@ func Redo(iter Iterator, an *Analysis, ap Applier) (RedoStats, error) {
 				err = ap.Delete(rec.Table, rec.Before)
 			case wal.RecCLR:
 				st.CLRs++
-				err = applyCLR(ap, rec)
+				err = ApplyCLR(ap, rec)
 			}
 			if err != nil {
 				return fmt.Errorf("LSN %d (%v, xid %d): %w", rec.LSN, rec.Type, rec.XID, err)
@@ -288,7 +297,7 @@ type CLRLogger func(wal.Record) error
 // repeated history: it collects the losers' data records that analysis
 // found uncompensated (Analysis.Pending — everything a durable CLR already
 // covers is excluded, so an interrupted rollback is completed, never
-// repeated) and applies the inverse operations in descending LSN order.
+// repeated) and applies each one's Compensation in descending LSN order.
 // logRec, when non-nil, receives the CLR chain and abort records that make
 // this undo durable-exactly-once (see CLRLogger).
 func Undo(iter Iterator, an *Analysis, ap Applier, logRec CLRLogger) (UndoStats, error) {
@@ -350,20 +359,8 @@ func Undo(iter Iterator, an *Analysis, ap Applier, logRec CLRLogger) (UndoStats,
 	// first, interleaving transactions exactly as ARIES' backward scan does.
 	for i := len(pending) - 1; i >= 0; i-- {
 		rec := pending[i]
-		var uerr error
-		clr := wal.Record{Type: wal.RecCLR, XID: rec.XID, Table: rec.Table, Page: rec.Page, Slot: rec.Slot}
-		switch rec.Type {
-		case wal.RecInsert:
-			uerr = ap.Delete(rec.Table, rec.After)
-			clr.Before = rec.After
-		case wal.RecUpdate:
-			uerr = ap.Update(rec.Table, rec.After, rec.Before)
-			clr.Before, clr.After = rec.After, rec.Before
-		case wal.RecDelete:
-			uerr = ap.Insert(rec.Table, rec.Before)
-			clr.After = rec.Before
-		}
-		if uerr != nil {
+		clr := Compensation(rec)
+		if uerr := ApplyCLR(ap, clr); uerr != nil {
 			return st, fmt.Errorf("recovery: undo LSN %d (%v, xid %d): %w", rec.LSN, rec.Type, rec.XID, uerr)
 		}
 		st.Undone++

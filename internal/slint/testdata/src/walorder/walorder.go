@@ -1,7 +1,8 @@
 // Package walorder exercises the walorder analyzer: once a Tx method has
 // applied an in-memory mutation, every non-panic return must have either
-// registered the undo (pushUndo) or rolled the mutation back inline, and
-// pushUndo must always follow the log append that set tx.lastLSN.
+// registered the undo (pushUndo) or rolled the mutation back inline
+// (applyUndo, or the inverse mutation), and pushUndo must always follow the
+// log append that set tx.lastLSN.
 package walorder
 
 import (
@@ -44,8 +45,14 @@ func (it *indexTree) remove(key string) bool {
 }
 
 type undoEntry struct {
-	lsn   LSN
-	apply func(tx *Tx) error
+	lsn LSN
+	clr Record
+}
+
+// compensation stands in for recovery.Compensation: the record that undoes
+// rec, images swapped.
+func compensation(rec Record) Record {
+	return Record{Page: rec.Page, Slot: rec.Slot, Before: rec.After, After: rec.Before}
 }
 
 // Tx is the transaction handle the analyzer scopes to.
@@ -68,10 +75,19 @@ func (tx *Tx) logAppend(rec Record) error {
 
 func (tx *Tx) pushUndo(ent undoEntry) { tx.undoLog = append(tx.undoLog, ent) }
 
+// applyUndo applies a compensation record in memory, as the engine's
+// rollback does through its restart applier.
+func (tx *Tx) applyUndo(clr Record) error {
+	if tx.wedged {
+		tx.failures++
+	}
+	return nil
+}
+
 // InsertOK carries the full protocol: mutate, append the record, register
-// the undo; the append-failure path rolls the mutation back inline through
-// the undo closure, and the unique-violation path compensates the heap
-// insert with the inverse delete.
+// its compensation; the append-failure path rolls the mutation back inline
+// by applying that compensation, and the unique-violation path compensates
+// the heap insert with the inverse delete.
 func (tx *Tx) InsertOK(key string, data []byte) error {
 	rid, err := tx.hf.Insert(data)
 	if err != nil {
@@ -81,17 +97,14 @@ func (tx *Tx) InsertOK(key string, data []byte) error {
 		_ = tx.hf.Delete(rid)
 		return errors.New("duplicate key")
 	}
-	undo := func(tx *Tx) error {
-		tx.pk.remove(key)
-		return tx.hf.Delete(rid)
-	}
-	if err := tx.logAppend(Record{After: data}); err != nil {
-		if uerr := undo(tx); uerr != nil {
-			tx.failures++
+	rec := Record{After: data}
+	if err := tx.logAppend(rec); err != nil {
+		if uerr := tx.applyUndo(compensation(rec)); uerr != nil {
+			return errors.Join(err, uerr)
 		}
 		return err
 	}
-	tx.pushUndo(undoEntry{lsn: tx.lastLSN, apply: undo})
+	tx.pushUndo(undoEntry{lsn: tx.lastLSN, clr: compensation(rec)})
 	return nil
 }
 
@@ -105,21 +118,14 @@ func (tx *Tx) DeleteOK(key string, rid heap.RID, oldData []byte) error {
 		tx.pk.insert(key, rid)
 		return err
 	}
-	undo := func(tx *Tx) error {
-		newRID, uerr := tx.hf.Insert(oldData)
-		if uerr != nil {
-			return uerr
-		}
-		tx.pk.insert(key, newRID)
-		return nil
-	}
-	if err := tx.logAppend(Record{Before: oldData}); err != nil {
-		if uerr := undo(tx); uerr != nil {
-			tx.failures++
+	rec := Record{Before: oldData}
+	if err := tx.logAppend(rec); err != nil {
+		if uerr := tx.applyUndo(compensation(rec)); uerr != nil {
+			return errors.Join(err, uerr)
 		}
 		return err
 	}
-	tx.pushUndo(undoEntry{lsn: tx.lastLSN, apply: undo})
+	tx.pushUndo(undoEntry{lsn: tx.lastLSN, clr: compensation(rec)})
 	return nil
 }
 
@@ -151,10 +157,25 @@ func (tx *Tx) InsertNoRollback(key string, data []byte) error {
 	if err := tx.logAppend(Record{After: data}); err != nil {
 		return err // want `return in InsertNoRollback with the heap insert at line \d+ still applied` `return in InsertNoRollback with the index insert at line \d+ still applied`
 	}
-	tx.pushUndo(undoEntry{lsn: tx.lastLSN, apply: func(tx *Tx) error {
-		tx.pk.remove(key)
-		return tx.hf.Delete(rid)
-	}})
+	tx.pushUndo(undoEntry{lsn: tx.lastLSN, clr: Record{Before: data}})
+	return nil
+}
+
+// InsertClosureRollback rolls back through a hand-written closure instead
+// of applyUndo: a second statement of the inverse, which the analyzer does
+// not accept as a discharge — the closure's mutations run when it is called,
+// and nothing ties them to the logged record.
+func (tx *Tx) InsertClosureRollback(key string, data []byte) error {
+	rid, err := tx.hf.Insert(data)
+	if err != nil {
+		return err
+	}
+	undo := func() error { return tx.hf.Delete(rid) }
+	if err := tx.logAppend(Record{After: data}); err != nil {
+		_ = undo()
+		return err // want `return in InsertClosureRollback with the heap insert at line \d+ still applied`
+	}
+	tx.pushUndo(undoEntry{lsn: tx.lastLSN, clr: Record{Before: data}})
 	return nil
 }
 
@@ -165,8 +186,7 @@ func (tx *Tx) UpdateStaleLSN(rid heap.RID, oldData, newData []byte) error {
 	if err := tx.hf.Update(rid, newData); err != nil {
 		return err
 	}
-	undo := func(tx *Tx) error { return tx.hf.Update(rid, oldData) }
-	tx.pushUndo(undoEntry{lsn: tx.lastLSN, apply: undo}) // want `pushUndo is reachable without a prior log append`
+	tx.pushUndo(undoEntry{lsn: tx.lastLSN, clr: Record{Before: newData, After: oldData}}) // want `pushUndo is reachable without a prior log append`
 	return tx.logAppend(Record{Before: oldData, After: newData})
 }
 
@@ -176,13 +196,7 @@ func (tx *Tx) DeleteNoLog(key string, rid heap.RID, oldData []byte) error {
 	if !tx.pk.remove(key) {
 		return ErrNotFound
 	}
-	tx.pushUndo(undoEntry{lsn: tx.lastLSN, apply: func(tx *Tx) error { // want `pushUndo in DeleteNoLog with no log append in the function`
-		newRID, uerr := tx.hf.Insert(oldData)
-		if uerr == nil {
-			tx.pk.insert(key, newRID)
-		}
-		return uerr
-	}})
+	tx.pushUndo(undoEntry{lsn: tx.lastLSN, clr: Record{After: oldData}}) // want `pushUndo in DeleteNoLog with no log append in the function`
 	return nil
 }
 

@@ -19,10 +19,10 @@ import (
 //
 //   - registered the undo (tx.pushUndo), so abort and recovery can roll the
 //     mutation back, or
-//   - rolled the mutation back inline — a call through a local rollback
-//     closure (the `undo(tx)` pattern on logAppend failure), or the inverse
-//     in-memory operation (heap Delete compensating an Insert, tree remove
-//     compensating an insert, ...).
+//   - rolled the mutation back inline — tx.applyUndo, which applies the
+//     mutation's own compensation record on logAppend failure, or the
+//     inverse in-memory operation (heap Delete compensating an Insert, tree
+//     remove compensating an insert, ...).
 //
 // A return with neither is the PR 4 bug class: a wedged log left a phantom
 // row visible with no registered undo. The one legitimate bare return is the
@@ -83,12 +83,12 @@ type walMutation struct {
 
 // walCalls is everything walorder cares about in one function body,
 // collected without descending into nested function literals (a mutation
-// inside the undo closure runs at rollback time, not on this path).
+// inside one runs when the literal is called, not on this path).
 type walCalls struct {
 	mutations []*walMutation
 	logs      []*ast.CallExpr // tx.logAppend / tx.appendTimed
 	pushes    []*ast.CallExpr // tx.pushUndo
-	closures  []*ast.CallExpr // calls through local func-typed variables
+	undos     []*ast.CallExpr // tx.applyUndo: the inline rollback
 }
 
 func runWalOrder(pass *analysis.Pass) (interface{}, error) {
@@ -197,16 +197,8 @@ func collectWalCalls(pass *analysis.Pass, parents map[ast.Node]ast.Node, body *a
 					calls.logs = append(calls.logs, call)
 				case "pushUndo":
 					calls.pushes = append(calls.pushes, call)
-				}
-				return true
-			}
-			// A call through a local func-typed variable: the inline
-			// rollback closure pattern.
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-				if v, ok := pass.TypesInfo.ObjectOf(id).(*types.Var); ok {
-					if _, isSig := v.Type().Underlying().(*types.Signature); isSig {
-						calls.closures = append(calls.closures, call)
-					}
+				case "applyUndo":
+					calls.undos = append(calls.undos, call)
 				}
 			}
 			return true
@@ -293,11 +285,10 @@ func within(inner, outer ast.Node) bool {
 }
 
 // walkMutationPaths walks the CFG forward from the mutation. A path is
-// settled by a pushUndo, a call through a local rollback closure, or the
-// inverse in-memory mutation. When mark is non-nil, inverse mutations that
-// settle a path are recorded as compensations. When onReturn/onEnd are
-// non-nil, they are invoked for returns (and function-end fallthroughs)
-// reached on unsettled paths.
+// settled by a pushUndo, an applyUndo, or the inverse in-memory mutation.
+// When mark is non-nil, inverse mutations that settle a path are recorded as
+// compensations. When onReturn/onEnd are non-nil, they are invoked for
+// returns (and function-end fallthroughs) reached on unsettled paths.
 func walkMutationPaths(pass *analysis.Pass, g *cfg.CFG, calls *walCalls, m *walMutation, mark map[*ast.CallExpr]bool, onReturn func(*ast.ReturnStmt), onEnd func()) {
 	startBlock, startIdx := findNode(g, m.call)
 	if startBlock == nil {
@@ -305,8 +296,8 @@ func walkMutationPaths(pass *analysis.Pass, g *cfg.CFG, calls *walCalls, m *walM
 	}
 
 	// settles reports how CFG node n discharges the obligation (after the
-	// mutation itself, for the node holding it): byPush for pushUndo or a
-	// rollback-closure call, byInverse for a compensating inverse mutation.
+	// mutation itself, for the node holding it): byPush for pushUndo or
+	// applyUndo, byInverse for a compensating inverse mutation.
 	settles := func(n ast.Node, after ast.Node) (byPush, byInverse bool) {
 		minPos := n.Pos()
 		if after != nil {
@@ -317,7 +308,7 @@ func walkMutationPaths(pass *analysis.Pass, g *cfg.CFG, calls *walCalls, m *walM
 				return true, false
 			}
 		}
-		for _, c := range calls.closures {
+		for _, c := range calls.undos {
 			if within(c, n) && c.Pos() >= minPos {
 				return true, false
 			}

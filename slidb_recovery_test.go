@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -179,7 +181,9 @@ func execLookup(db *slidb.Engine, index string, key slidb.Value) ([]slidb.Row, e
 // deliberate mid-flight aborts and a checkpoint in the middle, "crashes" by
 // abandoning the engine without Close, reopens the directory, and asserts
 // that exactly the committed transactions survived: balances conserved,
-// every acknowledged history row present, no loser row visible.
+// every acknowledged history row present, no loser row visible. Some losers
+// also update and then delete one of their worker's private rows, so their
+// rollback re-inserts the row at a fresh RID and must find it there.
 func TestCrashRecoveryTorture(t *testing.T) {
 	runCrashRecoveryTorture(t, slidb.Config{})
 }
@@ -208,6 +212,7 @@ func runCrashRecoveryTorture(t *testing.T, cfg slidb.Config) {
 		t.Fatal(err)
 	}
 	setupBank(t, db, branches, accounts)
+	setupPrivate(t, db, workers*privatePerWorker)
 
 	var (
 		mu        sync.Mutex
@@ -227,8 +232,15 @@ func runCrashRecoveryTorture(t *testing.T, cfg slidb.Config) {
 				aid := rng.Int63n(accounts)
 				bid := aid % branches
 				delta := rng.Int63n(1000) - 500
-				loser := rng.Intn(10) == 0
+				shape := rng.Intn(10)
+				loser, mover := shape <= 1, shape == 1
+				pid := int64(w*privatePerWorker) + rng.Int63n(privatePerWorker)
 				err := db.Exec(func(tx *slidb.Tx) error {
+					if mover {
+						if err := updateThenDeletePrivate(tx, pid); err != nil {
+							return err
+						}
+					}
 					return transfer(tx, hid, aid, bid, delta, loser)
 				})
 				mu.Lock()
@@ -252,6 +264,7 @@ func runCrashRecoveryTorture(t *testing.T, cfg slidb.Config) {
 	if ckptErr != nil {
 		t.Fatalf("checkpoint: %v", ckptErr)
 	}
+	checkPrivate(t, db, workers*privatePerWorker)
 	if got := db.UndoFailures(); got != 0 {
 		t.Fatalf("UndoFailures = %d, want 0 (a rollback corrupted in-memory state)", got)
 	}
@@ -292,6 +305,7 @@ func runCrashRecoveryTorture(t *testing.T, cfg slidb.Config) {
 			t.Errorf("history row %d visible after recovery but never committed (aborted=%v)", hid, aborted[hid])
 		}
 	}
+	checkPrivate(t, db2, workers*privatePerWorker)
 	stats := db2.RecoveryStats()
 	if stats.CheckpointLSN == 0 {
 		t.Errorf("recovery ignored the checkpoint: %+v", stats)
@@ -318,6 +332,167 @@ func runCrashRecoveryTorture(t *testing.T, cfg slidb.Config) {
 	if st3.accountTotal != wantTotal+7 {
 		t.Errorf("second restart: sum(accounts) = %d, want %d", st3.accountTotal, wantTotal+7)
 	}
+}
+
+// privatePerWorker is how many rows of the "private" table each torture
+// worker owns; no other worker touches them, and no transaction that
+// commits writes them, so each keeps its initial value v = id throughout.
+// 128 rows of about 330 encoded bytes fill five 8 KiB heap pages.
+const privatePerWorker = 16
+
+var privateSchema = slidb.MustSchema(
+	slidb.Column{Name: "id", Type: slidb.TypeInt},
+	slidb.Column{Name: "pad", Type: slidb.TypeString},
+	slidb.Column{Name: "v", Type: slidb.TypeInt},
+)
+
+// setupPrivate creates the "private" table with n padded rows and a
+// non-unique index on v.
+func setupPrivate(t *testing.T, db *slidb.Engine, n int) {
+	t.Helper()
+	if err := db.CreateTable("private", privateSchema, []string{"id"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateIndex("private_by_v", "private", []string{"v"}, false); err != nil {
+		t.Fatal(err)
+	}
+	pad := slidb.String(strings.Repeat("p", 300))
+	if err := db.Exec(func(tx *slidb.Tx) error {
+		for id := int64(0); id < int64(n); id++ {
+			if err := tx.Insert("private", slidb.Row{slidb.Int(id), pad, slidb.Int(id)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// updateThenDeletePrivate bumps private row id and then deletes it; the
+// caller aborts, so rolling back the delete moves the row to a fresh RID
+// before the update's compensation runs.
+func updateThenDeletePrivate(tx *slidb.Tx, id int64) error {
+	if err := tx.Update("private", []slidb.Value{slidb.Int(id)}, func(r slidb.Row) (slidb.Row, error) {
+		r[2] = slidb.Int(r[2].AsInt() + 1)
+		return r, nil
+	}); err != nil {
+		return err
+	}
+	return tx.Delete("private", slidb.Int(id))
+}
+
+// checkPrivate asserts every private row holds its committed value v = id,
+// both by primary key and through the index on v.
+func checkPrivate(t *testing.T, db *slidb.Engine, n int) {
+	t.Helper()
+	if err := db.Exec(func(tx *slidb.Tx) error {
+		for id := int64(0); id < int64(n); id++ {
+			row, ok, err := tx.Get("private", slidb.Int(id))
+			if err != nil {
+				return err
+			}
+			switch {
+			case !ok:
+				t.Errorf("private row %d missing", id)
+			case row[0].AsInt() != id || row[2].AsInt() != id:
+				t.Errorf("private row %d reads id=%d v=%d, want v=%d", id, row[0].AsInt(), row[2].AsInt(), id)
+			}
+			rows, err := tx.LookupIndex("private_by_v", slidb.Int(id))
+			if err != nil {
+				return err
+			}
+			if len(rows) != 1 {
+				t.Errorf("private_by_v lookup %d found %d rows, want 1", id, len(rows))
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("read private rows: %v", err)
+	}
+}
+
+// TestRollbackMatchesRestart aborts a transaction that updates and then
+// deletes a row on an older heap page, so the live rollback re-inserts the
+// row at a fresh RID before compensating the update. Restart replays the
+// same log through the same applier; the reopened engine must answer every
+// row and index query exactly as the live engine did.
+func TestRollbackMatchesRestart(t *testing.T) {
+	const rows = 301
+	dir := t.TempDir()
+	db, err := slidb.OpenAt(dir, slidb.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	setupPrivate(t, db, rows)
+	if err := db.Exec(func(tx *slidb.Tx) error {
+		if err := updateThenDeletePrivate(tx, 1); err != nil {
+			return err
+		}
+		return errDeliberateAbort
+	}); !errors.Is(err, errDeliberateAbort) {
+		t.Fatalf("Exec = %v, want %v", err, errDeliberateAbort)
+	}
+	liveRows, liveByV := privateAnswers(t, db, rows)
+	if got := db.UndoFailures(); got != 0 {
+		t.Errorf("UndoFailures = %d, want 0", got)
+	}
+	db.SimulateCrash()
+
+	db2, err := slidb.OpenAt(dir, slidb.Config{})
+	if err != nil {
+		t.Fatalf("recovery failed: %v", err)
+	}
+	defer db2.Close()
+	rows2, byV2 := privateAnswers(t, db2, rows)
+	if !reflect.DeepEqual(liveRows, rows2) {
+		t.Errorf("rows: live %v, restarted %v", diffInts(liveRows, rows2), diffInts(rows2, liveRows))
+	}
+	if !reflect.DeepEqual(liveByV, byV2) {
+		t.Errorf("index counts: live %v, restarted %v", diffInts(liveByV, byV2), diffInts(byV2, liveByV))
+	}
+	if liveRows[1] != 1 {
+		t.Errorf("live row 1 has v=%d, want 1 (the aborted update survived)", liveRows[1])
+	}
+}
+
+// privateAnswers reads every private row (id -> v) by table scan and counts
+// the private_by_v index entries for each v in [0, n].
+func privateAnswers(t *testing.T, db *slidb.Engine, n int) (rows, byV map[int64]int64) {
+	t.Helper()
+	rows, byV = make(map[int64]int64), make(map[int64]int64)
+	if err := db.Exec(func(tx *slidb.Tx) error {
+		if err := tx.ScanTable("private", func(r slidb.Row) bool {
+			rows[r[0].AsInt()] = r[2].AsInt()
+			return true
+		}); err != nil {
+			return err
+		}
+		for v := int64(0); v <= int64(n); v++ {
+			hits, err := tx.LookupIndex("private_by_v", slidb.Int(v))
+			if err != nil {
+				return err
+			}
+			if len(hits) > 0 {
+				byV[v] = int64(len(hits))
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("read private rows: %v", err)
+	}
+	return rows, byV
+}
+
+// diffInts returns the entries of a that b lacks or maps differently.
+func diffInts(a, b map[int64]int64) map[int64]int64 {
+	d := make(map[int64]int64)
+	for k, v := range a {
+		if w, ok := b[k]; !ok || w != v {
+			d[k] = v
+		}
+	}
+	return d
 }
 
 // TestELRCrashInPreCommitWindow injects a crash into the window Early Lock
