@@ -59,10 +59,11 @@ func (e *Engine) DataDir() string { return e.cfg.Dir }
 
 // OpenAt opens a disk-backed engine rooted at dir, creating the directory on
 // first use and running crash recovery over whatever a previous incarnation
-// left behind: the most recent checkpoint is restored, then the durable log
-// tail is analyzed (winners vs. losers) and the winners' effects are redone.
-// Transactions whose commit record never reached disk — in flight at the
-// crash, or aborted — leave no trace in the recovered state.
+// left behind: the most recent checkpoint is restored, then one pass over the
+// durable log tail analyzes it (winners vs. losers) and repeats its history,
+// and the losers' kept records are undone. Transactions whose commit record
+// never reached disk — in flight at the crash, or aborted — leave no trace
+// in the recovered state.
 func OpenAt(dir string, cfg Config) (*Engine, error) {
 	if dir == "" {
 		return nil, errors.New("core: OpenAt requires a data directory")
@@ -88,15 +89,6 @@ func OpenAt(dir string, cfg Config) (*Engine, error) {
 	if haveCkpt {
 		from = snap.LSN
 	}
-	iter := recovery.Iterator(func(fn func(wal.Record) error) error {
-		return segs.Iterate(from, fn)
-	})
-	an, err := recovery.Analyze(iter)
-	if err != nil {
-		segs.Close()
-		return nil, err
-	}
-
 	startLSN := segs.End()
 	if haveCkpt && snap.LSN > startLSN {
 		startLSN = snap.LSN
@@ -116,7 +108,11 @@ func OpenAt(dir string, cfg Config) (*Engine, error) {
 			e.nextXID.Store(snap.NextXID)
 		}
 	}
-	redo, err := recovery.Redo(iter, an, engineApplier{e: e})
+	// One pass over the log tail analyzes and redoes it; undo then works
+	// from the loser records the analysis kept.
+	an, redo, err := recovery.Redo(func(fn func(wal.Record) error) error {
+		return segs.Iterate(from, fn)
+	}, engineApplier{e: e})
 	if err != nil {
 		segs.Close()
 		return nil, err
@@ -125,7 +121,7 @@ func OpenAt(dir string, cfg Config) (*Engine, error) {
 	// per record undone plus an abort record per completed rollback, so the
 	// next restart sees these losers as fully rolled back instead of
 	// re-undoing them on top of whatever commits in the meantime.
-	undo, err := recovery.Undo(iter, an, engineApplier{e: e}, func(rec wal.Record) error {
+	undo, err := recovery.Undo(an, engineApplier{e: e}, func(rec wal.Record) error {
 		_, aerr := e.log.Append(rec)
 		return aerr
 	})

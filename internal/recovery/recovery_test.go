@@ -15,6 +15,15 @@ import (
 	"slidb/internal/wal"
 )
 
+// pendingLSNs returns the LSNs of the records analysis kept for undo.
+func pendingLSNs(recs []wal.Record) []wal.LSN {
+	var out []wal.LSN
+	for _, r := range recs {
+		out = append(out, r.LSN)
+	}
+	return out
+}
+
 // sliceIter returns an Iterator over an in-memory record slice.
 func sliceIter(recs []wal.Record) Iterator {
 	return func(fn func(wal.Record) error) error {
@@ -66,13 +75,13 @@ func TestAnalyzeClassifiesWinnersAndLosers(t *testing.T) {
 		t.Error("xid 2 must not need restart undo")
 	}
 	// xid 3 crashed in flight with no CLR: everything needs undoing.
-	if !an.NeedsUndo(3) || !reflect.DeepEqual(an.Pending[3], []wal.LSN{7}) {
-		t.Errorf("xid 3: NeedsUndo=%v pending=%v, want true/[7]", an.NeedsUndo(3), an.Pending[3])
+	if !an.NeedsUndo(3) || !reflect.DeepEqual(pendingLSNs(an.Pending[3]), []wal.LSN{7}) {
+		t.Errorf("xid 3: NeedsUndo=%v pending=%v, want true/[7]", an.NeedsUndo(3), pendingLSNs(an.Pending[3]))
 	}
 	// xid 4 crashed mid-rollback: only the record its durable CLR did not
 	// compensate is still pending.
-	if !an.NeedsUndo(4) || !reflect.DeepEqual(an.Pending[4], []wal.LSN{11}) {
-		t.Errorf("xid 4: NeedsUndo=%v pending=%v, want true/[11]", an.NeedsUndo(4), an.Pending[4])
+	if !an.NeedsUndo(4) || !reflect.DeepEqual(pendingLSNs(an.Pending[4]), []wal.LSN{11}) {
+		t.Errorf("xid 4: NeedsUndo=%v pending=%v, want true/[11]", an.NeedsUndo(4), pendingLSNs(an.Pending[4]))
 	}
 	if an.MaxLSN != 13 || an.MaxXID != 4 || an.Scanned != len(recs) {
 		t.Errorf("analysis = %+v", an)
@@ -125,14 +134,19 @@ func TestRedoRepeatsHistoryIncludingCLRs(t *testing.T) {
 		{LSN: 10, XID: 3, Type: wal.RecDelete, Table: 1, Before: []byte("w3")},
 		{LSN: 11, XID: 3, Type: wal.RecCommit},
 	}
-	an, err := Analyze(sliceIter(recs))
+	alone, err := Analyze(sliceIter(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ap := &fakeApplier{}
-	st, err := Redo(sliceIter(recs), an, ap)
+	an, st, err := Redo(sliceIter(recs), ap)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Redo runs the analysis step on every record it replays: its Analysis
+	// is the one the analysis step alone produces.
+	if !reflect.DeepEqual(an, alone) {
+		t.Errorf("Redo's analysis = %+v, Analyze's = %+v", an, alone)
 	}
 	want := []string{
 		"create-table:t",
@@ -150,7 +164,7 @@ func TestRedoRepeatsHistoryIncludingCLRs(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 	// xid 2's rollback completed via redo alone; the undo pass has nothing.
-	ust, err := Undo(sliceIter(recs), an, ap, nil)
+	ust, err := Undo(an, ap, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +195,7 @@ func TestUndoResumesPartialRollback(t *testing.T) {
 	}
 	ap := &fakeApplier{}
 	var logged []wal.Record
-	st, err := Undo(sliceIter(recs), an, ap, func(rec wal.Record) error {
+	st, err := Undo(an, ap, func(rec wal.Record) error {
 		logged = append(logged, rec)
 		return nil
 	})
@@ -246,7 +260,7 @@ func TestUndoAfterSavepointContinuation(t *testing.T) {
 	}
 	ap := &fakeApplier{}
 	var logged []wal.Record
-	st, err := Undo(sliceIter(recs), an, ap, func(rec wal.Record) error {
+	st, err := Undo(an, ap, func(rec wal.Record) error {
 		logged = append(logged, rec)
 		return nil
 	})
@@ -291,11 +305,11 @@ func TestUndoAfterSavepointContinuation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := anT.Pending[1]; !reflect.DeepEqual(got, []wal.LSN{2, 5}) {
+	if got := pendingLSNs(anT.Pending[1]); !reflect.DeepEqual(got, []wal.LSN{2, 5}) {
 		t.Fatalf("Pending after two partial rollbacks = %v, want [2 5]", got)
 	}
 	apT := &fakeApplier{}
-	stT, err := Undo(sliceIter(recsTwice), anT, apT, nil)
+	stT, err := Undo(anT, apT, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,12 +338,93 @@ func TestUndoAfterSavepointContinuation(t *testing.T) {
 		t.Fatal("UndoNext 0 followed by a data record must re-open the undo obligation")
 	}
 	ap2 := &fakeApplier{}
-	st2, err := Undo(sliceIter(recs2), an2, ap2, nil)
+	st2, err := Undo(an2, ap2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ap2.ops, []string{"delete:cont"}) || st2.Undone != 1 {
 		t.Errorf("undone ops = %v (stats %+v), want just delete:cont", ap2.ops, st2)
+	}
+}
+
+// TestRestartReadsLogOnce pins restart to one read of the log tail: Redo
+// analyzes and replays each record as it goes, and Undo works from the
+// records analysis kept, never from the log. The log holds a winner, a
+// completed rollback, a loser whose rollback a crash interrupted after a
+// RollbackTo continuation, and an in-flight loser, interleaved. The expected
+// replay calls and restart-logged records are what the earlier three-pass
+// restart (Analyze, Redo and Undo each reading the log) produced on this log.
+func TestRestartReadsLogOnce(t *testing.T) {
+	recs := []wal.Record{
+		{LSN: 10, XID: 1, Type: wal.RecBegin},
+		{LSN: 20, XID: 1, Type: wal.RecInsert, Table: 1, After: []byte("w1")},
+		{LSN: 30, XID: 3, Type: wal.RecInsert, Table: 1, After: []byte("a")},
+		{LSN: 40, XID: 2, Type: wal.RecInsert, Table: 1, After: []byte("r1")},
+		{LSN: 50, XID: 4, Type: wal.RecInsert, Table: 1, After: []byte("f1")},
+		{LSN: 60, XID: 3, Type: wal.RecUpdate, Table: 1, Before: []byte("x1"), After: []byte("x2")},
+		{LSN: 70, XID: 1, Type: wal.RecUpdate, Table: 1, Before: []byte("w1"), After: []byte("w2")},
+		// xid 3 rolls back to the savepoint it took after LSN 30.
+		{LSN: 80, XID: 3, Type: wal.RecCLR, Table: 1, Before: []byte("x2"), After: []byte("x1"), UndoNext: 30},
+		{LSN: 90, XID: 2, Type: wal.RecCLR, Table: 1, Before: []byte("r1")},
+		{LSN: 100, XID: 1, Type: wal.RecCommit},
+		{LSN: 110, XID: 2, Type: wal.RecAbort},
+		// xid 3 continues past its savepoint, then starts a full rollback
+		// that the crash interrupts after one CLR.
+		{LSN: 120, XID: 3, Type: wal.RecDelete, Table: 1, Before: []byte("g")},
+		{LSN: 130, XID: 4, Type: wal.RecUpdate, Table: 1, Before: []byte("f1"), After: []byte("f2")},
+		{LSN: 140, XID: 3, Type: wal.RecInsert, Table: 1, After: []byte("c")},
+		{LSN: 150, XID: 3, Type: wal.RecCLR, Table: 1, Before: []byte("c"), UndoNext: 120},
+		{LSN: 160, XID: 4, Type: wal.RecDelete, Table: 1, Before: []byte("f2")},
+	}
+	reads := 0
+	iter := func(fn func(wal.Record) error) error {
+		reads++
+		return sliceIter(recs)(fn)
+	}
+	ap := &fakeApplier{}
+	an, rst, err := Redo(iter, ap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged []wal.Record
+	ust, err := Undo(an, ap, func(rec wal.Record) error {
+		logged = append(logged, rec)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reads != 1 {
+		t.Errorf("restart read the log %d times, want 1", reads)
+	}
+	wantOps := []string{
+		// Redo repeats history, losers and CLRs included.
+		"insert:w1", "insert:a", "insert:r1", "insert:f1", "update:x1->x2",
+		"update:w1->w2", "update:x2->x1", "delete:r1", "delete:g",
+		"update:f1->f2", "insert:c", "delete:c", "delete:f2",
+		// Undo: newest uncompensated record first, across transactions.
+		"insert:f2", "update:f2->f1", "insert:g", "delete:f1", "delete:a",
+	}
+	if !reflect.DeepEqual(ap.ops, wantOps) {
+		t.Errorf("applier calls:\ngot  %v\nwant %v", ap.ops, wantOps)
+	}
+	wantLog := []wal.Record{
+		{Type: wal.RecCLR, XID: 4, Table: 1, After: []byte("f2"), UndoNext: 130},
+		{Type: wal.RecCLR, XID: 4, Table: 1, Before: []byte("f2"), After: []byte("f1"), UndoNext: 50},
+		{Type: wal.RecCLR, XID: 3, Table: 1, After: []byte("g"), UndoNext: 30},
+		{Type: wal.RecCLR, XID: 4, Table: 1, Before: []byte("f1")},
+		{Type: wal.RecAbort, XID: 4},
+		{Type: wal.RecCLR, XID: 3, Table: 1, Before: []byte("a")},
+		{Type: wal.RecAbort, XID: 3},
+	}
+	if !reflect.DeepEqual(logged, wantLog) {
+		t.Errorf("logged records:\ngot  %+v\nwant %+v", logged, wantLog)
+	}
+	if rst != (RedoStats{Redone: 10, CLRs: 3}) || ust != (UndoStats{Undone: 5, TxUndone: 2, Resumed: 1}) {
+		t.Errorf("redo stats %+v, undo stats %+v", rst, ust)
+	}
+	if an.Scanned != len(recs) || len(an.Winners) != 1 || len(an.Losers) != 3 || len(an.RolledBack) != 1 {
+		t.Errorf("analysis = %+v", an)
 	}
 }
 

@@ -102,3 +102,26 @@ func TestAppendAllocs(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkIterate is one record of restart's log read: b.N TPC-B-shaped
+// records in 4 MiB segments, read back with Segments.Iterate. Its allocs/op
+// column is the per-record decode cost (TestIterateAllocs holds it to one).
+func BenchmarkIterate(b *testing.B) {
+	dir := b.TempDir()
+	writeTPCBLog(b, dir, b.N)
+	segs, err := OpenSegments(dir, 4<<20, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer segs.Crash()
+	seen := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := segs.Iterate(0, func(Record) error { seen++; return nil }); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if seen != b.N {
+		b.Fatalf("Iterate delivered %d of %d records", seen, b.N)
+	}
+}

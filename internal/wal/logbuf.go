@@ -361,7 +361,11 @@ func (lb *logBuffer) consume(keepRecs bool) (ranges []Range, recs []Record, coun
 		ranges = append(ranges, Range{Data: data, First: LSN(off)})
 		// Materialize records only for in-memory retention. Consume windows
 		// never overlap, so even then every byte is decoded exactly once
-		// over the log's lifetime.
+		// over the log's lifetime. The ring is reused, so the retained
+		// records' images alias one copy of the run, never the ring.
+		if keepRecs {
+			data = append([]byte(nil), data...)
+		}
 		for i := int64(0); keepRecs && i < int64(len(data)); {
 			if data[i] == 0 { // wraparound padding byte
 				i++

@@ -66,7 +66,7 @@ func decodeAll(t *testing.T, data []byte, base LSN) []Record {
 	reader := bytes.NewReader(data)
 	at := base
 	for {
-		rec, pad, frame, err := decodeCounted(reader)
+		rec, pad, frame, err := decodeCounted(reader, nil)
 		if err != nil {
 			break
 		}

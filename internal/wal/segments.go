@@ -339,10 +339,11 @@ func scanSegment(path string, first LSN) (validBytes int64, err error) {
 		}
 		return 0, herr
 	}
-	r := bufio.NewReader(f)
+	r := bufio.NewReaderSize(f, 64<<10) // restart reads every segment twice: few, large reads
 	off := int64(segHeaderSize)
+	var scratch []byte
 	for {
-		_, pad, frame, derr := decodeCounted(r)
+		_, pad, frame, derr := decodeCounted(r, &scratch)
 		if derr == io.EOF {
 			return off, nil
 		}
@@ -543,7 +544,9 @@ func (s *Segments) SegmentCount() int {
 // the segment that covers it. from must be a frame (or padding) boundary; 0
 // means the beginning of the retained log. A decode failure in any earlier
 // segment is real corruption and is returned as an error. Iteration stops
-// early if fn returns an error, which Iterate propagates.
+// early if fn returns an error, which Iterate propagates. Each record owns
+// its images: they alias one buffer allocated for that record alone, so fn
+// may keep the record.
 func (s *Segments) Iterate(from LSN, fn func(Record) error) error {
 	infos, err := s.listSegments()
 	if err != nil {
@@ -587,9 +590,9 @@ func iterateSegment(info segmentInfo, last bool, from LSN, fn func(Record) error
 		}
 		at = from
 	}
-	r := bufio.NewReader(f)
+	r := bufio.NewReaderSize(f, 64<<10) // as scanSegment
 	for {
-		rec, pad, frame, derr := decodeCounted(r)
+		rec, pad, frame, derr := decodeCounted(r, nil)
 		if derr == io.EOF {
 			return nil
 		}

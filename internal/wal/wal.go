@@ -227,20 +227,24 @@ type ByteReader interface {
 // precede it. It returns io.EOF only at a clean frame boundary; a partial or
 // oversized frame decodes as ErrCorrupt. The returned record's LSN is zero —
 // a raw byte stream carries no address; positioned readers (the segment
-// scanner) assign LSNs from offsets.
+// scanner) assign LSNs from offsets. The record owns its images: they alias
+// one buffer allocated for this frame alone.
 func DecodeFrom(r ByteReader) (Record, error) {
-	rec, _, _, err := decodeCounted(r)
+	rec, _, _, err := decodeCounted(r, nil)
 	return rec, err
 }
 
 // decodeCounted reads one framed record, also reporting how many padding
 // bytes preceded the frame and the frame's own size. It is the single
-// streaming decoder for the on-disk format, shared by DecodeFrom and the
-// segment scanner. Padding bytes are single 0x00 bytes — a zero-length frame
-// — written by the log buffer at ring wraparound so that every byte of the
-// virtual log, padding included, has a stable offset on disk; io.EOF after
-// only padding is a clean boundary.
-func decodeCounted(r ByteReader) (rec Record, pad, frame int64, err error) {
+// streaming decoder for the on-disk format, shared by DecodeFrom, Iterate
+// and the segment scanner. Padding bytes are single 0x00 bytes — a
+// zero-length frame — written by the log buffer at ring wraparound so that
+// every byte of the virtual log, padding included, has a stable offset on
+// disk; io.EOF after only padding is a clean boundary. The body is read into
+// *scratch (grown as needed) when scratch is non-nil — a scan that only
+// validates then allocates nothing per frame — and into one fresh buffer
+// otherwise; the record's images alias it.
+func decodeCounted(r ByteReader, scratch *[]byte) (rec Record, pad, frame int64, err error) {
 	var length uint64
 	for {
 		lengthBytes := 0
@@ -260,7 +264,15 @@ func decodeCounted(r ByteReader) (rec Record, pad, frame int64, err error) {
 	if length > maxFrameBytes {
 		return Record{}, pad, 0, ErrCorrupt
 	}
-	body := make([]byte, length)
+	var body []byte
+	if scratch == nil {
+		body = make([]byte, length)
+	} else {
+		if uint64(cap(*scratch)) < length {
+			*scratch = make([]byte, length)
+		}
+		body = (*scratch)[:length]
+	}
 	if _, err := io.ReadFull(r, body); err != nil {
 		return Record{}, pad, 0, ErrCorrupt
 	}
@@ -295,7 +307,9 @@ func readUvarintCounted(r io.ByteReader, n *int) (uint64, error) {
 
 // Decode parses a record from a byte slice produced by Encode, skipping any
 // leading padding bytes, and returns the record and the number of bytes
-// consumed (padding included). The record's LSN is zero; see DecodeFrom.
+// consumed (padding included). The record's LSN is zero; see DecodeFrom. Its
+// images alias data: the caller must not modify or reuse data while it keeps
+// the record.
 func Decode(data []byte) (Record, int, error) {
 	skip := 0
 	for skip < len(data) && data[skip] == 0 {
@@ -311,6 +325,8 @@ func Decode(data []byte) (Record, int, error) {
 	return rec, skip + n + int(length), err
 }
 
+// decodeBody parses a frame's body. The record's images alias body, so the
+// caller passes a body it owns.
 func decodeBody(body []byte) (Record, error) {
 	var rec Record
 	pos := 0
@@ -353,13 +369,13 @@ func decodeBody(body []byte) (Record, error) {
 	if !ok || beforeLen > uint64(len(body)-pos) {
 		return rec, ErrCorrupt
 	}
-	before := append([]byte(nil), body[pos:pos+int(beforeLen)]...)
+	before := body[pos : pos+int(beforeLen) : pos+int(beforeLen)]
 	pos += int(beforeLen)
 	afterLen, ok := get()
 	if !ok || afterLen > uint64(len(body)-pos) {
 		return rec, ErrCorrupt
 	}
-	after := append([]byte(nil), body[pos:pos+int(afterLen)]...)
+	after := body[pos : pos+int(afterLen) : pos+int(afterLen)]
 	pos += int(afterLen)
 	if pos != len(body) {
 		return rec, ErrCorrupt

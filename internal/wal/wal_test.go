@@ -97,7 +97,7 @@ func TestDecodeSkipsPadding(t *testing.T) {
 		t.Fatalf("padded round trip mismatch: %+v vs %+v", got, rec)
 	}
 	r := bytes.NewReader(stream)
-	got2, pad, frame, err := decodeCounted(r)
+	got2, pad, frame, err := decodeCounted(r, nil)
 	if err != nil || pad != 7 || frame != int64(rec.EncodedSize()) {
 		t.Fatalf("decodeCounted over padding: pad=%d frame=%d err=%v", pad, frame, err)
 	}
