@@ -28,15 +28,6 @@ type Table struct {
 // PrimaryKeyIndexes returns the column positions of the primary key.
 func (t *Table) PrimaryKeyIndexes() []int { return t.pkIdx }
 
-// PrimaryKeyOf extracts the primary-key values from a row.
-func (t *Table) PrimaryKeyOf(row record.Row) []record.Value {
-	out := make([]record.Value, len(t.pkIdx))
-	for i, idx := range t.pkIdx {
-		out[i] = row[idx]
-	}
-	return out
-}
-
 // Index describes a secondary index.
 type Index struct {
 	// Name is the index's unique name.
@@ -54,15 +45,6 @@ type Index struct {
 // ColumnIndexes returns the positions of the indexed columns in the table
 // schema.
 func (ix *Index) ColumnIndexes() []int { return ix.colIdx }
-
-// KeyOf extracts the index-key values from a row.
-func (ix *Index) KeyOf(row record.Row) []record.Value {
-	out := make([]record.Value, len(ix.colIdx))
-	for i, idx := range ix.colIdx {
-		out[i] = row[idx]
-	}
-	return out
-}
 
 // Catalog is the database's schema registry. It is safe for concurrent use;
 // DDL (table/index creation) is expected to be rare and coarse-grained.

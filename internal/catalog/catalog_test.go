@@ -80,12 +80,12 @@ func TestPrimaryKeyExtraction(t *testing.T) {
 	c := New()
 	tbl, _ := c.CreateTable("subscriber", subscriberSchema(), []string{"s_id", "sub_nbr"})
 	row := record.Row{record.Int(7), record.String("555-0001"), record.Int(99)}
-	pk := tbl.PrimaryKeyOf(row)
-	if len(pk) != 2 || pk[0].AsInt() != 7 || pk[1].AsString() != "555-0001" {
-		t.Fatalf("primary key = %v", pk)
+	pk := tbl.PrimaryKeyIndexes()
+	if len(pk) != 2 || pk[0] != 0 || pk[1] != 1 {
+		t.Fatalf("PrimaryKeyIndexes = %v, want [0 1]", pk)
 	}
-	if len(tbl.PrimaryKeyIndexes()) != 2 {
-		t.Fatal("PrimaryKeyIndexes wrong")
+	if row[pk[0]].AsInt() != 7 || row[pk[1]].AsString() != "555-0001" {
+		t.Fatalf("primary key = %v, %v", row[pk[0]], row[pk[1]])
 	}
 }
 
@@ -113,12 +113,12 @@ func TestCreateIndexAndKeyExtraction(t *testing.T) {
 	}
 
 	row := record.Row{record.Int(7), record.String("555-0001"), record.Int(99)}
-	key := ix.KeyOf(row)
-	if len(key) != 1 || key[0].AsString() != "555-0001" {
-		t.Fatalf("index key = %v", key)
+	cols := ix.ColumnIndexes()
+	if len(cols) != 1 || cols[0] != 1 {
+		t.Fatalf("ColumnIndexes = %v, want [1]", cols)
 	}
-	if len(ix.ColumnIndexes()) != 1 {
-		t.Fatal("ColumnIndexes wrong")
+	if key := row[cols[0]]; key.AsString() != "555-0001" {
+		t.Fatalf("index key = %v", key)
 	}
 
 	got, ok := c.Index("sub_by_nbr")

@@ -55,7 +55,7 @@ type RecoveryStats struct {
 func (e *Engine) RecoveryStats() RecoveryStats { return e.recStats }
 
 // DataDir returns the engine's data directory ("" for volatile engines).
-func (e *Engine) DataDir() string { return e.cfg.Dir }
+func (e *Engine) DataDir() string { return e.dir }
 
 // OpenAt opens a disk-backed engine rooted at dir, creating the directory on
 // first use and running crash recovery over whatever a previous incarnation
@@ -68,7 +68,6 @@ func OpenAt(dir string, cfg Config) (*Engine, error) {
 	if dir == "" {
 		return nil, errors.New("core: OpenAt requires a data directory")
 	}
-	cfg.Dir = dir
 	cfg = cfg.withDefaults()
 
 	snap, haveCkpt, err := recovery.ReadCheckpoint(dir)
@@ -94,6 +93,7 @@ func OpenAt(dir string, cfg Config) (*Engine, error) {
 		startLSN = snap.LSN
 	}
 	e := newEngine(cfg, segs, startLSN)
+	e.dir = dir
 	if haveCkpt {
 		if err := e.restoreSnapshot(snap); err != nil {
 			segs.Close()
@@ -156,20 +156,11 @@ func (e *Engine) restoreSnapshot(snap *recovery.Snapshot) error {
 		if err != nil {
 			return err
 		}
-		e.installTable(tbl)
-		e.mu.RLock()
-		hf, pk := e.heaps[tbl.ID], e.pkTrees[tbl.ID]
-		e.mu.RUnlock()
+		rt := e.installTable(tbl)
 		for _, data := range ts.Rows {
-			key, err := rowKey(tbl, nil, data, heap.RID{})
-			if err != nil {
+			if err := rt.insert(nil, data); err != nil {
 				return fmt.Errorf("core: checkpoint row of %q: %w", tbl.Name, err)
 			}
-			rid, err := hf.Insert(nil, data)
-			if err != nil {
-				return err
-			}
-			pk.tree.insert(key, rid)
 		}
 	}
 	for _, im := range snap.Indexes {
@@ -184,25 +175,10 @@ func (e *Engine) restoreSnapshot(snap *recovery.Snapshot) error {
 	return nil
 }
 
-// rowKey is indexKey of rid's entry in ix (nil: the primary key), read
-// straight from tbl's encoded row data: restart never decodes a Row. It
-// rejects data exactly as Decode does, so a row that passed once passes.
-func rowKey(tbl *catalog.Table, ix *catalog.Index, data []byte, rid heap.RID) (string, error) {
-	cols, unique := tbl.PrimaryKeyIndexes(), true
-	if ix != nil {
-		cols, unique = ix.ColumnIndexes(), ix.Unique
-	}
-	var buf [64]byte
-	k, err := tbl.Schema.AppendKey(buf[:0], data, cols)
-	if err != nil || unique {
-		return string(k), err
-	}
-	return string(k) + indexKey(nil, rid, false), nil // the RID suffix alone
-}
-
-// engineApplier applies the recovery package's replay calls to the engine's
-// heap files and B+trees, finding each row by primary key — never by the RID
-// it was logged at, since an undone delete re-inserts its row elsewhere. The
+// engineApplier applies the recovery package's replay calls through the
+// tables' runtimes, finding each row by primary key — never by the RID it
+// was logged at, since an undone delete re-inserts its row elsewhere — and
+// changing it with the same tableRuntime methods a transaction uses. The
 // restart passes run it single-threaded before the agent pool starts (prof
 // nil); a live rollback runs it under the rolling-back transaction's locks,
 // with that transaction's profiler handle. It takes no locks and appends no
@@ -214,14 +190,32 @@ type engineApplier struct {
 
 // table returns the published runtime of the table the log calls tableID.
 func (a engineApplier) table(tableID uint32) (*tableRuntime, error) {
-	if tbl, ok := a.e.cat.TableByID(tableID); ok {
-		return a.e.tableRuntime(tbl.Name)
+	if rt := a.e.tables.Load().byID[tableID]; rt != nil {
+		return rt, nil
 	}
 	return nil, fmt.Errorf("core: log references unknown table %d", tableID)
 }
 
+// find returns the runtime of table tableID and the RID of the row whose
+// primary key the encoded image data carries.
+func (a engineApplier) find(tableID uint32, data []byte) (*tableRuntime, heap.RID, error) {
+	rt, err := a.table(tableID)
+	if err != nil {
+		return nil, heap.RID{}, err
+	}
+	pk, err := rowKey(rt.meta, nil, data, heap.RID{})
+	if err != nil {
+		return nil, heap.RID{}, err
+	}
+	rid, ok := rt.pk.tree.get(pk)
+	if !ok {
+		return nil, heap.RID{}, fmt.Errorf("core: log changes a missing row of table %d", tableID)
+	}
+	return rt, rid, nil
+}
+
 func (a engineApplier) CreateTable(m catalog.TableMeta) error {
-	if _, ok := a.e.cat.TableByID(m.ID); ok {
+	if a.e.tables.Load().byID[m.ID] != nil {
 		// Already present — restored from the checkpoint; DDL redo is
 		// idempotent because checkpointing and DDL logging can overlap.
 		return nil
@@ -235,7 +229,7 @@ func (a engineApplier) CreateTable(m catalog.TableMeta) error {
 }
 
 func (a engineApplier) CreateIndex(m catalog.IndexMeta) error {
-	if _, ok := a.e.cat.Index(m.Name); ok {
+	if a.e.tables.Load().indexes[m.Name] != nil {
 		return nil
 	}
 	ix, err := a.e.cat.RestoreIndex(m)
@@ -250,70 +244,23 @@ func (a engineApplier) Insert(tableID uint32, after []byte) error {
 	if err != nil {
 		return err
 	}
-	pkKey, err := rowKey(rt.meta, nil, after, heap.RID{})
-	if err != nil {
-		return err
-	}
-	rid, err := rt.hf.Insert(a.prof, after)
-	if err != nil {
-		return err
-	}
-	rt.pk.tree.insert(pkKey, rid)
-	for _, sec := range rt.secs {
-		key, _ := rowKey(rt.meta, sec.meta, after, rid) // after passed above
-		sec.tree.insert(key, rid)
-	}
-	return nil
+	return rt.insert(a.prof, after)
 }
 
 func (a engineApplier) Update(tableID uint32, before, after []byte) error {
-	rt, err := a.table(tableID)
+	rt, rid, err := a.find(tableID, after)
 	if err != nil {
 		return err
 	}
-	pkKey, err := rowKey(rt.meta, nil, after, heap.RID{})
-	if err != nil {
-		return err
-	}
-	rid, ok := rt.pk.tree.get(pkKey)
-	if !ok {
-		return fmt.Errorf("core: update of missing row in table %d", tableID)
-	}
-	if err := rt.hf.Update(a.prof, rid, after); err != nil {
-		return err
-	}
-	for _, sec := range rt.secs {
-		oldKey, err := rowKey(rt.meta, sec.meta, before, rid)
-		if err != nil {
-			return err
-		}
-		if newKey, _ := rowKey(rt.meta, sec.meta, after, rid); newKey != oldKey { // after passed above
-			sec.tree.remove(oldKey)
-			sec.tree.insert(newKey, rid)
-		}
-	}
-	return nil
+	return rt.update(a.prof, rid, before, after)
 }
 
 func (a engineApplier) Delete(tableID uint32, before []byte) error {
-	rt, err := a.table(tableID)
+	rt, rid, err := a.find(tableID, before)
 	if err != nil {
 		return err
 	}
-	pkKey, err := rowKey(rt.meta, nil, before, heap.RID{})
-	if err != nil {
-		return err
-	}
-	rid, ok := rt.pk.tree.get(pkKey)
-	if !ok {
-		return fmt.Errorf("core: delete of missing row in table %d", tableID)
-	}
-	for _, sec := range rt.secs {
-		key, _ := rowKey(rt.meta, sec.meta, before, rid) // before passed above
-		sec.tree.remove(key)
-	}
-	rt.pk.tree.remove(pkKey)
-	return rt.hf.Delete(a.prof, rid)
+	return rt.delete(a.prof, rid, before)
 }
 
 // Checkpoint persists a point-in-time image of the database and truncates
@@ -329,6 +276,10 @@ func (e *Engine) Checkpoint() error {
 	if e.segs == nil {
 		return ErrNotDurable
 	}
+	// DDL waits too, so every catalog table has its runtime published and
+	// no DDL record lands between the snapshot and the log it truncates.
+	e.ddlMu.Lock()
+	defer e.ddlMu.Unlock()
 	e.execGate.Lock()
 	defer e.execGate.Unlock()
 
@@ -338,12 +289,11 @@ func (e *Engine) Checkpoint() error {
 	snapLSN := e.log.DurableLSN()
 
 	snap := &recovery.Snapshot{LSN: snapLSN, NextXID: e.nextXID.Load()}
+	set := e.tables.Load()
 	for _, tbl := range e.cat.Tables() {
-		e.mu.RLock()
-		hf := e.heaps[tbl.ID]
-		e.mu.RUnlock()
+		rt := set.byID[tbl.ID]
 		ts := recovery.TableSnapshot{Meta: catalog.TableMetaOf(tbl)}
-		err := hf.Scan(nil, func(rid heap.RID, rec []byte) bool {
+		err := rt.hf.Scan(nil, func(rid heap.RID, rec []byte) bool {
 			ts.Rows = append(ts.Rows, rec)
 			return true
 		})
@@ -351,11 +301,11 @@ func (e *Engine) Checkpoint() error {
 			return err
 		}
 		snap.Tables = append(snap.Tables, ts)
-		for _, ix := range e.cat.TableIndexes(tbl.ID) {
-			snap.Indexes = append(snap.Indexes, catalog.IndexMetaOf(ix))
+		for _, sec := range rt.secs {
+			snap.Indexes = append(snap.Indexes, catalog.IndexMetaOf(sec.meta))
 		}
 	}
-	if err := recovery.WriteCheckpoint(e.cfg.Dir, snap); err != nil {
+	if err := recovery.WriteCheckpoint(e.dir, snap); err != nil {
 		return err
 	}
 	return e.segs.Checkpoint(snapLSN)

@@ -12,6 +12,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,10 +92,6 @@ type Config struct {
 	// Profile enables the per-component time breakdown used by the figure
 	// harness. It adds a small overhead per operation.
 	Profile bool
-	// Dir is the data directory backing the engine's durability subsystem
-	// (WAL segments and checkpoints). It is set by OpenAt; Open ignores it
-	// and runs fully in memory.
-	Dir string
 	// SegmentBytes is the on-disk WAL segment rotation size for durable
 	// engines; zero uses wal.DefaultSegmentBytes.
 	SegmentBytes int64
@@ -124,6 +122,7 @@ type Engine struct {
 	lm   *lockmgr.Manager
 	log  *wal.Log
 	segs *wal.Segments // nil for in-memory (volatile) engines
+	dir  string        // the data directory; "" for in-memory engines
 	pool *buffer.Pool
 	prof *profiler.Profiler
 
@@ -132,15 +131,11 @@ type Engine struct {
 	execGate sync.RWMutex
 	recStats RecoveryStats
 
-	mu      sync.RWMutex
-	heaps   map[uint32]*heap.File
-	pkTrees map[uint32]*index
-	secs    map[string]*index
-	// tables is what transactions read instead of the three maps above: an
-	// immutable name → runtime map, rebuilt and republished by every DDL
-	// (publishTables), so Tx.Get/Update/Insert/Scan take no lock and
-	// allocate nothing to resolve a table.
-	tables atomic.Pointer[map[string]*tableRuntime]
+	// ddlMu serializes DDL and checkpoints. Every DDL publishes a new
+	// tables set, which is how transactions, rollback and restart reach a
+	// table or an index: one atomic load, no lock, no allocation.
+	ddlMu  sync.Mutex
+	tables atomic.Pointer[tableSet]
 
 	nextXID atomic.Uint64
 
@@ -204,7 +199,6 @@ type worker struct {
 // Open creates an in-memory (volatile) engine with the given configuration.
 // For a disk-backed engine with crash recovery, use OpenAt.
 func Open(cfg Config) *Engine {
-	cfg.Dir = ""
 	e := newEngine(cfg.withDefaults(), nil, 0)
 	e.SetConcurrency(e.cfg.Agents)
 	return e
@@ -219,13 +213,10 @@ func newEngine(cfg Config, durable *wal.Segments, startLSN wal.LSN) *Engine {
 		cat:      catalog.New(),
 		segs:     durable,
 		prof:     profiler.New(cfg.Profile),
-		heaps:    make(map[uint32]*heap.File),
-		pkTrees:  make(map[uint32]*index),
-		secs:     make(map[string]*index),
 		jobs:     make(chan job),
 		stopping: make(chan struct{}),
 	}
-	e.publishTables()
+	e.tables.Store(&tableSet{byName: map[string]*tableRuntime{}, byID: map[uint32]*tableRuntime{}, indexes: map[string]*index{}})
 	e.lm = lockmgr.New(lockmgr.Config{
 		SLI:             cfg.SLI,
 		SLIHotThreshold: cfg.SLIHotThreshold,
@@ -620,6 +611,41 @@ type index struct {
 	tree *indexTree
 }
 
+// tableRuntime is the engine's one handle on a table: its catalog entry,
+// heap file, primary-key tree and secondary indexes. It is immutable once
+// published. Its insert, addKeys, update and delete methods are the only
+// code that changes a row's heap slot and index entries, for transactions,
+// rollback and restart alike; they work on encoded rows, take no locks and
+// log nothing. Tx.Insert alone stores the heap row itself, because it locks
+// the row before addKeys makes it visible.
+type tableRuntime struct {
+	meta *catalog.Table
+	hf   *heap.File
+	pk   *index
+	secs []*index
+}
+
+// tableSet is the engine's table registry: an immutable snapshot that every
+// DDL replaces with an extended copy under Engine.ddlMu, so transactions,
+// rollback and restart resolve a table or an index with one atomic load and
+// no lock.
+type tableSet struct {
+	byName  map[string]*tableRuntime
+	byID    map[uint32]*tableRuntime
+	indexes map[string]*index
+}
+
+// with returns a copy of s with rt installed, replacing the runtime of the
+// same table if there is one, and idx, if non-nil, registered.
+func (s *tableSet) with(rt *tableRuntime, idx *index) *tableSet {
+	n := &tableSet{byName: maps.Clone(s.byName), byID: maps.Clone(s.byID), indexes: maps.Clone(s.indexes)}
+	n.byName[rt.meta.Name], n.byID[rt.meta.ID] = rt, rt
+	if idx != nil {
+		n.indexes[idx.meta.Name] = idx
+	}
+	return n
+}
+
 // CreateTable creates a table with the given schema and primary key. It must
 // be called before any transaction uses the table; DDL is not transactional.
 // On durable engines the DDL is logged and forced to disk before returning.
@@ -627,34 +653,32 @@ func (e *Engine) CreateTable(name string, schema *record.Schema, primaryKey []st
 	if e.closed.Load() {
 		return ErrClosed
 	}
+	e.ddlMu.Lock()
+	defer e.ddlMu.Unlock()
 	tbl, err := e.cat.CreateTable(name, schema, primaryKey)
 	if err != nil {
 		return err
 	}
+	prev := e.tables.Load()
 	e.installTable(tbl)
 	if err := e.logDDL(wal.RecCreateTable, catalog.TableMetaOf(tbl).Encode()); err != nil {
 		// The DDL record could not be made durable: undo the in-memory
 		// creation so the failed call leaves no half-created table that a
 		// restart would not know about.
 		e.cat.RemoveTable(tbl.ID)
-		e.mu.Lock()
-		delete(e.heaps, tbl.ID)
-		delete(e.pkTrees, tbl.ID)
-		e.publishTables()
-		e.mu.Unlock()
+		e.tables.Store(prev)
 		return err
 	}
 	return nil
 }
 
-// installTable wires a catalog table descriptor into the engine's runtime
-// structures (heap file and primary-key tree).
-func (e *Engine) installTable(tbl *catalog.Table) {
-	e.mu.Lock()
-	e.heaps[tbl.ID] = heap.NewFile(tbl.ID, e.pool)
-	e.pkTrees[tbl.ID] = &index{tree: newIndexTree()}
-	e.publishTables()
-	e.mu.Unlock()
+// installTable publishes an empty runtime (heap file and primary-key tree)
+// for a catalog table descriptor and returns it. DDL calls it under
+// e.ddlMu, restart before the engine is shared.
+func (e *Engine) installTable(tbl *catalog.Table) *tableRuntime {
+	rt := &tableRuntime{meta: tbl, hf: heap.NewFile(tbl.ID, e.pool), pk: &index{tree: newIndexTree()}}
+	e.tables.Store(e.tables.Load().with(rt, nil))
+	return rt
 }
 
 // CreateIndex creates a secondary index on an existing (empty or populated)
@@ -664,40 +688,39 @@ func (e *Engine) CreateIndex(name, table string, columns []string, unique bool) 
 	if e.closed.Load() {
 		return ErrClosed
 	}
+	e.ddlMu.Lock()
+	defer e.ddlMu.Unlock()
 	ix, err := e.cat.CreateIndex(name, table, columns, unique)
 	if err != nil {
 		return err
 	}
+	prev := e.tables.Load()
 	if err := e.installIndex(ix); err == nil {
 		err = e.logDDL(wal.RecCreateIndex, catalog.IndexMetaOf(ix).Encode())
 	}
 	if err != nil {
 		e.cat.RemoveIndex(ix.Name)
-		e.mu.Lock()
-		delete(e.secs, ix.Name)
-		e.publishTables()
-		e.mu.Unlock()
+		e.tables.Store(prev)
 		return err
 	}
 	return nil
 }
 
-// installIndex builds the runtime B+tree for a catalog index descriptor and
-// backfills it from the table's existing rows.
+// installIndex publishes the runtime B+tree for a catalog index descriptor
+// and backfills it from the table's existing rows. It is called where
+// installTable is.
 func (e *Engine) installIndex(ix *catalog.Index) error {
-	tbl, _ := e.cat.TableByID(ix.TableID)
+	set := e.tables.Load()
+	rt := *set.byID[ix.TableID]
 	idx := &index{meta: ix, tree: newIndexTree()}
-	e.mu.Lock()
-	e.secs[ix.Name] = idx
-	hf := e.heaps[ix.TableID]
+	rt.secs = append(slices.Clip(rt.secs), idx)
 	// Published before the backfill, so a concurrent insert maintains the
 	// index from the moment the scan below could miss its row.
-	e.publishTables()
-	e.mu.Unlock()
+	e.tables.Store(set.with(&rt, idx))
 	var err error
-	serr := hf.Scan(nil, func(rid heap.RID, rec []byte) bool {
+	serr := rt.hf.Scan(nil, func(rid heap.RID, rec []byte) bool {
 		var key string
-		if key, err = rowKey(tbl, ix, rec, rid); err != nil {
+		if key, err = rowKey(rt.meta, ix, rec, rid); err != nil {
 			return false
 		}
 		idx.tree.insert(key, rid)
@@ -724,42 +747,104 @@ func (e *Engine) logDDL(typ wal.RecType, meta []byte) error {
 	return e.log.Flush(lsn)
 }
 
-// tableRuntime bundles what a transaction needs to operate on one table. It
-// is immutable once published.
-type tableRuntime struct {
-	meta *catalog.Table
-	hf   *heap.File
-	pk   *index
-	secs []*index
-}
-
-// publishTables rebuilds the name → runtime map from the catalog and the
-// engine's heap and index maps and publishes it. Every DDL calls it — after
-// installing a table or index, and again after removing one whose DDL record
-// could not be logged — with e.mu held for writing (newEngine, before the
-// engine is shared, needs none), so concurrent DDLs publish in the order they
-// took effect.
-func (e *Engine) publishTables() {
-	m := make(map[string]*tableRuntime)
-	for _, tbl := range e.cat.Tables() {
-		hf := e.heaps[tbl.ID]
-		if hf == nil {
-			continue // in the catalog, not installed yet
-		}
-		rt := &tableRuntime{meta: tbl, hf: hf, pk: e.pkTrees[tbl.ID]}
-		for _, ix := range e.cat.TableIndexes(tbl.ID) {
-			if sec := e.secs[ix.Name]; sec != nil {
-				rt.secs = append(rt.secs, sec)
-			}
-		}
-		m[tbl.Name] = rt
-	}
-	e.tables.Store(&m)
-}
-
 func (e *Engine) tableRuntime(name string) (*tableRuntime, error) {
-	if rt := (*e.tables.Load())[name]; rt != nil {
+	if rt := e.tables.Load().byName[name]; rt != nil {
 		return rt, nil
 	}
 	return nil, fmt.Errorf("core: unknown table %q", name)
+}
+
+// insert stores the encoded row data in the heap, then enters its keys. On
+// a duplicate key it removes the heap row again and leaves nothing behind.
+func (rt *tableRuntime) insert(h *profiler.Handle, data []byte) error {
+	rid, err := rt.hf.Insert(h, data)
+	if err != nil {
+		return err
+	}
+	if err := rt.addKeys(data, rid); err != nil {
+		_ = rt.hf.Delete(h, rid)
+		return err
+	}
+	return nil
+}
+
+// addKeys enters the primary and secondary keys of the encoded row data
+// stored at rid. On a duplicate it removes the keys it added and returns
+// ErrDuplicateKey.
+func (rt *tableRuntime) addKeys(data []byte, rid heap.RID) error {
+	pk, err := rowKey(rt.meta, nil, data, rid)
+	if err != nil {
+		return err
+	}
+	if !rt.pk.tree.insert(pk, rid) {
+		return fmt.Errorf("%w: %s in %s", ErrDuplicateKey, pk, rt.meta.Name)
+	}
+	for i, sec := range rt.secs {
+		key, _ := rowKey(rt.meta, sec.meta, data, rid) // data passed above
+		if !sec.tree.insert(key, rid) {
+			rt.dropKeys(data, rid, rt.secs[:i])
+			return fmt.Errorf("%w: index %s", ErrDuplicateKey, sec.meta.Name)
+		}
+	}
+	return nil
+}
+
+// dropKeys removes the primary key and the keys in secs of the encoded row
+// data stored at rid.
+func (rt *tableRuntime) dropKeys(data []byte, rid heap.RID, secs []*index) {
+	for _, sec := range secs {
+		key, _ := rowKey(rt.meta, sec.meta, data, rid)
+		sec.tree.remove(key)
+	}
+	pk, _ := rowKey(rt.meta, nil, data, rid)
+	rt.pk.tree.remove(pk)
+}
+
+// update overwrites the row at rid with the encoded image after, then moves
+// each secondary key that differs from the one of the old image before.
+func (rt *tableRuntime) update(h *profiler.Handle, rid heap.RID, before, after []byte) error {
+	if err := rt.hf.Update(h, rid, after); err != nil {
+		return err
+	}
+	for _, sec := range rt.secs {
+		oldKey, err := rowKey(rt.meta, sec.meta, before, rid)
+		if err != nil {
+			return err
+		}
+		if newKey, _ := rowKey(rt.meta, sec.meta, after, rid); newKey != oldKey { // callers check after
+			sec.tree.remove(oldKey)
+			sec.tree.insert(newKey, rid)
+		}
+	}
+	return nil
+}
+
+// delete drops the keys of the encoded row data stored at rid, then the heap
+// row. If the heap refuses, it puts the keys back, so the indexes stay
+// consistent with the heap.
+func (rt *tableRuntime) delete(h *profiler.Handle, rid heap.RID, data []byte) error {
+	rt.dropKeys(data, rid, rt.secs)
+	err := rt.hf.Delete(h, rid)
+	if err != nil {
+		_ = rt.addKeys(data, rid)
+	}
+	return err
+}
+
+// rowKey is the B+tree key of rid's entry in ix (nil: the primary key),
+// read straight from tbl's encoded row data. Unique indexes and the primary
+// key use the column values alone; non-unique indexes append the RID so that
+// duplicate column values remain distinct entries. It rejects data exactly
+// as Decode does, so a row that passed once passes.
+func rowKey(tbl *catalog.Table, ix *catalog.Index, data []byte, rid heap.RID) (string, error) {
+	cols, unique := tbl.PrimaryKeyIndexes(), true
+	if ix != nil {
+		cols, unique = ix.ColumnIndexes(), ix.Unique
+	}
+	var buf [64]byte
+	k, err := tbl.Schema.AppendKey(buf[:0], data, cols)
+	if err != nil || unique {
+		return string(k), err
+	}
+	return string(append(k, record.EncodeKey(record.Int(int64(rid.Page)), record.Int(int64(rid.Slot)))...)), nil
 }

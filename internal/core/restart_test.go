@@ -104,10 +104,8 @@ func TestRestartKeysFromBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tbl, _ := e.cat.Table("t")
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	trees := map[string]*indexTree{"primary key": e.pkTrees[tbl.ID].tree, "t_code": e.secs["t_code"].tree, "t_score_grp": e.secs["t_score_grp"].tree}
+	set := e.tables.Load()
+	trees := map[string]*indexTree{"primary key": set.byName["t"].pk.tree, "t_code": set.indexes["t_code"].tree, "t_score_grp": set.indexes["t_score_grp"].tree}
 	for name, tree := range trees {
 		if n := tree.t.Len(); n != len(model) {
 			t.Errorf("%s holds %d entries for %d rows", name, n, len(model))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -43,17 +44,6 @@ func (it *indexTree) remove(key string) bool               { return it.t.Delete(
 func (it *indexTree) get(key string) (heap.RID, bool)      { return it.t.Get(key) }
 func (it *indexTree) scanRange(lo, hi string, fn func(key string, rid heap.RID) bool) {
 	it.t.AscendRange(lo, hi, fn)
-}
-
-// indexKey builds the B+tree key for an index entry. Unique indexes (and the
-// primary key) use the column values alone; non-unique indexes append the
-// RID so that duplicate column values remain distinct entries.
-func indexKey(vals []record.Value, rid heap.RID, unique bool) string {
-	k := record.EncodeKey(vals...)
-	if unique {
-		return k
-	}
-	return k + record.EncodeKey(record.Int(int64(rid.Page)), record.Int(int64(rid.Slot)))
 }
 
 // undoEntry is one registered rollback step: the LSN of a logged data
@@ -386,47 +376,31 @@ func (tx *Tx) Insert(table string, row record.Row) error {
 	if err != nil {
 		return err
 	}
-	if err := rt.meta.Schema.Validate(row); err != nil {
+	data, err := rt.meta.Schema.Encode(row)
+	if err != nil {
 		return err
 	}
 	// Announce write intent on the table before touching pages.
 	if err := tx.lockTable(rt.meta.ID, lockmgr.IX); err != nil {
 		return err
 	}
-	pkKey := record.EncodeKey(rt.meta.PrimaryKeyOf(row)...)
-	if _, exists := rt.pk.tree.get(pkKey); exists {
-		return fmt.Errorf("%w: %s in %s", ErrDuplicateKey, pkKey, table)
-	}
-	data, err := rt.meta.Schema.Encode(row)
-	if err != nil {
-		return err
+	pk, _ := rowKey(rt.meta, nil, data, heap.RID{})
+	if _, dup := rt.pk.tree.get(pk); dup {
+		return fmt.Errorf("%w: %s in %s", ErrDuplicateKey, pk, table)
 	}
 	rid, err := rt.hf.Insert(tx.prof, data)
 	if err != nil {
 		return err
 	}
-	if err := tx.lockRecord(rt.meta.ID, rid, lockmgr.X); err != nil {
-		// The row is not yet visible through any index; undo the heap insert.
+	// Lock the row before its keys make it visible; a duplicate key (a lost
+	// race with a concurrent insert) leaves no key behind.
+	err = tx.lockRecord(rt.meta.ID, rid, lockmgr.X)
+	if err == nil {
+		err = rt.addKeys(data, rid)
+	}
+	if err != nil {
 		_ = rt.hf.Delete(tx.prof, rid)
 		return err
-	}
-	if !rt.pk.tree.insert(pkKey, rid) {
-		// Lost a race with a concurrent insert of the same key.
-		_ = rt.hf.Delete(tx.prof, rid)
-		return fmt.Errorf("%w: %s in %s", ErrDuplicateKey, pkKey, table)
-	}
-	secKeys := make([]string, len(rt.secs))
-	for i, sec := range rt.secs {
-		secKeys[i] = indexKey(sec.meta.KeyOf(row), rid, sec.meta.Unique)
-		if !sec.tree.insert(secKeys[i], rid) {
-			// Unique violation: roll back what we did so far.
-			for j := 0; j < i; j++ {
-				rt.secs[j].tree.remove(secKeys[j])
-			}
-			rt.pk.tree.remove(pkKey)
-			_ = rt.hf.Delete(tx.prof, rid)
-			return fmt.Errorf("%w: index %s", ErrDuplicateKey, rt.secs[i].meta.Name)
-		}
 	}
 	rec := wal.Record{Type: wal.RecInsert, Table: rt.meta.ID, Page: rid.Page, Slot: rid.Slot, After: data}
 	if err := tx.logAppend(rec); err != nil {
@@ -445,48 +419,56 @@ func (tx *Tx) Insert(table string, row record.Row) error {
 // Get returns the row with the given primary key, locking it in share mode.
 // The boolean result reports whether the row exists.
 func (tx *Tx) Get(table string, key ...record.Value) (record.Row, bool, error) {
-	row, _, found, err := tx.get(table, lockmgr.S, key...)
-	return row, found, err
+	return tx.getRow(table, lockmgr.S, key)
 }
 
 // GetForUpdate returns the row with the given primary key, locking it
 // exclusively so it can subsequently be updated or deleted.
 func (tx *Tx) GetForUpdate(table string, key ...record.Value) (record.Row, bool, error) {
-	row, _, found, err := tx.get(table, lockmgr.X, key...)
+	return tx.getRow(table, lockmgr.X, key)
+}
+
+func (tx *Tx) getRow(table string, mode lockmgr.Mode, key []record.Value) (record.Row, bool, error) {
+	rt, err := tx.e.tableRuntime(table)
+	if err != nil {
+		return nil, false, err
+	}
+	row, _, _, found, err := tx.get(rt, mode, key)
 	return row, found, err
 }
 
-func (tx *Tx) get(table string, mode lockmgr.Mode, key ...record.Value) (record.Row, heap.RID, bool, error) {
-	rt, err := tx.e.tableRuntime(table)
-	if err != nil {
-		return nil, heap.RID{}, false, err
-	}
-	pkKey := record.EncodeKey(key...)
-	rid, ok := rt.pk.tree.get(pkKey)
+// get finds the row with the given primary key and reads it through
+// tx.read, returning its heap bytes beside the decoded row.
+func (tx *Tx) get(rt *tableRuntime, mode lockmgr.Mode, key []record.Value) (row record.Row, rid heap.RID, data []byte, found bool, err error) {
+	rid, ok := rt.pk.tree.get(record.EncodeKey(key...))
 	if !ok {
 		// Lock the table in intention mode so the read of "not there" is at
 		// least protected against drops; record-level locking cannot lock a
 		// missing key (no next-key locking in this engine).
-		if err := tx.lockTable(rt.meta.ID, lockmgr.ParentMode(mode)); err != nil {
-			return nil, heap.RID{}, false, err
-		}
-		return nil, heap.RID{}, false, nil
+		return nil, rid, nil, false, tx.lockTable(rt.meta.ID, lockmgr.ParentMode(mode))
 	}
+	row, data, found, err = tx.read(rt, rid, mode)
+	return row, rid, data, found, err
+}
+
+// read locks the row at rid in mode and returns it decoded and as the heap
+// bytes it was decoded from. found is false when the slot is empty.
+func (tx *Tx) read(rt *tableRuntime, rid heap.RID, mode lockmgr.Mode) (record.Row, []byte, bool, error) {
 	if err := tx.lockRecord(rt.meta.ID, rid, mode); err != nil {
-		return nil, heap.RID{}, false, err
+		return nil, nil, false, err
 	}
 	data, err := rt.hf.Get(tx.prof, rid)
+	if errors.Is(err, heap.ErrNotFound) {
+		return nil, nil, false, nil
+	}
 	if err != nil {
-		if errors.Is(err, heap.ErrNotFound) {
-			return nil, heap.RID{}, false, nil
-		}
-		return nil, heap.RID{}, false, err
+		return nil, nil, false, err
 	}
 	row, err := rt.meta.Schema.Decode(data)
 	if err != nil {
-		return nil, heap.RID{}, false, err
+		return nil, nil, false, err
 	}
-	return row, rid, true, nil
+	return row, data, true, nil
 }
 
 // Update looks up the row by primary key, locks it exclusively, applies
@@ -497,7 +479,7 @@ func (tx *Tx) Update(table string, key []record.Value, mutate func(record.Row) (
 	if err != nil {
 		return err
 	}
-	oldRow, rid, found, err := tx.get(table, lockmgr.X, key...)
+	oldRow, rid, oldData, found, err := tx.get(rt, lockmgr.X, key)
 	if err != nil {
 		return err
 	}
@@ -508,32 +490,18 @@ func (tx *Tx) Update(table string, key []record.Value, mutate func(record.Row) (
 	if err != nil {
 		return err
 	}
-	if err := rt.meta.Schema.Validate(newRow); err != nil {
-		return err
-	}
-	oldPK := record.EncodeKey(rt.meta.PrimaryKeyOf(oldRow)...)
-	newPK := record.EncodeKey(rt.meta.PrimaryKeyOf(newRow)...)
-	if oldPK != newPK {
-		return ErrPrimaryKeyChange
-	}
-	oldData, err := rt.meta.Schema.Encode(oldRow)
-	if err != nil {
-		return err
-	}
 	newData, err := rt.meta.Schema.Encode(newRow)
 	if err != nil {
 		return err
 	}
-	if err := rt.hf.Update(tx.prof, rid, newData); err != nil {
-		return err
+	var oldBuf, newBuf [64]byte
+	oldPK, _ := rt.meta.Schema.AppendKey(oldBuf[:0], oldData, rt.meta.PrimaryKeyIndexes())
+	newPK, _ := rt.meta.Schema.AppendKey(newBuf[:0], newData, rt.meta.PrimaryKeyIndexes())
+	if !bytes.Equal(oldPK, newPK) {
+		return ErrPrimaryKeyChange
 	}
-	// Maintain secondary indexes whose key changed.
-	for _, sec := range rt.secs {
-		oldKey := indexKey(sec.meta.KeyOf(oldRow), rid, sec.meta.Unique)
-		if newKey := indexKey(sec.meta.KeyOf(newRow), rid, sec.meta.Unique); newKey != oldKey {
-			sec.tree.remove(oldKey)
-			sec.tree.insert(newKey, rid)
-		}
+	if err := rt.update(tx.prof, rid, oldData, newData); err != nil {
+		return err
 	}
 	rec := wal.Record{Type: wal.RecUpdate, Table: rt.meta.ID, Page: rid.Page, Slot: rid.Slot, Before: oldData, After: newData}
 	if err := tx.logAppend(rec); err != nil {
@@ -549,42 +517,28 @@ func (tx *Tx) Update(table string, key []record.Value, mutate func(record.Row) (
 }
 
 // Delete removes the row with the given primary key. It returns ErrNotFound
-// if the row does not exist. Rolling the delete back applies its
-// recovery.Compensation, which re-inserts the row at a fresh RID and rebuilds
-// its index keys there; the RID it occupied is not reserved. Every rollback
-// step finds its row by primary key, so none writes to the RID the row was
-// logged at.
+// if the row does not exist. The record it logs carries the heap bytes the
+// row was read from. Rolling the delete back applies its
+// recovery.Compensation through the same tableRuntime, which re-inserts the
+// row at a fresh RID and enters its keys there; the RID it occupied is not
+// reserved. Every rollback step finds its row by primary key, so none writes
+// to the RID the row was logged at.
 func (tx *Tx) Delete(table string, key ...record.Value) error {
 	rt, err := tx.e.tableRuntime(table)
 	if err != nil {
 		return err
 	}
-	oldRow, rid, found, err := tx.get(table, lockmgr.X, key...)
+	_, rid, data, found, err := tx.get(rt, lockmgr.X, key)
 	if err != nil {
 		return err
 	}
 	if !found {
 		return ErrNotFound
 	}
-	oldData, err := rt.meta.Schema.Encode(oldRow)
-	if err != nil {
+	if err := rt.delete(tx.prof, rid, data); err != nil {
 		return err
 	}
-	pkKey := record.EncodeKey(rt.meta.PrimaryKeyOf(oldRow)...)
-	for _, sec := range rt.secs {
-		sec.tree.remove(indexKey(sec.meta.KeyOf(oldRow), rid, sec.meta.Unique))
-	}
-	rt.pk.tree.remove(pkKey)
-	if err := rt.hf.Delete(tx.prof, rid); err != nil {
-		// The heap still holds the row at rid; re-insert the index entries
-		// removed above so the indexes stay consistent with the heap.
-		rt.pk.tree.insert(pkKey, rid)
-		for _, sec := range rt.secs {
-			sec.tree.insert(indexKey(sec.meta.KeyOf(oldRow), rid, sec.meta.Unique), rid)
-		}
-		return err
-	}
-	rec := wal.Record{Type: wal.RecDelete, Table: rt.meta.ID, Page: rid.Page, Slot: rid.Slot, Before: oldData}
+	rec := wal.Record{Type: wal.RecDelete, Table: rt.meta.ID, Page: rid.Page, Slot: rid.Slot, Before: data}
 	if err := tx.logAppend(rec); err != nil {
 		// The row is already gone from heap and indexes; put it back inline
 		// since no undo was registered for this mutation.
@@ -609,17 +563,11 @@ func (tx *Tx) LookupIndexForUpdate(indexName string, key ...record.Value) ([]rec
 }
 
 func (tx *Tx) lookupIndex(indexName string, mode lockmgr.Mode, key ...record.Value) ([]record.Row, error) {
-	tx.e.mu.RLock()
-	idx, ok := tx.e.secs[indexName]
-	tx.e.mu.RUnlock()
-	if !ok {
+	set := tx.e.tables.Load()
+	idx := set.indexes[indexName]
+	if idx == nil {
 		return nil, fmt.Errorf("core: unknown index %q", indexName)
 	}
-	tbl, _ := tx.e.cat.TableByID(idx.meta.TableID)
-	tx.e.mu.RLock()
-	hf := tx.e.heaps[idx.meta.TableID]
-	tx.e.mu.RUnlock()
-
 	prefix := record.EncodeKey(key...)
 	var rids []heap.RID
 	if idx.meta.Unique {
@@ -632,23 +580,16 @@ func (tx *Tx) lookupIndex(indexName string, mode lockmgr.Mode, key ...record.Val
 			return true
 		})
 	}
+	rt := set.byID[idx.meta.TableID]
 	var rows []record.Row
 	for _, rid := range rids {
-		if err := tx.lockRecord(idx.meta.TableID, rid, mode); err != nil {
-			return nil, err
-		}
-		data, err := hf.Get(tx.prof, rid)
-		if err != nil {
-			if errors.Is(err, heap.ErrNotFound) {
-				continue
-			}
-			return nil, err
-		}
-		row, err := tbl.Schema.Decode(data)
+		row, _, found, err := tx.read(rt, rid, mode)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, row)
+		if found {
+			rows = append(rows, row)
+		}
 	}
 	return rows, nil
 }
@@ -678,31 +619,15 @@ func (tx *Tx) scanRange(table string, mode lockmgr.Mode, lo, hi []record.Value, 
 	if len(hi) > 0 {
 		hiKey = record.EncodeKey(hi...) + "\xff"
 	}
-	type hit struct {
-		rid heap.RID
-	}
-	var hits []hit
+	var rids []heap.RID
 	rt.pk.tree.scanRange(loKey, hiKey, func(k string, rid heap.RID) bool {
-		hits = append(hits, hit{rid})
+		rids = append(rids, rid)
 		return true
 	})
-	for _, hh := range hits {
-		if err := tx.lockRecord(rt.meta.ID, hh.rid, mode); err != nil {
+	for _, rid := range rids {
+		row, _, found, err := tx.read(rt, rid, mode)
+		if err != nil || (found && !fn(row)) {
 			return err
-		}
-		data, err := rt.hf.Get(tx.prof, hh.rid)
-		if err != nil {
-			if errors.Is(err, heap.ErrNotFound) {
-				continue
-			}
-			return err
-		}
-		row, err := rt.meta.Schema.Decode(data)
-		if err != nil {
-			return err
-		}
-		if !fn(row) {
-			return nil
 		}
 	}
 	return nil

@@ -44,6 +44,29 @@ func (it *indexTree) remove(key string) bool {
 	return true
 }
 
+// tableRuntime mirrors the engine's table handle, whose methods change a
+// row's heap slot and index entries together; walorder tracks them as the
+// heap (insert, update, delete) and index (addKeys, dropKeys) mutations they
+// bundle.
+type tableRuntime struct {
+	hf *heap.File
+	pk *indexTree
+}
+
+func (rt *tableRuntime) addKeys(key string, rid heap.RID) error {
+	if !rt.pk.insert(key, rid) {
+		return errors.New("duplicate key")
+	}
+	return nil
+}
+
+func (rt *tableRuntime) update(rid heap.RID, data []byte) error { return rt.hf.Update(rid, data) }
+
+func (rt *tableRuntime) delete(key string, rid heap.RID) error {
+	rt.pk.remove(key)
+	return rt.hf.Delete(rid)
+}
+
 type undoEntry struct {
 	lsn LSN
 	clr Record
@@ -57,6 +80,7 @@ func compensation(rec Record) Record {
 
 // Tx is the transaction handle the analyzer scopes to.
 type Tx struct {
+	rt       *tableRuntime
 	hf       *heap.File
 	pk       *indexTree
 	lastLSN  LSN
@@ -126,6 +150,64 @@ func (tx *Tx) DeleteOK(key string, rid heap.RID, oldData []byte) error {
 		return err
 	}
 	tx.pushUndo(undoEntry{lsn: tx.lastLSN, clr: compensation(rec)})
+	return nil
+}
+
+// InsertThroughRuntimeOK locks the row between the heap insert and the
+// runtime's addKeys; either failure compensates the heap insert with the
+// inverse delete, and the append failure applies the compensation.
+func (tx *Tx) InsertThroughRuntimeOK(key string, data []byte) error {
+	rid, err := tx.hf.Insert(data)
+	if err != nil {
+		return err
+	}
+	err = tx.logAppend(Record{}) // stands in for the record lock
+	if err == nil {
+		err = tx.rt.addKeys(key, rid)
+	}
+	if err != nil {
+		_ = tx.hf.Delete(rid)
+		return err
+	}
+	rec := Record{After: data}
+	if err := tx.logAppend(rec); err != nil {
+		if uerr := tx.applyUndo(compensation(rec)); uerr != nil {
+			return errors.Join(err, uerr)
+		}
+		return err
+	}
+	tx.pushUndo(undoEntry{lsn: tx.lastLSN, clr: compensation(rec)})
+	return nil
+}
+
+// UpdateThroughRuntimeOK mutates through the table runtime and carries the
+// same protocol as a direct heap update.
+func (tx *Tx) UpdateThroughRuntimeOK(rid heap.RID, oldData, newData []byte) error {
+	if err := tx.rt.update(rid, newData); err != nil {
+		return err
+	}
+	rec := Record{Before: oldData, After: newData}
+	if err := tx.logAppend(rec); err != nil {
+		if uerr := tx.applyUndo(compensation(rec)); uerr != nil {
+			return errors.Join(err, uerr)
+		}
+		return err
+	}
+	tx.pushUndo(undoEntry{lsn: tx.lastLSN, clr: compensation(rec)})
+	return nil
+}
+
+// DeleteThroughRuntimeNoRollback hides the mutation behind the table
+// runtime: the row is gone from heap and index when the append fails, and
+// nothing puts it back.
+func (tx *Tx) DeleteThroughRuntimeNoRollback(key string, rid heap.RID, oldData []byte) error {
+	if err := tx.rt.delete(key, rid); err != nil {
+		return err
+	}
+	if err := tx.logAppend(Record{Before: oldData}); err != nil {
+		return err // want `return in DeleteThroughRuntimeNoRollback with the heap delete at line \d+ still applied`
+	}
+	tx.pushUndo(undoEntry{lsn: tx.lastLSN, clr: Record{After: oldData}})
 	return nil
 }
 

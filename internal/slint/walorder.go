@@ -12,8 +12,9 @@ import (
 // WalOrder proves the write-ahead ordering protocol on Tx mutation paths.
 //
 // The engine applies a mutation in memory first (heap insert/update/delete,
-// index tree insert/remove), then appends the WAL record, then registers the
-// undo entry carrying that record's LSN. The protocol obligation is on the
+// index tree insert/remove, or the tableRuntime method that bundles them),
+// then appends the WAL record, then registers the undo entry carrying that
+// record's LSN. The protocol obligation is on the
 // paths out of the function: once an in-memory mutation has been applied,
 // every non-panic return must have either
 //
@@ -209,7 +210,10 @@ func collectWalCalls(pass *analysis.Pass, parents map[ast.Node]ast.Node, body *a
 }
 
 // mutationKind classifies call as an in-memory mutation: a heap-package
-// Insert/Update/Delete method, or an indexTree insert/remove.
+// Insert/Update/Delete method, an indexTree insert/remove, or a tableRuntime
+// method that changes a row's heap slot and index entries together (insert,
+// update and delete count as the heap operation, addKeys and dropKeys as the
+// index one).
 func mutationKind(pass *analysis.Pass, call *ast.CallExpr) (mutKind, bool) {
 	fn, ok := typeutil.Callee(pass.TypesInfo, call).(*types.Func)
 	if !ok {
@@ -230,11 +234,25 @@ func mutationKind(pass *analysis.Pass, call *ast.CallExpr) (mutKind, bool) {
 		}
 		return 0, false
 	}
-	if typeBase(derefType(sig.Recv().Type())) == "indexTree" {
+	switch typeBase(derefType(sig.Recv().Type())) {
+	case "indexTree":
 		switch fn.Name() {
 		case "insert":
 			return mutTreeInsert, true
 		case "remove":
+			return mutTreeRemove, true
+		}
+	case "tableRuntime":
+		switch fn.Name() {
+		case "insert":
+			return mutHeapInsert, true
+		case "update":
+			return mutHeapUpdate, true
+		case "delete":
+			return mutHeapDelete, true
+		case "addKeys":
+			return mutTreeInsert, true
+		case "dropKeys":
 			return mutTreeRemove, true
 		}
 	}
