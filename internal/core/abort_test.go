@@ -17,8 +17,7 @@ import (
 // reverse order of the original records, chained through UndoNext, and ends
 // with an abort record.
 func TestAbortLogsCLRChain(t *testing.T) {
-	e := Open(Config{})
-	defer e.Close()
+	e := openDurable(t)
 	schema := record.MustSchema(
 		record.Column{Name: "id", Type: record.TypeInt},
 		record.Column{Name: "v", Type: record.TypeInt},
@@ -51,19 +50,17 @@ func TestAbortLogsCLRChain(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if err := e.log.Flush(e.log.LastLSN()); err != nil {
-		t.Fatal(err)
-	}
 
 	// Collect the aborted transaction's records (the highest XID in the log).
+	recs := logRecords(t, e)
 	var aborted []wal.Record
 	var xid uint64
-	for _, r := range e.log.Records() {
+	for _, r := range recs {
 		if r.XID > xid {
 			xid = r.XID
 		}
 	}
-	for _, r := range e.log.Records() {
+	for _, r := range recs {
 		if r.XID == xid {
 			aborted = append(aborted, r)
 		}

@@ -222,18 +222,16 @@ func newEngine(cfg Config, durable *wal.Segments, startLSN wal.LSN) *Engine {
 		SLIHotThreshold: cfg.SLIHotThreshold,
 		SLIMinLevel:     cfg.SLIMinLevel,
 	})
-	// In-memory engines retain flushed records for Records(); durable ones
-	// drop them, since the disk holds the records and retaining them as well
-	// would grow without bound.
+	// An in-memory engine's flusher hands its bytes to no sink (a nil
+	// interface, not a nil *Segments) and the log keeps nothing.
 	var sink wal.DurableSink
 	if durable != nil {
 		sink = durable
 	}
 	e.log = wal.New(wal.Config{
-		FlushDelay:     cfg.LogFlushDelay,
-		DropAfterFlush: durable != nil,
-		Durable:        sink,
-		StartLSN:       startLSN,
+		FlushDelay: cfg.LogFlushDelay,
+		Durable:    sink,
+		StartLSN:   startLSN,
 	})
 	e.pool = buffer.NewPool(buffer.NewMemStore(), buffer.Config{
 		Frames:  cfg.BufferFrames,

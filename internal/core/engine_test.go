@@ -3,11 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
 	"slidb/internal/lockmgr"
 	"slidb/internal/record"
+	"slidb/internal/wal"
 )
 
 func accountSchema() *record.Schema {
@@ -22,7 +24,41 @@ func accountSchema() *record.Schema {
 // 100.0 each.
 func newBankEngine(t testing.TB, cfg Config, n int) *Engine {
 	t.Helper()
-	e := Open(cfg)
+	return loadBank(t, Open(cfg), n)
+}
+
+// openDurable opens a disk-backed engine on a fresh directory.
+func openDurable(t testing.TB) *Engine {
+	t.Helper()
+	e, err := OpenAt(t.TempDir(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	return e
+}
+
+// logRecords forces a durable engine's log and reads every record back from
+// its segment files: the log itself keeps nothing it has flushed.
+func logRecords(t testing.TB, e *Engine) []wal.Record {
+	t.Helper()
+	if err := e.log.Flush(e.log.LastLSN()); err != nil {
+		t.Fatal(err)
+	}
+	var recs []wal.Record
+	if err := e.segs.Iterate(0, func(r wal.Record) error {
+		recs = append(recs, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// loadBank gives e an accounts table and n accounts of 100.0 each, and
+// closes it when the test ends.
+func loadBank(t testing.TB, e *Engine, n int) *Engine {
+	t.Helper()
 	t.Cleanup(func() { e.Close() })
 	if err := e.CreateTable("accounts", accountSchema(), []string{"id"}); err != nil {
 		t.Fatal(err)
@@ -515,12 +551,13 @@ func TestGetForUpdateBlocksConflictingWriter(t *testing.T) {
 }
 
 func TestWALRecordsWritten(t *testing.T) {
-	e := newBankEngine(t, Config{}, 3)
-	appends, _, _ := e.log.StatsSnapshot()
-	if appends == 0 {
+	e := openDurable(t)
+	start := e.log.LastLSN()
+	loadBank(t, e, 3)
+	if e.log.LastLSN() == start {
 		t.Fatal("no WAL records were appended during setup")
 	}
-	recs := e.log.Records()
+	recs := logRecords(t, e)
 	if len(recs) == 0 {
 		t.Fatal("no WAL records were flushed at commit")
 	}
@@ -532,5 +569,38 @@ func TestWALRecordsWritten(t *testing.T) {
 	}
 	if !sawCommit {
 		t.Fatal("no commit record in the WAL")
+	}
+}
+
+// TestVolatileEngineKeepsNoLog pins that an in-memory engine's log keeps
+// nothing it has flushed: the heap must not grow with the number of
+// committed updates.
+func TestVolatileEngineKeepsNoLog(t *testing.T) {
+	e := newBankEngine(t, Config{}, 100)
+	update := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := e.Exec(func(tx *Tx) error {
+				return tx.Update("accounts", []record.Value{record.Int(int64(i % 100))}, func(r record.Row) (record.Row, error) {
+					r[2] = record.Float(r[2].AsFloat() + 1)
+					return r, nil
+				})
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	update(2000)
+	before := heap()
+	update(20000)
+	growth := heap() - before
+	t.Logf("heap grew %d bytes over 20000 updates", growth)
+	if growth >= 2<<20 {
+		t.Fatalf("heap grew %d bytes over 20000 updates, want under 2 MiB", growth)
 	}
 }

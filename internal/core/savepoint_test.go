@@ -8,9 +8,10 @@ import (
 	"slidb/internal/wal"
 )
 
-func savepointEngine(t *testing.T) *Engine {
+// savepointEngine gives e a table t holding the row {1, 10}, and closes e
+// when the test ends.
+func savepointEngine(t *testing.T, e *Engine) *Engine {
 	t.Helper()
-	e := Open(Config{})
 	t.Cleanup(func() { e.Close() })
 	schema := record.MustSchema(
 		record.Column{Name: "id", Type: record.TypeInt},
@@ -45,7 +46,7 @@ func readAll(t *testing.T, e *Engine) map[int64]int64 {
 // the savepoint is rolled back (heap, indexes, and compensation-logged),
 // work before it and after the rollback commits normally.
 func TestSavepointRollbackThenCommit(t *testing.T) {
-	e := savepointEngine(t)
+	e := savepointEngine(t, openDurable(t))
 	if err := e.Exec(func(tx *Tx) error {
 		// Pre-savepoint work: survives.
 		if err := tx.Update("t", []record.Value{record.Int(1)}, func(r record.Row) (record.Row, error) {
@@ -91,18 +92,16 @@ func TestSavepointRollbackThenCommit(t *testing.T) {
 	// The log must show the savepoint span compensated: CLRs for the two
 	// post-savepoint records (newest first), UndoNext chaining past them to
 	// the pre-savepoint update, then the continuation insert, then commit.
-	if err := e.log.Flush(e.log.LastLSN()); err != nil {
-		t.Fatal(err)
-	}
+	recs := logRecords(t, e)
 	var xid uint64
-	for _, r := range e.log.Records() {
+	for _, r := range recs {
 		if r.XID > xid {
 			xid = r.XID
 		}
 	}
 	var types []wal.RecType
 	var txRecs []wal.Record
-	for _, r := range e.log.Records() {
+	for _, r := range recs {
 		if r.XID == xid {
 			types = append(types, r.Type)
 			txRecs = append(txRecs, r)
@@ -137,7 +136,7 @@ func TestSavepointRollbackThenCommit(t *testing.T) {
 // later full abort: the abort must undo the continuation and the
 // pre-savepoint work but never the already-compensated span.
 func TestSavepointThenAbort(t *testing.T) {
-	e := savepointEngine(t)
+	e := savepointEngine(t, Open(Config{}))
 	boom := errors.New("boom")
 	err := e.Exec(func(tx *Tx) error {
 		if err := tx.Update("t", []record.Value{record.Int(1)}, func(r record.Row) (record.Row, error) {
@@ -173,7 +172,7 @@ func TestSavepointThenAbort(t *testing.T) {
 // invalidated by an earlier RollbackTo (its span no longer exists) and a
 // no-op savepoint both behave sanely.
 func TestSavepointValidation(t *testing.T) {
-	e := savepointEngine(t)
+	e := savepointEngine(t, Open(Config{}))
 	if err := e.Exec(func(tx *Tx) error {
 		sp0 := tx.Savepoint()
 		if err := tx.RollbackTo(sp0); err != nil {

@@ -20,7 +20,7 @@ func writeLog(t *testing.T, dir string, recs ...wal.Record) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := wal.New(wal.Config{Durable: segs, DropAfterFlush: true})
+	l := wal.New(wal.Config{Durable: segs})
 	for _, rec := range recs {
 		if _, err := l.Append(rec); err != nil {
 			t.Fatal(err)

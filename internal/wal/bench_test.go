@@ -22,7 +22,7 @@ func benchAppend(b *testing.B, appenders int) {
 	b.ResetTimer()
 	for done := 0; done < b.N; done += perLog {
 		b.StopTimer()
-		l := New(Config{DropAfterFlush: true})
+		l := New(Config{})
 		n := min(perLog, b.N-done)
 		b.StartTimer()
 		var wg sync.WaitGroup
@@ -65,7 +65,7 @@ func (nopSink) Sync() error               { return nil }
 // consume, one WriteRanges, Sync, ack — into a sink that does no I/O
 // (benchmark/'s wal.commit_flush_us is the same cycle with a real fsync).
 func BenchmarkAppendFlush(b *testing.B) {
-	l := New(Config{Durable: nopSink{}, DropAfterFlush: true})
+	l := New(Config{Durable: nopSink{}})
 	defer l.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -83,7 +83,7 @@ func BenchmarkAppendFlush(b *testing.B) {
 // TestAppendAllocs holds a warm append — unprofiled and profiled — to zero
 // heap allocations: the record is encoded straight into the shared buffer.
 func TestAppendAllocs(t *testing.T) {
-	l := New(Config{DropAfterFlush: true})
+	l := New(Config{})
 	defer l.Close()
 	rec := benchRecord()
 	for _, c := range []struct {

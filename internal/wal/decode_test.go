@@ -2,7 +2,7 @@ package wal
 
 import (
 	"bytes"
-	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -31,7 +31,7 @@ func writeTPCBLog(tb testing.TB, dir string, n int) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	l := New(Config{Durable: segs, DropAfterFlush: true})
+	l := New(Config{Durable: segs})
 	for xid := uint64(1); n > 0; xid++ {
 		recs := tpcbTxn(xid)
 		for _, rec := range recs[:min(n, len(recs))] {
@@ -49,49 +49,13 @@ func writeTPCBLog(tb testing.TB, dir string, n int) {
 	}
 }
 
-// TestRetainedRecordsOwnTheirImages pins that an in-memory log's retained
-// records never alias its ring buffer: the ring wraps several times under
-// the records, and every image Records() returns must still read as
-// appended.
-func TestRetainedRecordsOwnTheirImages(t *testing.T) {
-	l := New(Config{BufferBytes: 4 << 10})
-	defer l.Close()
-	var want []Record
-	var written int64
-	for written < 4*(4<<10) { // four trips around the 4 KiB ring
-		var last LSN
-		for i := 0; i < 8; i++ {
-			n := len(want)
-			rec := Record{XID: uint64(n + 1), Type: RecUpdate, Table: 1,
-				Before: []byte(fmt.Sprintf("before-%d-%s", n, bytes.Repeat([]byte{'b'}, n%40))),
-				After:  []byte(fmt.Sprintf("after-%d-%s", n, bytes.Repeat([]byte{'a'}, n%23)))}
-			lsn, err := l.Append(rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec.LSN, last = lsn, lsn
-			want = append(want, rec)
-			written += int64(rec.EncodedSize())
-		}
-		if err := l.Flush(last); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := l.Records()
-	if len(got) != len(want) {
-		t.Fatalf("Records() holds %d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("record %d after %d ring bytes:\ngot  %+v\nwant %+v", i, written, got[i], want[i])
-		}
-	}
-}
-
 // TestIterateAllocs holds restart's log reads to their allocation budget:
 // Iterate allocates each record's frame once (its images alias it), and
 // OpenSegments' validation scan reuses one buffer, so its allocations do not
-// grow with the number of records.
+// grow with the number of records. Each size reads the minimum of five
+// measurements: a stray runtime allocation (GC, a concurrent test binary)
+// can only add to a reading, while a per-record allocation would add
+// thousands to every one of them.
 func TestIterateAllocs(t *testing.T) {
 	openAllocs := func(n int) float64 {
 		dir := t.TempDir()
@@ -99,13 +63,17 @@ func TestIterateAllocs(t *testing.T) {
 		if files, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg")); len(files) != 1 {
 			t.Fatalf("%d records span %d segments, want 1", n, len(files))
 		}
-		return testing.AllocsPerRun(3, func() {
-			segs, err := OpenSegments(dir, 4<<20, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			segs.Crash()
-		})
+		least := math.Inf(1)
+		for range 5 {
+			least = min(least, testing.AllocsPerRun(3, func() {
+				segs, err := OpenSegments(dir, 4<<20, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				segs.Crash()
+			}))
+		}
+		return least
 	}
 	if small, big := openAllocs(2000), openAllocs(16000); big > small {
 		t.Errorf("OpenSegments: %v allocs for 2000 records, %v for 16000; want no growth", small, big)

@@ -81,9 +81,8 @@ func FuzzConcurrentReserveFillPublish(f *testing.F) {
 		nRec := int(perAppender)%64 + 1
 		sink := &captureSink{}
 		l := New(Config{
-			Durable:        sink,
-			DropAfterFlush: true,
-			BufferBytes:    int64(bufBytes), // clamped to the minimum internally
+			Durable:     sink,
+			BufferBytes: int64(bufBytes), // clamped to the minimum internally
 		})
 		var mu sync.Mutex
 		want := make(map[LSN]Record)
@@ -141,12 +140,12 @@ func FuzzConcurrentReserveFillPublish(f *testing.F) {
 	})
 }
 
-// FuzzReservationProtocolEquivalence is the reservation protocol's
-// differential fuzz target: a deterministic (single-goroutine) sequence of
-// fuzzed record sizes is appended to the log, and its stream must be
+// FuzzLogMatchesReference is the log's differential fuzz target: a
+// deterministic (single-goroutine) sequence of fuzzed record sizes is
+// appended to the log, and its stream must be
 // bit-identical to referenceLog's — same frames, same wraparound padding,
 // same offsets — with every returned LSN equal to the reference's.
-func FuzzReservationProtocolEquivalence(f *testing.F) {
+func FuzzLogMatchesReference(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, uint16(4096))
 	f.Add([]byte{255, 0, 17, 99, 200, 5}, uint16(5000))
 	f.Add(bytes.Repeat([]byte{251}, 40), uint16(0))
@@ -156,7 +155,7 @@ func FuzzReservationProtocolEquivalence(f *testing.F) {
 			sizes = sizes[:512]
 		}
 		sink := &captureSink{}
-		l := New(Config{Durable: sink, DropAfterFlush: true, BufferBytes: int64(bufBytes)})
+		l := New(Config{Durable: sink, BufferBytes: int64(bufBytes)})
 		var recs []Record
 		var lsns []LSN
 		for i, sz := range sizes {

@@ -28,7 +28,6 @@ package wal
 // to its endpoint: there is no centralized section left on the append path.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -86,10 +85,8 @@ type logBuffer struct {
 
 	head      atomic.Int64 // next virtual offset to reserve
 	published atomic.Int64 // fence: every byte below it is filled
-	pubRecs   atomic.Int64 // records published (each fill increments once, after its fence)
 	tail      atomic.Int64 // oldest virtual offset still in use (advanced by release)
 	consumed  int64        // flusher-private: end of the last consume
-	consRecs  int64        // flusher-private: pubRecs already handed out by consume
 
 	fullWaiters atomic.Int32 // reservers blocked on a full buffer (flusher pressure signal)
 	wedged      atomic.Bool  // fast-path mirror of err != nil
@@ -322,71 +319,29 @@ func (lb *logBuffer) fill(rec Record, s reservation, timed bool) time.Duration {
 	if n := int64(rec.EncodeTo(lb.buf[start : start+s.n])); n != s.n {
 		panic(fmt.Sprintf("wal: reserved %d bytes but encoded %d", s.n, n))
 	}
-	// Counted before the fence: a consume cycle that sees this record's
-	// bytes published (the fence won between its `published` and `pubRecs`
-	// loads) must not miss its count — the last cycle before an idle period
-	// would otherwise leave the Synced total permanently short. The converse
-	// skew (counted now, bytes consumed next cycle) self-corrects through
-	// the flusher's running delta.
-	lb.pubRecs.Add(1)
 	return lb.publish(s.off-s.pad, s.off+s.n, timed)
 }
 
 // consume takes the published-but-unconsumed window of the virtual log and
 // returns it as physically contiguous byte ranges (at most two: the window
 // never exceeds the ring size, so it splits at most once at the physical
-// end), the count of records it contains and — when keepRecs is set — the
-// decoded records with their byte-offset LSNs. The ranges alias the buffer:
-// the caller must finish reading them and then call release(end) to hand the
-// space back to reservers. end == 0 means nothing was consumable. Single
-// consumer only. Padding is always published together with the record that
-// claimed it, so a non-empty window always holds at least one record.
-func (lb *logBuffer) consume(keepRecs bool) (ranges []Range, recs []Record, count int, end int64) {
+// end). It reads no frame and copies no byte: the ranges alias the buffer,
+// and the caller must finish reading them and then call release(end) to hand
+// the space back to reservers. end == 0 means nothing was consumable. Single
+// consumer only.
+func (lb *logBuffer) consume() (ranges []Range, end int64) {
 	pub := lb.published.Load()
 	if pub == lb.consumed {
-		return nil, nil, 0, 0
+		return nil, 0
 	}
-	// The record count comes from the published-records counter, not a
-	// scan: without retention consume touches no frame bytes at all. Fills
-	// increment pubRecs just before their fence, so the delta can
-	// transiently include a record whose bytes land next cycle (never the
-	// reverse); the running totals stay exact.
-	pr := lb.pubRecs.Load()
-	count = int(pr - lb.consRecs)
-	lb.consRecs = pr
 	for off := lb.consumed; off < pub; {
 		p := lb.phys(off)
 		runEnd := min(pub, off+(lb.size-p))
-		data := lb.buf[p : p+(runEnd-off)]
-		ranges = append(ranges, Range{Data: data, First: LSN(off)})
-		// Materialize records only for in-memory retention. Consume windows
-		// never overlap, so even then every byte is decoded exactly once
-		// over the log's lifetime. The ring is reused, so the retained
-		// records' images alias one copy of the run, never the ring.
-		if keepRecs {
-			data = append([]byte(nil), data...)
-		}
-		for i := int64(0); keepRecs && i < int64(len(data)); {
-			if data[i] == 0 { // wraparound padding byte
-				i++
-				continue
-			}
-			length, vn := binary.Uvarint(data[i:])
-			if vn <= 0 || int64(vn)+int64(length) > int64(len(data))-i {
-				panic(fmt.Sprintf("wal: published log buffer frame at offset %d overruns its range", off+i))
-			}
-			rec, err := decodeBody(data[i+int64(vn) : i+int64(vn)+int64(length)])
-			if err != nil {
-				panic(fmt.Sprintf("wal: published log buffer bytes undecodable at offset %d: %v", off+i, err))
-			}
-			rec.LSN = LSN(off + i)
-			recs = append(recs, rec)
-			i += int64(vn) + int64(length)
-		}
+		ranges = append(ranges, Range{Data: lb.buf[p : p+(runEnd-off)], First: LSN(off)})
 		off = runEnd
 	}
 	lb.consumed = pub
-	return ranges, recs, count, pub
+	return ranges, pub
 }
 
 // release hands consumed buffer space back to reservers once the flusher has

@@ -134,7 +134,7 @@ func TestConsolidatedConcurrentAppendsRoundTrip(t *testing.T) {
 
 func testConcurrentAppendsRoundTrip(t *testing.T) {
 	sink := &captureSink{}
-	l := New(Config{Durable: sink, DropAfterFlush: true, BufferBytes: 8 << 10})
+	l := New(Config{Durable: sink, BufferBytes: 8 << 10})
 	const (
 		appenders  = 8
 		perAppend  = 200
@@ -190,7 +190,7 @@ func testConcurrentAppendsRoundTrip(t *testing.T) {
 // kick the flusher directly.
 func TestConsolidatedBackpressureDrainsWithoutSubscriptions(t *testing.T) {
 	sink := &captureSink{}
-	l := New(Config{Durable: sink, DropAfterFlush: true, BufferBytes: 4 << 10})
+	l := New(Config{Durable: sink, BufferBytes: 4 << 10})
 	payload := bytes.Repeat([]byte{0x5a}, 512)
 	const n = 64 // 64 * ~520B is several times the buffer
 	done := make(chan error, 1)
@@ -225,7 +225,7 @@ func TestConsolidatedBackpressureDrainsWithoutSubscriptions(t *testing.T) {
 // returned LSN must equal the reference stream exactly.
 func TestWraparoundMatchesReference(t *testing.T) {
 	sink := &captureSink{}
-	l := New(Config{Durable: sink, DropAfterFlush: true, BufferBytes: 4 << 10})
+	l := New(Config{Durable: sink, BufferBytes: 4 << 10})
 	var recs []Record
 	var lsns []LSN
 	frames := 0
@@ -302,7 +302,7 @@ func testFlushAsyncReopenEdge(t *testing.T) {
 func TestCloseRacingAppendsNeverLosesAcceptedRecord(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		sink := &captureSink{}
-		l := New(Config{Durable: sink, DropAfterFlush: true, BufferBytes: 8 << 10})
+		l := New(Config{Durable: sink, BufferBytes: 8 << 10})
 		const appenders = 4
 		accepted := make([]map[LSN]Record, appenders)
 		var wg sync.WaitGroup
@@ -383,7 +383,7 @@ func TestConsolidatedCrashFailsBlockedReservers(t *testing.T) {
 func testCrashFailsBlockedReservers(t *testing.T) {
 	sink := &stuckSink{release: make(chan struct{}), entered: make(chan struct{})}
 	defer close(sink.release)
-	l := New(Config{BufferBytes: 4 << 10, Durable: sink, DropAfterFlush: true})
+	l := New(Config{BufferBytes: 4 << 10, Durable: sink})
 	payload := bytes.Repeat([]byte{1}, 1024)
 	errc := make(chan error, 1)
 	go func() {

@@ -14,7 +14,7 @@ func logTo(t *testing.T, dir string, segBytes int64) (*Log, *Segments) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(Config{Durable: segs, DropAfterFlush: true}), segs
+	return New(Config{Durable: segs}), segs
 }
 
 // appendN appends n records and returns their byte-offset LSNs.
@@ -145,7 +145,7 @@ func TestSegmentsReopenResumesLSN(t *testing.T) {
 	if segs2.End() != end {
 		t.Fatalf("reopened End = %d, want %d", segs2.End(), end)
 	}
-	l2 := New(Config{Durable: segs2, StartLSN: segs2.End(), DropAfterFlush: true})
+	l2 := New(Config{Durable: segs2, StartLSN: segs2.End()})
 	more := appendN(t, l2, 2, 2)
 	if more[0] != end {
 		t.Fatalf("resumed LSN = %d, want %d (appends continue at the recovered end)", more[0], end)
@@ -197,7 +197,7 @@ func TestSegmentsTornTailTruncated(t *testing.T) {
 		t.Fatalf("iterated %d records, want 5 (torn frame must be dropped)", len(got))
 	}
 	// Appends after truncation extend a valid log.
-	l2 := New(Config{Durable: segs2, StartLSN: segs2.End(), DropAfterFlush: true})
+	l2 := New(Config{Durable: segs2, StartLSN: segs2.End()})
 	more := appendN(t, l2, 2, 1)
 	if err := l2.Flush(more[0]); err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestTornTailAcrossRotationBoundary(t *testing.T) {
 	}
 
 	// Appends resume seamlessly above the repaired tail.
-	l2 := New(Config{Durable: segs2, StartLSN: segs2.End(), DropAfterFlush: true})
+	l2 := New(Config{Durable: segs2, StartLSN: segs2.End()})
 	more := appendN(t, l2, 3, 2)
 	if err := l2.Flush(more[1]); err != nil {
 		t.Fatal(err)
@@ -298,7 +298,7 @@ func TestTornHeaderAtRotationRepaired(t *testing.T) {
 		if segs2.End() != end {
 			t.Fatalf("End after torn-header repair = %d, want %d", segs2.End(), end)
 		}
-		l2 := New(Config{Durable: segs2, StartLSN: segs2.End(), DropAfterFlush: true})
+		l2 := New(Config{Durable: segs2, StartLSN: segs2.End()})
 		more := appendN(t, l2, 2, 1)
 		if err := l2.Flush(more[0]); err != nil {
 			t.Fatal(err)
@@ -459,13 +459,13 @@ func TestCloseDrainsPendingRecords(t *testing.T) {
 	dir := t.TempDir()
 	l, segs := logTo(t, dir, 0)
 	appendN(t, l, 3, 8) // no Flush
-	if n := l.PendingBytes(); n == 0 {
-		t.Fatal("pending bytes = 0 before Close, want > 0")
+	if n := l.LastLSN().Distance(l.DurableLSN()); n <= 0 {
+		t.Fatalf("pending bytes = %d before Close, want > 0", n)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := l.PendingBytes(); n != 0 {
+	if n := l.LastLSN().Distance(l.DurableLSN()); n != 0 {
 		t.Fatalf("Close left %d pending bytes", n)
 	}
 	if got, want := l.DurableLSN(), l.LastLSN(); got != want {

@@ -299,7 +299,7 @@ func TestVectoredFlushOneWritePerCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := New(Config{Durable: segs, DropAfterFlush: true})
+	l := New(Config{Durable: segs})
 	for i := 0; i < 10; i++ {
 		lsns := appendN(t, l, uint64(i), 5)
 		if err := l.Flush(lsns[4]); err != nil {
@@ -330,7 +330,7 @@ func TestVectoredFlushOneWritePerCycle(t *testing.T) {
 // covers the hard interleavings).
 func TestFenceWaitStatsAndDelivery(t *testing.T) {
 	sink := &captureSink{}
-	l := New(Config{Durable: sink, DropAfterFlush: true})
+	l := New(Config{Durable: sink})
 	var last LSN
 	for i := 0; i < 25; i++ {
 		lsn, w, err := l.AppendTimed(Record{XID: 3, Type: RecInsert, Table: 1, After: []byte("payload-payload")})

@@ -424,42 +424,20 @@ type Config struct {
 	// per group-commit batch; DurableLSN only advances past bytes the sink
 	// has accepted and synced. A write or sync error wedges the log: every
 	// subsequent Append and Flush fails, because the durable prefix can no
-	// longer grow.
+	// longer grow. When nil, flushed bytes go nowhere: the watermark
+	// advances and the buffer space is reused, and the log keeps no copy.
 	Durable DurableSink
 	// StartLSN is the virtual byte offset the log starts issuing at, used
 	// when reopening a log whose prefix (every byte below StartLSN) is
 	// already durable on disk. Zero means start at offset 1 (offset 0 is the
 	// "no LSN" sentinel).
 	StartLSN LSN
-	// DropAfterFlush discards flushed records instead of retaining them in
-	// memory for Records() (which recovery tests read). Retention is the
-	// default; long-running and disk-backed logs drop.
-	DropAfterFlush bool
 	// BufferBytes sizes the log buffer (default 4 MiB). A reservation that
 	// does not fit blocks until the flusher drains the buffer, reported as
 	// AppendWaits.BufferFull. A single record frame larger than half the
 	// buffer (or than the decoder's 1 MiB frame limit, which would corrupt
 	// the log for every reader) is rejected at Append.
 	BufferBytes int64
-}
-
-// noCopy triggers go vet's copylocks check when a struct embedding it is
-// copied by value. The typed atomics inside these structs carry their own
-// no-copy guard, but the explicit field keeps the protection (and the
-// intent) even if a field is ever downgraded to a plain integer.
-type noCopy struct{}
-
-func (*noCopy) Lock()   {}
-func (*noCopy) Unlock() {}
-
-// Stats holds log counters. It is updated concurrently by appenders and the
-// flusher and must never be copied by value — read it through
-// StatsSnapshot.
-type Stats struct {
-	noCopy  noCopy
-	Appends atomic.Uint64
-	Flushes atomic.Uint64
-	Synced  atomic.Uint64 // records made durable
 }
 
 // ErrClosed is returned by operations on a closed log.
@@ -485,21 +463,21 @@ type flushWaiter struct {
 // performs one physical write+sync per group-commit batch (handing every
 // consumed byte range to the DurableSink in one call), advances the
 // durable-LSN watermark, and acknowledges every satisfied subscription in
-// LSN order.
+// LSN order. The log keeps nothing it has flushed: a flushed byte lives in
+// the sink, or nowhere when no sink is configured.
 type Log struct {
 	cfg Config
 	lb  *logBuffer
 
 	mu            sync.Mutex
 	flushWork     *sync.Cond // signals the flusher goroutine that work arrived
-	flushed       []Record   // records already flushed (retained unless DropAfterFlush)
 	flushLSN      LSN        // exclusive end of the durable prefix (first non-durable byte offset)
 	closed        bool
 	flusherActive bool          // the flusher goroutine has been started
 	waiters       []flushWaiter // pending durability subscriptions
 	failed        error         // first durable-sink error; wedges the log
 
-	stats Stats
+	cycles atomic.Uint64 // group-commit cycles completed
 }
 
 // New creates a write-ahead log.
@@ -541,7 +519,6 @@ func (l *Log) append(rec Record, timed bool) (LSN, AppendWaits, error) {
 		// whole ordering overhead of the protocol.
 		w.Reserve += fence
 	}
-	l.stats.Appends.Add(1)
 	return LSN(s.off), w, nil
 }
 
@@ -698,14 +675,12 @@ func (l *Log) flusherLoop() {
 
 // flushCycle is one group-commit cycle: consume the contiguous published
 // prefix of the log buffer, hand every consumed byte range to the durable
-// sink in one call — no per-record re-encode, one vectored submission for
-// the whole cycle — then force, advance the watermark and acknowledge, or
-// wedge the log on a sink error. It returns false when nothing was
-// consumable.
+// sink in one call — no per-record decode or re-encode, one vectored
+// submission for the whole cycle — then force, advance the watermark and
+// acknowledge, or wedge the log on a sink error. Without a sink the consumed
+// bytes are simply released. It returns false when nothing was consumable.
 func (l *Log) flushCycle() bool {
-	// Records are only decoded back out of the buffer for in-memory
-	// retention (Records()).
-	ranges, recs, count, end := l.lb.consume(!l.cfg.DropAfterFlush)
+	ranges, end := l.lb.consume()
 	if end == 0 {
 		return false
 	}
@@ -732,10 +707,7 @@ func (l *Log) flushCycle() bool {
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.cfg.DropAfterFlush {
-		l.flushed = append(l.flushed, recs...)
-	}
-	l.stats.Flushes.Add(1)
+	l.cycles.Add(1)
 	if l.failed != nil {
 		// Crashed while the batch was in flight: even if the sync succeeded,
 		// never acknowledge — crash semantics allow un-acked records to
@@ -752,7 +724,6 @@ func (l *Log) flushCycle() bool {
 	if l.flushLSN < LSN(end) {
 		l.flushLSN = LSN(end)
 	}
-	l.stats.Synced.Add(uint64(count))
 	l.notifyWaitersLocked()
 	return true
 }
@@ -797,43 +768,11 @@ func (l *Log) Err() error {
 	return l.failed
 }
 
-// Records returns a copy of every record that has been flushed, in LSN
-// order, for recovery and tests. Records still in the append buffer are not
-// included.
-func (l *Log) Records() []Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Record, len(l.flushed))
-	copy(out, l.flushed)
-	return out
-}
-
-// PendingBytes returns the number of appended-but-not-yet-durable bytes of
-// the virtual log. With byte-offset LSNs this is simply the distance between
-// the log's end and the durable watermark; it is zero whenever the flusher
-// has caught up.
-func (l *Log) PendingBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	end := l.LastLSN()
-	if end <= l.flushLSN {
-		return 0
-	}
-	return end.Distance(l.flushLSN)
-}
-
-// StatsSnapshot returns a copy of the log counters.
-func (l *Log) StatsSnapshot() (appends, flushes, synced uint64) {
-	return l.stats.Appends.Load(), l.stats.Flushes.Load(), l.stats.Synced.Load()
-}
-
 // TailStats is a point-in-time snapshot of the log tail: how many
 // group-commit cycles ran and the cumulative time appenders spent on the
-// publish fence, the reservation and a full buffer.
-//
-// Unlike Stats, this is a plain value snapshot built from atomic loads —
-// it contains no atomics (the atomicmix analyzer verifies that) and is safe
-// to copy, return and compare freely.
+// publish fence, the reservation and a full buffer. It is a plain value
+// built from atomic loads — it contains no atomics (the atomicmix analyzer
+// verifies that) and is safe to copy, return and compare freely.
 type TailStats struct {
 	FlushCycles    uint64        // group-commit cycles completed
 	FenceWait      time.Duration // cumulative publish-fence block time
@@ -844,7 +783,7 @@ type TailStats struct {
 // TailStats returns the log tail snapshot.
 func (l *Log) TailStats() TailStats {
 	return TailStats{
-		FlushCycles:    l.stats.Flushes.Load(),
+		FlushCycles:    l.cycles.Load(),
 		FenceWait:      time.Duration(l.lb.fenceNanos.Load()),
 		ReserveWait:    time.Duration(l.lb.reserveNanos.Load()),
 		BufferFullWait: time.Duration(l.lb.fullNanos.Load()),

@@ -213,7 +213,7 @@ func TestAppendAssignsByteOffsetLSNs(t *testing.T) {
 		}
 		want = want.Advance(int64(rec.EncodedSize()))
 	}
-	if got := l.PendingBytes(); got != want.Distance(1) {
+	if got := l.LastLSN().Distance(l.DurableLSN()); got != want.Distance(1) {
 		t.Fatalf("pending = %d bytes, want %d", got, want.Distance(1))
 	}
 	if got := l.LastLSN(); got != want {
@@ -235,23 +235,22 @@ func TestFlushMakesRecordsDurable(t *testing.T) {
 	if l.DurableLSN() <= lsn2 || l.DurableLSN() <= lsn {
 		t.Fatalf("durable watermark = %d, want > %d", l.DurableLSN(), lsn2)
 	}
-	if got := len(l.Records()); got != 2 {
-		t.Fatalf("flushed records = %d, want 2", got)
+	// The sink content must decode back to exactly the same records.
+	recs := decodeAll(t, sink.bytes(), 1)
+	if len(recs) != 2 {
+		t.Fatalf("flushed records = %d, want 2", len(recs))
 	}
-	// The sink content must decode back to the same records.
-	reader := bytes.NewReader(sink.bytes())
-	r1, err := DecodeFrom(reader)
-	if err != nil || r1.Type != RecBegin {
-		t.Fatalf("sink record 1: %+v, %v", r1, err)
+	if r1 := recs[0]; r1.Type != RecBegin || r1.LSN != lsn {
+		t.Fatalf("sink record 1: %+v", r1)
 	}
-	r2, err := DecodeFrom(reader)
-	if err != nil || r2.Type != RecCommit {
-		t.Fatalf("sink record 2: %+v, %v", r2, err)
+	if r2 := recs[1]; r2.Type != RecCommit || r2.LSN != lsn2 {
+		t.Fatalf("sink record 2: %+v", r2)
 	}
 }
 
 func TestFlushIdempotentAndOrdered(t *testing.T) {
-	l := New(Config{})
+	sink := &captureSink{}
+	l := New(Config{Durable: sink})
 	lsn1, _ := l.Append(Record{XID: 1, Type: RecBegin})
 	if err := l.Flush(lsn1); err != nil {
 		t.Fatal(err)
@@ -264,7 +263,10 @@ func TestFlushIdempotentAndOrdered(t *testing.T) {
 	if err := l.Flush(lsn2); err != nil {
 		t.Fatal(err)
 	}
-	recs := l.Records()
+	recs := decodeAll(t, sink.bytes(), 1)
+	if len(recs) != 2 {
+		t.Fatalf("flushed records = %d, want 2", len(recs))
+	}
 	for i := 1; i < len(recs); i++ {
 		if recs[i].LSN <= recs[i-1].LSN {
 			t.Fatal("flushed records out of LSN order")
@@ -273,7 +275,8 @@ func TestFlushIdempotentAndOrdered(t *testing.T) {
 }
 
 func TestGroupCommitBatchesConcurrentCommitters(t *testing.T) {
-	l := New(Config{FlushDelay: 3 * time.Millisecond})
+	sink := &captureSink{}
+	l := New(Config{Durable: sink, FlushDelay: 3 * time.Millisecond})
 	const committers = 16
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -293,8 +296,8 @@ func TestGroupCommitBatchesConcurrentCommitters(t *testing.T) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	_, flushes, synced := l.StatsSnapshot()
-	if synced != committers {
+	flushes := l.TailStats().FlushCycles
+	if synced := len(decodeAll(t, sink.bytes(), 1)); synced != committers {
 		t.Fatalf("synced = %d, want %d", synced, committers)
 	}
 	if flushes >= committers {
@@ -312,7 +315,7 @@ func TestCloseFlushesAndRejectsFurtherAppends(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if l.PendingBytes() != 0 {
+	if l.LastLSN() != l.DurableLSN() {
 		t.Fatal("Close did not flush pending records")
 	}
 	if _, err := l.Append(Record{XID: 2, Type: RecBegin}); err == nil {
@@ -320,17 +323,6 @@ func TestCloseFlushesAndRejectsFurtherAppends(t *testing.T) {
 	}
 	if err := l.Flush(1 << 30); err == nil {
 		t.Fatal("flush beyond durable watermark after close should fail")
-	}
-}
-
-func TestDropAfterFlush(t *testing.T) {
-	l := New(Config{DropAfterFlush: true})
-	lsn, _ := l.Append(Record{XID: 1, Type: RecBegin})
-	if err := l.Flush(lsn); err != nil {
-		t.Fatal(err)
-	}
-	if len(l.Records()) != 0 {
-		t.Fatal("DropAfterFlush retained records in memory")
 	}
 }
 
