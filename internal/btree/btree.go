@@ -2,13 +2,11 @@
 // strings (see record.EncodeKey). It backs the engine's primary and
 // secondary indexes, mapping keys to record identifiers.
 //
-// Concurrency: the tree is protected by a single instrumented reader-writer
-// latch. Lookups and range scans share the latch; inserts and deletes take
-// it exclusively. This is deliberately coarser than a latch-coupled B+tree —
+// Concurrency: the tree is protected by a single reader-writer latch.
+// Lookups and range scans share the latch; inserts and deletes take it
+// exclusively. This is deliberately coarser than a latch-coupled B+tree —
 // the paper's contention story is about the lock manager, and index latch
-// hold times here are sub-microsecond — but the latch statistics are still
-// reported so index contention would be visible in the "other contention"
-// component of the breakdown figures.
+// hold times here are sub-microsecond.
 package btree
 
 import (
@@ -61,9 +59,6 @@ func (t *Tree[V]) Len() int {
 	defer t.latch.RUnlock()
 	return t.size
 }
-
-// LatchStats exposes the tree latch counters for contention reporting.
-func (t *Tree[V]) LatchStats() latch.StatsSnapshot { return t.latch.Stats().Snapshot() }
 
 // Get returns the value stored under key.
 func (t *Tree[V]) Get(key string) (V, bool) {

@@ -1,19 +1,15 @@
-// Package buffer implements the buffer pool: a fixed set of in-memory frames
-// caching data pages, with clock eviction, dirty-page writeback, and an
-// optional artificial per-I/O latency.
-//
-// The artificial latency reproduces the paper's experimental setup (§5.2):
-// the database lives on an in-memory store but every page miss or writeback
-// pays a configurable delay (the paper uses 6 ms) to simulate a large disk
-// array where "all requests can proceed in parallel but must each still pay
-// the cost of a disk seek". I/O happens outside the pool's metadata latch so
-// concurrent misses overlap their delays, exactly as the paper intends.
+// Package buffer implements the buffer pool. Pages are the memory: a page is
+// created on its first Fetch and lives in one Frame for the pool's whole
+// life, never unmapped and never copied; durability comes from the log and
+// the checkpoint. What the pool simulates is residency, as in the paper's
+// set-up (§5.2): a clock over at most Config.Frames resident pages decides
+// hit or miss, and each simulated page read or write-back pays IODelay (the
+// paper's 6 ms disk seek) outside the pool latch, so concurrent misses
+// overlap.
 package buffer
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,8 +18,7 @@ import (
 	"slidb/internal/profiler"
 )
 
-// PageID identifies a data page globally: table (store) plus page number
-// within the table.
+// PageID identifies a data page globally: table plus page number in it.
 type PageID struct {
 	Table uint32
 	Page  uint64
@@ -32,160 +27,97 @@ type PageID struct {
 // String renders the page ID for debugging.
 func (id PageID) String() string { return fmt.Sprintf("%d.%d", id.Table, id.Page) }
 
-// Store is the backing storage the buffer pool reads from and writes to.
-type Store interface {
-	// Read copies the page image into buf and reports whether the page
-	// exists in the store.
-	Read(id PageID, buf []byte) (bool, error)
-	// Write persists the page image.
-	Write(id PageID, data []byte) error
-}
+// MemStore, NewMemStore and NewPool's store parameter remain only because the
+// benchmark still constructs a store; nothing reads it. They go once it stops
+// (ROADMAP item 4(d)).
+type MemStore struct{}
 
-// MemStore is an in-memory Store, standing in for the paper's in-memory file
-// system.
-type MemStore struct {
-	mu    sync.RWMutex
-	pages map[PageID][]byte
-}
+// NewMemStore returns a store that keeps nothing.
+func NewMemStore() *MemStore { return &MemStore{} }
 
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore { return &MemStore{pages: make(map[PageID][]byte)} }
+// Write does nothing.
+func (*MemStore) Write(PageID, []byte) error { return nil }
 
-// Read implements Store.
-func (s *MemStore) Read(id PageID, buf []byte) (bool, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	data, ok := s.pages[id]
-	if !ok {
-		return false, nil
-	}
-	copy(buf, data)
-	return true, nil
-}
-
-// Write implements Store.
-func (s *MemStore) Write(id PageID, data []byte) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.mu.Lock()
-	s.pages[id] = cp
-	s.mu.Unlock()
-	return nil
-}
-
-// Len returns the number of pages in the store.
-func (s *MemStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.pages)
-}
-
-// Frame is one buffer-pool slot holding a page. Callers access the page
-// content under the frame's Latch and must keep the frame pinned while they
-// hold a reference to it.
+// Frame holds one page for the pool's whole life. Callers access the page
+// content under Latch: readers share it, writers exclude.
 type Frame struct {
-	// Latch protects the page contents (readers share, writers exclude).
 	Latch latch.RWLatch
+	id    PageID
+	pg    *page.Page
+	dirty atomic.Bool // written since its last write-back
 
-	id      PageID
-	pg      *page.Page
-	pins    atomic.Int32
-	refbit  atomic.Bool
-	dirty   atomic.Bool
-	valid   bool          // has ever been mapped to a page
-	loading chan struct{} // non-nil while the page image is being read in
+	// Guarded by Pool.mu.
+	resident bool          // counted in the residency clock
+	ref      bool          // clock reference bit
+	onDisk   bool          // written back once, so a miss must read it
+	loading  chan struct{} // non-nil while a miss pays its I/O delay
 }
 
-// ID returns the page the frame currently holds.
+// ID returns the page the frame holds.
 func (f *Frame) ID() PageID { return f.id }
 
 // Page returns the slotted page held by the frame. Access it only while the
-// frame is pinned and the Latch is held in the appropriate mode.
+// Latch is held in the appropriate mode.
 func (f *Frame) Page() *page.Page { return f.pg }
 
-// MarkDirty records that the page content was modified and must be written
-// back before eviction.
-func (f *Frame) MarkDirty() { f.dirty.Store(true) }
-
-// Stats holds buffer pool counters.
-type Stats struct {
-	Hits       atomic.Uint64
-	Misses     atomic.Uint64
-	Evictions  atomic.Uint64
-	Writebacks atomic.Uint64
-}
-
-// StatsSnapshot is a plain copy of Stats.
-type StatsSnapshot struct {
-	Hits, Misses, Evictions, Writebacks uint64
-}
+// StatsSnapshot is a copy of the pool's counters. A miss is a fetch of a page
+// that was not resident; an eviction makes one page leave residency, and a
+// write-back is the eviction of a dirty page.
+type StatsSnapshot struct{ Hits, Misses, Evictions, Writebacks uint64 }
 
 // Config configures a buffer pool.
 type Config struct {
-	// Frames is the number of page frames (default 4096 ≈ 32 MiB).
+	// Frames is the number of resident pages (default 4096, 32 MiB of pages).
 	Frames int
-	// IODelay is the artificial latency charged to every page read from or
-	// write to the store (the paper's simulated disk seek). Zero disables it.
+	// IODelay is the artificial latency charged to every simulated page read
+	// or write-back (the paper's disk seek). Zero disables it.
 	IODelay time.Duration
 }
 
-// ErrNoFrames is returned when every frame is pinned and no page can be
-// brought in.
-var ErrNoFrames = errors.New("buffer: all frames pinned")
-
 // Pool is the buffer pool.
 type Pool struct {
-	cfg   Config
-	store Store
+	cfg      Config
+	mu       latch.Mutex
+	pages    map[PageID]*Frame
+	resident []*Frame // the residency clock, at most cfg.Frames long
+	hand     int
 
-	mu     latch.Mutex
-	table  map[PageID]*Frame
-	frames []*Frame
-	clock  int
-
-	stats Stats
+	hits, misses, evictions, writebacks atomic.Uint64
 }
 
-// NewPool creates a buffer pool over the given store.
-func NewPool(store Store, cfg Config) *Pool {
+// NewPool creates a buffer pool. store is ignored (see MemStore).
+func NewPool(store *MemStore, cfg Config) *Pool {
 	if cfg.Frames <= 0 {
 		cfg.Frames = 4096
 	}
-	return &Pool{
-		cfg:   cfg,
-		store: store,
-		table: make(map[PageID]*Frame, cfg.Frames),
-	}
+	return &Pool{cfg: cfg, pages: make(map[PageID]*Frame, cfg.Frames)}
 }
 
 // Stats returns a snapshot of the pool's counters.
 func (p *Pool) Stats() StatsSnapshot {
-	return StatsSnapshot{
-		Hits:       p.stats.Hits.Load(),
-		Misses:     p.stats.Misses.Load(),
-		Evictions:  p.stats.Evictions.Load(),
-		Writebacks: p.stats.Writebacks.Load(),
-	}
+	return StatsSnapshot{p.hits.Load(), p.misses.Load(), p.evictions.Load(), p.writebacks.Load()}
 }
 
-// Capacity returns the configured number of frames.
+// Capacity returns the configured number of resident pages.
 func (p *Pool) Capacity() int { return p.cfg.Frames }
 
-// Fetch pins and returns the frame holding the given page, reading it from
-// the store (or initializing an empty page) on a miss. The caller must call
-// Unpin exactly once when done. h may be nil.
+// Fetch returns the frame holding the given page, creating an empty page on
+// its first fetch. A miss makes the page resident, evicting another by the
+// clock, and pays IODelay once for reading the page if it was written back
+// before and once more for writing back a dirty victim. The error is always
+// nil. The caller calls Unpin when done. h may be nil.
 func (p *Pool) Fetch(h *profiler.Handle, id PageID) (*Frame, error) {
 	workStart := time.Now()
 	contended, wait := p.mu.Lock()
 	if contended {
 		h.Add(profiler.BufferContention, wait)
 	}
-	if f, ok := p.table[id]; ok {
-		f.pins.Add(1)
-		f.refbit.Store(true)
+	f := p.pages[id]
+	if f != nil && f.resident {
+		f.ref = true
 		loading := f.loading
 		p.mu.Unlock()
-		p.stats.Hits.Add(1)
+		p.hits.Add(1)
 		if loading != nil {
 			ioStart := time.Now()
 			<-loading
@@ -194,144 +126,75 @@ func (p *Pool) Fetch(h *profiler.Handle, id PageID) (*Frame, error) {
 		h.Add(profiler.BufferWork, time.Since(workStart)-wait)
 		return f, nil
 	}
-
-	victim := p.victimLocked()
-	if victim == nil {
-		p.mu.Unlock()
-		// Even the pool-exhausted miss spent wall time under the table lock;
-		// attribute it (found by the proftimer analyzer).
-		h.Add(profiler.BufferWork, time.Since(workStart)-wait)
-		return nil, ErrNoFrames
+	if f == nil {
+		f = &Frame{id: id, pg: page.New()}
+		p.pages[id] = f
 	}
-	oldID, oldValid, oldDirty := victim.id, victim.valid, victim.dirty.Load()
-	if oldValid {
-		delete(p.table, oldID)
-		p.stats.Evictions.Add(1)
+	ios := 0
+	if f.onDisk {
+		ios++
 	}
-	victim.id = id
-	victim.valid = true
-	victim.pins.Store(1)
-	victim.refbit.Store(true)
-	victim.dirty.Store(false)
-	ch := make(chan struct{})
-	victim.loading = ch
-	p.table[id] = victim
+	if v := p.admitLocked(f); v != nil {
+		p.evictions.Add(1)
+		if v.dirty.Swap(false) {
+			v.onDisk = true
+			p.writebacks.Add(1)
+			ios++
+		}
+	}
+	var ch chan struct{}
+	if ios > 0 && p.cfg.IODelay > 0 {
+		ch = make(chan struct{})
+		f.loading = ch
+	}
 	p.mu.Unlock()
-	p.stats.Misses.Add(1)
+	p.misses.Add(1)
 	h.Add(profiler.BufferWork, time.Since(workStart)-wait)
-
-	// I/O happens outside the pool latch so concurrent misses overlap.
-	ioStart := time.Now()
-	if oldValid && oldDirty {
-		if err := p.store.Write(oldID, victim.pg.Bytes()); err != nil {
-			// Propagate the error but leave the frame usable as a fresh page.
-			victim.pg.Init()
-			p.finishLoad(victim, ch)
-			h.Add(profiler.IOWait, time.Since(ioStart))
-			return nil, fmt.Errorf("buffer: writeback of %v failed: %w", oldID, err)
+	if ch != nil {
+		ioStart := time.Now()
+		time.Sleep(time.Duration(ios) * p.cfg.IODelay)
+		p.mu.Lock()
+		if f.loading == ch {
+			f.loading = nil
 		}
-		p.stats.Writebacks.Add(1)
-		p.simulateIO()
-	}
-	found, err := p.store.Read(id, victim.pg.Bytes())
-	if err != nil {
-		victim.pg.Init()
-		p.finishLoad(victim, ch)
+		p.mu.Unlock()
+		close(ch)
 		h.Add(profiler.IOWait, time.Since(ioStart))
-		return nil, fmt.Errorf("buffer: read of %v failed: %w", id, err)
 	}
-	if found {
-		p.simulateIO()
-	} else {
-		victim.pg.Init()
-	}
-	p.finishLoad(victim, ch)
-	h.Add(profiler.IOWait, time.Since(ioStart))
-	return victim, nil
+	return f, nil
 }
 
-func (p *Pool) finishLoad(f *Frame, ch chan struct{}) {
-	p.mu.Lock()
-	f.loading = nil
-	p.mu.Unlock()
-	close(ch)
-}
-
-func (p *Pool) simulateIO() {
-	if p.cfg.IODelay > 0 {
-		time.Sleep(p.cfg.IODelay)
+// admitLocked makes f resident and returns the page the clock evicted for it,
+// if any. Must be called with p.mu held.
+func (p *Pool) admitLocked(f *Frame) (victim *Frame) {
+	f.resident, f.ref = true, true
+	if len(p.resident) < p.cfg.Frames {
+		p.resident = append(p.resident, f)
+		return nil
 	}
-}
-
-// victimLocked returns an unpinned frame to reuse, allocating a new frame
-// while the pool is below capacity. Must be called with p.mu held.
-func (p *Pool) victimLocked() *Frame {
-	if len(p.frames) < p.cfg.Frames {
-		f := &Frame{pg: page.New()}
-		p.frames = append(p.frames, f)
-		return f
-	}
-	for scanned := 0; scanned < 2*len(p.frames); scanned++ {
-		f := p.frames[p.clock]
-		p.clock = (p.clock + 1) % len(p.frames)
-		if f.pins.Load() != 0 || f.loading != nil {
+	for {
+		i := p.hand
+		p.hand = (i + 1) % len(p.resident)
+		v := p.resident[i]
+		if v.ref {
+			v.ref = false
 			continue
 		}
-		if f.refbit.Load() {
-			f.refbit.Store(false)
-			continue
-		}
-		return f
+		p.resident[i], v.resident = f, false
+		return v
 	}
-	return nil
 }
 
-// Unpin releases a pin taken by Fetch. Set dirty if the caller modified the
-// page content.
+// Unpin ends a Fetch; dirty says the caller modified the page.
 func (p *Pool) Unpin(f *Frame, dirty bool) {
 	if dirty {
 		f.dirty.Store(true)
 	}
-	if n := f.pins.Add(-1); n < 0 {
-		panic("buffer: unpin without matching pin")
-	}
 }
 
-// FlushAll writes every dirty page back to the store (e.g. at checkpoint or
-// shutdown). Pages stay cached.
-func (p *Pool) FlushAll(h *profiler.Handle) error {
-	p.mu.Lock()
-	frames := make([]*Frame, len(p.frames))
-	copy(frames, p.frames)
-	p.mu.Unlock()
-	for _, f := range frames {
-		if !f.dirty.Load() {
-			continue
-		}
-		f.pins.Add(1)
-		f.Latch.RLock()
-		err := p.store.Write(f.id, f.pg.Bytes())
-		f.Latch.RUnlock()
-		if err == nil {
-			f.dirty.Store(false)
-			p.stats.Writebacks.Add(1)
-			ioStart := time.Now()
-			p.simulateIO()
-			h.Add(profiler.IOWait, time.Since(ioStart))
-		}
-		p.pinsRelease(f)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (p *Pool) pinsRelease(f *Frame) { f.pins.Add(-1) }
-
-// CachedPages returns the number of pages currently mapped in the pool.
+// CachedPages returns the number of resident pages.
 func (p *Pool) CachedPages() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.table)
+	return len(p.resident)
 }

@@ -55,10 +55,13 @@ type Config struct {
 	// in the paper's terms). Zero means transactions run inline on the
 	// calling goroutine without an agent (no SLI).
 	Agents int
-	// BufferFrames is the buffer pool size in pages (default 4096).
+	// BufferFrames is the simulated resident set, in pages (default 4096).
+	// Every page stays in memory; a fetch of a page outside the resident
+	// set counts as a miss.
 	BufferFrames int
-	// IODelay is the artificial latency per page read/write, simulating the
-	// paper's 6 ms disk-seek penalty. Zero disables it (in-memory dataset).
+	// IODelay is the artificial latency a miss pays per simulated page read
+	// or write-back, standing in for the paper's 6 ms disk seek. Zero
+	// disables it (in-memory dataset).
 	IODelay time.Duration
 	// LogFlushDelay simulates the latency of forcing the log, once per
 	// group-commit cycle (see wal.Config.FlushDelay).
@@ -233,16 +236,16 @@ func newEngine(cfg Config, durable *wal.Segments, startLSN wal.LSN) *Engine {
 		Durable:    sink,
 		StartLSN:   startLSN,
 	})
-	e.pool = buffer.NewPool(buffer.NewMemStore(), buffer.Config{
+	e.pool = buffer.NewPool(nil, buffer.Config{
 		Frames:  cfg.BufferFrames,
 		IODelay: cfg.IODelay,
 	})
 	return e
 }
 
-// Close stops the agent pool and flushes the log and buffer pool. For
-// durable engines it also drains the log to its segment files and closes
-// them, so a Close-d engine reopens via OpenAt without any redo work left.
+// Close stops the agent pool and flushes the log. For durable engines it
+// also drains the log to its segment files and closes them, so a Close-d
+// engine reopens via OpenAt without any redo work left.
 func (e *Engine) Close() error {
 	if e.closed.Swap(true) {
 		return nil
@@ -252,10 +255,7 @@ func (e *Engine) Close() error {
 	// Run every teardown step even when an earlier one fails — the segment
 	// files in particular must be synced and closed regardless — and report
 	// the first error.
-	err := e.pool.FlushAll(nil)
-	if lerr := e.log.Close(); err == nil {
-		err = lerr
-	}
+	err := e.log.Close()
 	if e.segs != nil {
 		if serr := e.segs.Close(); err == nil {
 			err = serr

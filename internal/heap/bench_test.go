@@ -16,7 +16,7 @@ func BenchmarkAppendLoad(b *testing.B) {
 	rec := bytes.Repeat([]byte("r"), 100)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f := NewFile(1, buffer.NewPool(buffer.NewMemStore(), buffer.Config{Frames: 16}))
+		f := NewFile(1, buffer.NewPool(nil, buffer.Config{Frames: 16}))
 		for r := 0; r < rows; r++ {
 			if _, err := f.Insert(nil, rec); err != nil {
 				b.Fatal(err)

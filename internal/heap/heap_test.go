@@ -14,7 +14,7 @@ import (
 
 func newTestFile(t *testing.T, frames int) *File {
 	t.Helper()
-	pool := buffer.NewPool(buffer.NewMemStore(), buffer.Config{Frames: frames})
+	pool := buffer.NewPool(nil, buffer.Config{Frames: frames})
 	return NewFile(1, pool)
 }
 

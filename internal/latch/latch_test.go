@@ -17,9 +17,6 @@ func TestMutexBasic(t *testing.T) {
 		t.Fatalf("uncontended acquisition reported wait %v", wait)
 	}
 	m.Unlock()
-	if got := m.Stats().Acquires; got != 1 {
-		t.Fatalf("acquires = %d, want 1", got)
-	}
 }
 
 func TestMutexTryLock(t *testing.T) {
@@ -55,13 +52,6 @@ func TestMutexContentionDetected(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	m.Unlock()
 	<-done
-	snap := m.Stats()
-	if snap.Contended != 1 {
-		t.Fatalf("contended = %d, want 1", snap.Contended)
-	}
-	if snap.ContentionRatio() <= 0 || snap.ContentionRatio() > 1 {
-		t.Fatalf("contention ratio out of range: %v", snap.ContentionRatio())
-	}
 }
 
 func TestMutexMutualExclusion(t *testing.T) {
