@@ -1,6 +1,9 @@
 package tpcc
 
 import (
+	"errors"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -79,13 +82,40 @@ func TestLastNameSyllables(t *testing.T) {
 	}
 }
 
+// runTx runs a fixed count of name transactions on each of three clients,
+// so a loaded machine takes longer instead of committing fewer.
 func runTx(t *testing.T, e *core.Engine, cfg Config, name string) workload.Result {
 	t.Helper()
 	gen, err := NewGenerator(cfg, name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return workload.Run(e, gen, workload.Options{Clients: 3, Duration: 200 * time.Millisecond, Seed: 23})
+	const clients, perClient = 3, 40
+	var mu sync.Mutex
+	var res workload.Result
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				_, fn := gen.Next(rng)
+				err := e.Exec(fn)
+				mu.Lock()
+				switch {
+				case err == nil:
+					res.Committed++
+				case errors.Is(err, core.Abort):
+					res.Failed++
+				default:
+					res.Errors++
+				}
+				mu.Unlock()
+			}
+		}(rand.New(rand.NewSource(23 + int64(c))))
+	}
+	wg.Wait()
+	return res
 }
 
 func TestNewOrderAndPaymentRun(t *testing.T) {

@@ -53,6 +53,41 @@ func New[V any]() *Tree[V] {
 	return &Tree[V]{root: &leaf[V]{}}
 }
 
+// Build returns a tree mapping keys[i] to vals[i]; keys must be strictly
+// ascending. It bulk-loads bottom-up: leaves filled to degree-1 keys and
+// linked left to right, then each internal level over the one below, whose
+// separators are the first keys of their right children. The tree keeps
+// keys and vals, each node over its own capped window, so a later insert
+// into one node cannot write into the next.
+func Build[V any](keys []string, vals []V) *Tree[V] {
+	t := &Tree[V]{root: &leaf[V]{}, size: len(keys)}
+	var level []node[V]
+	var firsts []string // the first key under each node of level
+	var prev *leaf[V]
+	for i := 0; i < len(keys); i += degree - 1 {
+		j := min(i+degree-1, len(keys))
+		l := &leaf[V]{keys: keys[i:j:j], vals: vals[i:j:j]}
+		if prev != nil {
+			prev.next = l
+		}
+		prev, level, firsts = l, append(level, l), append(firsts, keys[i])
+	}
+	for len(level) > 1 {
+		var up []node[V]
+		var upFirsts []string
+		for i := 0; i < len(level); i += degree {
+			j := min(i+degree, len(level))
+			up = append(up, &internal[V]{keys: firsts[i+1 : j : j], children: level[i:j:j]})
+			upFirsts = append(upFirsts, firsts[i])
+		}
+		level, firsts = up, upFirsts
+	}
+	if len(level) == 1 {
+		t.root = level[0]
+	}
+	return t
+}
+
 // Len returns the number of keys in the tree.
 func (t *Tree[V]) Len() int {
 	t.latch.RLock()
@@ -87,9 +122,6 @@ func (t *Tree[V]) Insert(key string, val V) bool {
 func (t *Tree[V]) InsertIfAbsent(key string, val V) bool {
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	if _, exists := t.root.get(key); exists {
-		return false
-	}
 	right, splitKey, grew, inserted := t.root.insert(key, val, false)
 	if grew {
 		t.root = &internal[V]{keys: []string{splitKey}, children: []node[V]{t.root, right}}

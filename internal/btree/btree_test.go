@@ -247,3 +247,113 @@ func TestStringKeysWork(t *testing.T) {
 		t.Fatalf("scan order %v, want %v", got, want)
 	}
 }
+
+// contents returns every (key, value) pair of tr in Ascend order.
+func contents(tr *Tree[int]) [][2]string {
+	var kv [][2]string
+	tr.Ascend(func(k string, v int) bool {
+		kv = append(kv, [2]string{k, fmt.Sprint(v)})
+		return true
+	})
+	return kv
+}
+
+// TestInsertIfAbsentLeavesPresentKeys calls InsertIfAbsent with a new value
+// for every key of a tree of at least three levels: each call must report
+// false and leave the value and the size as they were.
+func TestInsertIfAbsentLeavesPresentKeys(t *testing.T) {
+	tr := New[int]()
+	const n = 10_000
+	for _, i := range rand.New(rand.NewSource(11)).Perm(n) {
+		tr.Insert(key(i), i)
+	}
+	levels := 1
+	for nd := tr.root; ; levels++ {
+		in, ok := nd.(*internal[int])
+		if !ok {
+			break
+		}
+		nd = in.children[0]
+	}
+	if levels < 3 {
+		t.Fatalf("tree has %d levels, want at least 3", levels)
+	}
+	for i := 0; i < n; i++ {
+		if tr.InsertIfAbsent(key(i), -1) {
+			t.Fatalf("InsertIfAbsent stored present key %d", i)
+		}
+		if v, ok := tr.Get(key(i)); !ok || v != i {
+			t.Fatalf("key %d = %d, %v after InsertIfAbsent; want %d", i, v, ok, i)
+		}
+	}
+	if tr.Len() != n {
+		t.Fatalf("Len = %d, want %d", tr.Len(), n)
+	}
+}
+
+// TestBuildMatchesInserts bulk-loads trees of sizes around the leaf and
+// node capacities and compares each with a tree built by Insert: Len, Get,
+// Ascend and AscendRange must agree. Then it inserts, replaces and deletes
+// keys in every leaf and checks the tree against a reference map, which
+// fails if two leaves share a backing array.
+func TestBuildMatchesInserts(t *testing.T) {
+	for _, n := range []int{0, 1, 62, 63, 64, 63 * 64, 63*64 + 1, 100_000} {
+		keys, vals := make([]string, n), make([]int, n)
+		ins := New[int]()
+		ref := map[string]int{}
+		for i := range keys {
+			keys[i], vals[i] = key(2*i), i // odd keys stay free for later inserts
+			ins.Insert(keys[i], i)
+			ref[keys[i]] = i
+		}
+		tr := Build(keys, vals)
+		if tr.Len() != ins.Len() || fmt.Sprint(contents(tr)) != fmt.Sprint(contents(ins)) {
+			t.Fatalf("n=%d: built tree holds %d keys, Ascend differs from %d inserted", n, tr.Len(), ins.Len())
+		}
+		for i := -1; i <= 2*n; i++ {
+			gv, gok := tr.Get(key(i))
+			wv, wok := ins.Get(key(i))
+			if gv != wv || gok != wok {
+				t.Fatalf("n=%d: Get(%d) = %d, %v; inserted tree says %d, %v", n, i, gv, gok, wv, wok)
+			}
+		}
+		rangeOf := func(tr *Tree[int], lo, hi int) (got []int) {
+			tr.AscendRange(key(lo), key(hi), func(_ string, v int) bool { got = append(got, v); return true })
+			return got
+		}
+		for lo := -1; lo < 2*n; lo += 1 + 2*n/50 {
+			if got, want := rangeOf(tr, lo, lo+300), rangeOf(ins, lo, lo+300); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("n=%d: AscendRange(%d, %d) = %v, want %v", n, lo, lo+300, got, want)
+			}
+		}
+		for i := 0; i < n; i += degree - 1 { // i is the first key of a leaf
+			tr.Insert(key(2*i+1), -i)
+			ref[key(2*i+1)] = -i
+			if i+1 < n {
+				tr.Insert(key(2*i+2), -2*i) // replaces
+				ref[key(2*i+2)] = -2 * i
+			}
+			if !tr.InsertIfAbsent(key(2*i-1), -3*i) {
+				t.Fatalf("n=%d: InsertIfAbsent(%d) found the key", n, 2*i-1)
+			}
+			ref[key(2*i-1)] = -3 * i
+			if !tr.Delete(key(2 * i)) {
+				t.Fatalf("n=%d: Delete(%d) missed", n, 2*i)
+			}
+			delete(ref, key(2*i))
+		}
+		want := make([][2]string, 0, len(ref))
+		for k, v := range ref {
+			want = append(want, [2]string{k, fmt.Sprint(v)})
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i][0] < want[j][0] })
+		if got := contents(tr); tr.Len() != len(ref) || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("n=%d: after changes in every leaf the tree holds %d keys and differs from the reference (%d keys)", n, tr.Len(), len(ref))
+		}
+		for k, v := range ref {
+			if got, ok := tr.Get(k); !ok || got != v {
+				t.Fatalf("n=%d: Get(%x) = %d, %v; want %d", n, k, got, ok, v)
+			}
+		}
+	}
+}

@@ -3,7 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
+	"slidb/internal/btree"
 	"slidb/internal/catalog"
 	"slidb/internal/heap"
 	"slidb/internal/profiler"
@@ -149,30 +152,74 @@ func OpenAt(dir string, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// restoreSnapshot loads a checkpoint image: catalog, heap rows and indexes.
+// restoreSnapshot loads a checkpoint image in bulk and publishes its table
+// set once: it restores the catalog, loads each table's rows onto fresh heap
+// pages in order, and builds each index once from its sorted keys.
 func (e *Engine) restoreSnapshot(snap *recovery.Snapshot) error {
-	for _, ts := range snap.Tables {
+	set := e.tables.Load()
+	rts := make([]*tableRuntime, len(snap.Tables))
+	for i, ts := range snap.Tables {
 		tbl, err := e.cat.RestoreTable(ts.Meta)
 		if err != nil {
 			return err
 		}
-		rt := e.installTable(tbl)
-		for _, data := range ts.Rows {
-			if err := rt.insert(nil, data); err != nil {
-				return fmt.Errorf("core: checkpoint row of %q: %w", tbl.Name, err)
-			}
-		}
+		rts[i] = &tableRuntime{meta: tbl, hf: heap.NewFile(tbl.ID, e.pool), pk: &index{}}
+		set = set.with(rts[i], nil)
 	}
 	for _, im := range snap.Indexes {
 		ix, err := e.cat.RestoreIndex(im)
 		if err != nil {
 			return err
 		}
-		if err := e.installIndex(ix); err != nil {
-			return err
+		rt, idx := set.byID[ix.TableID], &index{meta: ix}
+		rt.secs = append(rt.secs, idx)
+		set = set.with(rt, idx)
+	}
+	for i, ts := range snap.Tables {
+		rt := rts[i]
+		rids, err := rt.hf.Load(ts.Rows)
+		if err != nil {
+			return fmt.Errorf("core: checkpoint rows of %q: %w", rt.meta.Name, err)
+		}
+		for _, idx := range append([]*index{rt.pk}, rt.secs...) {
+			if idx.tree, err = buildIndexTree(rt.meta, idx.meta, ts.Rows, rids); err != nil {
+				return fmt.Errorf("core: checkpoint rows of %q: %w", rt.meta.Name, err)
+			}
 		}
 	}
+	e.tables.Store(set)
 	return nil
+}
+
+// buildIndexTree bulk-loads the tree of ix (nil: the primary key) over the
+// encoded rows stored at rids. Two rows with one key fail with
+// ErrDuplicateKey; only the primary key and unique indexes can have them.
+func buildIndexTree(tbl *catalog.Table, ix *catalog.Index, rows [][]byte, rids []heap.RID) (*indexTree, error) {
+	type entry struct {
+		key string
+		rid heap.RID
+	}
+	entries := make([]entry, len(rows))
+	for i, data := range rows {
+		key, err := rowKey(tbl, ix, data, rids[i])
+		if err != nil {
+			return nil, err
+		}
+		entries[i] = entry{key, rids[i]}
+	}
+	slices.SortFunc(entries, func(a, b entry) int { return strings.Compare(a.key, b.key) })
+	keys, vals := make([]string, len(entries)), make([]heap.RID, len(entries))
+	for i, en := range entries {
+		if i > 0 && en.key == keys[i-1] {
+			name := "primary key"
+			if ix != nil {
+				name = "index " + ix.Name
+			}
+			return nil, fmt.Errorf("%w: %q twice in %s", ErrDuplicateKey, en.key, name)
+		}
+		keys[i], vals[i] = en.key, en.rid
+	}
+	return &indexTree{t: btree.Build(keys, vals)}, nil
 }
 
 // engineApplier applies the recovery package's replay calls through the

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"slidb/internal/catalog"
+	"slidb/internal/heap"
 	"slidb/internal/record"
+	"slidb/internal/recovery"
 )
 
 // TestRestartKeysFromBytes guards the keys restart builds straight from
@@ -110,5 +115,142 @@ func TestRestartKeysFromBytes(t *testing.T) {
 		if n := tree.t.Len(); n != len(model) {
 			t.Errorf("%s holds %d entries for %d rows", name, n, len(model))
 		}
+	}
+}
+
+// checkIndexesMatchHeap asserts that every heap row of every table is found
+// under its key through the primary key and every secondary index, and that
+// no index holds anything else.
+func checkIndexesMatchHeap(t *testing.T, e *Engine) {
+	t.Helper()
+	for name, rt := range e.tables.Load().byName {
+		indexes := append([]*index{rt.pk}, rt.secs...)
+		rows := 0
+		if err := rt.hf.Scan(nil, func(rid heap.RID, rec []byte) bool {
+			rows++
+			for _, idx := range indexes {
+				key, err := rowKey(rt.meta, idx.meta, rec, rid)
+				if got, ok := idx.tree.get(key); err != nil || !ok || got != rid {
+					t.Errorf("%s: row at %v not found through index %v: %v, %v, %v", name, rid, idx.meta, got, ok, err)
+				}
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, idx := range indexes {
+			if n := idx.tree.t.Len(); n != rows {
+				t.Errorf("%s: index %v holds %d entries for %d rows", name, idx.meta, n, rows)
+			}
+		}
+	}
+}
+
+// TestRestoreRejectsDuplicateKey restores checkpoints written by hand: a
+// duplicate primary key and a duplicate in a unique index must fail OpenAt
+// with ErrDuplicateKey, while equal values in a non-unique index restore
+// and are both found. The good restore then takes inserts, updates and
+// deletes, crashes and reopens, and every index must still agree with the
+// heap.
+func TestRestoreRejectsDuplicateKey(t *testing.T) {
+	base := t.TempDir()
+	e, err := OpenAt(base, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := record.MustSchema(
+		record.Column{Name: "id", Type: record.TypeInt},
+		record.Column{Name: "code", Type: record.TypeString},
+	)
+	if err := e.CreateTable("t", schema, []string{"id"}); err != nil {
+		t.Fatal(err)
+	}
+	row := func(id int, code string) record.Row { return record.Row{record.Int(int64(id)), record.String(code)} }
+	for i, code := range []string{"a", "b", "c"} {
+		if err := e.Exec(func(tx *Tx) error { return tx.Insert("t", row(i+1, code)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	snap, ok, err := recovery.ReadCheckpoint(base)
+	if err != nil || !ok {
+		t.Fatalf("ReadCheckpoint = %v, %v", ok, err)
+	}
+	tableID := snap.Tables[0].Meta.ID
+	sameCode, err := schema.Encode(row(4, "a")) // a new id with row 1's code
+	if err != nil {
+		t.Fatal(err)
+	}
+	// restore writes snap with extra rows and an index on code, and opens it.
+	restore := func(extra []byte, codeIndex *catalog.IndexMeta) (string, *Engine, error) {
+		s := *snap
+		s.Tables = slices.Clone(snap.Tables)
+		s.Tables[0].Rows = append(slices.Clip(snap.Tables[0].Rows), extra)
+		if codeIndex != nil {
+			s.Indexes = []catalog.IndexMeta{*codeIndex}
+		}
+		dir := t.TempDir()
+		if err := recovery.WriteCheckpoint(dir, &s); err != nil {
+			t.Fatal(err)
+		}
+		e, err := OpenAt(dir, Config{})
+		return dir, e, err
+	}
+	if _, _, err := restore(snap.Tables[0].Rows[0], nil); !errors.Is(err, ErrDuplicateKey) {
+		t.Fatalf("restore of a duplicate primary key = %v, want ErrDuplicateKey", err)
+	}
+	unique := &catalog.IndexMeta{Name: "t_code", TableID: tableID, Columns: []string{"code"}, Unique: true}
+	if _, _, err := restore(sameCode, unique); !errors.Is(err, ErrDuplicateKey) {
+		t.Fatalf("restore of a duplicate in a unique index = %v, want ErrDuplicateKey", err)
+	}
+	nonUnique := &catalog.IndexMeta{Name: "t_code", TableID: tableID, Columns: []string{"code"}}
+	dir, e, err := restore(sameCode, nonUnique)
+	if err != nil {
+		t.Fatalf("restore of equal values in a non-unique index: %v", err)
+	}
+	lookup := func(code string) (ids []int64) {
+		t.Helper()
+		if err := e.Exec(func(tx *Tx) error {
+			rows, err := tx.LookupIndex("t_code", record.String(code))
+			for _, r := range rows {
+				ids = append(ids, r[0].AsInt())
+			}
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(ids)
+		return ids
+	}
+	if got := lookup("a"); !slices.Equal(got, []int64{1, 4}) {
+		t.Fatalf("LookupIndex(a) after restore = %v, want [1 4]", got)
+	}
+	checkIndexesMatchHeap(t, e)
+	for _, fn := range []func(tx *Tx) error{
+		func(tx *Tx) error { return tx.Insert("t", row(5, "a")) },
+		func(tx *Tx) error {
+			return tx.Update("t", []record.Value{record.Int(2)}, func(record.Row) (record.Row, error) { return row(2, "a"), nil })
+		},
+		func(tx *Tx) error { return tx.Delete("t", record.Int(1)) },
+	} {
+		if err := e.Exec(fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkIndexesMatchHeap(t, e)
+	e.SimulateCrash()
+	if e, err = OpenAt(dir, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if st := e.RecoveryStats(); st.RowsRestored != 4 || st.RecordsRedone != 3 {
+		t.Fatalf("second restart did not restore 4 rows and redo 3 records: %+v", st)
+	}
+	checkIndexesMatchHeap(t, e)
+	if got := lookup("a"); !slices.Equal(got, []int64{2, 4, 5}) {
+		t.Fatalf("LookupIndex(a) after the second restart = %v, want [2 4 5]", got)
 	}
 }

@@ -101,9 +101,16 @@ func (f *File) choosePage(h *profiler.Handle, need int) uint64 {
 			}
 			f.fsm.bound = need
 		}
-		if appendFree >= f.fsm.bound { // the append page retires
-			f.fsm.bound = appendFree + 1
-		}
+	}
+	return f.newPageLocked()
+}
+
+// newPageLocked retires the append page, lifting the bound over its free
+// bytes, and maps a new empty page as the append page. The caller holds the
+// free space manager's latch.
+func (f *File) newPageLocked() uint64 {
+	if appendFree := f.fsm.free[f.fsm.appendPos]; f.fsm.numPages > 0 && appendFree >= f.fsm.bound {
+		f.fsm.bound = appendFree + 1
 	}
 	p := f.fsm.numPages
 	f.fsm.numPages++
@@ -126,12 +133,16 @@ func (f *File) updateFree(pageNo uint64, free int) {
 	f.fsm.latch.Unlock()
 }
 
+// needFor is the free space a page must show for Insert or Load to put rec on
+// it.
+func needFor(rec []byte) int { return len(rec) + 8 }
+
 // Insert stores rec and returns its RID. h may be nil.
 func (f *File) Insert(h *profiler.Handle, rec []byte) (RID, error) {
 	if len(rec) > page.MaxRecordSize {
 		return RID{}, page.ErrTooLarge
 	}
-	need := len(rec) + 8
+	need := needFor(rec)
 	for attempt := 0; attempt < 1000; attempt++ {
 		pageNo := f.choosePage(h, need)
 		frame, err := f.pool.Fetch(h, buffer.PageID{Table: f.tableID, Page: pageNo})
@@ -156,6 +167,46 @@ func (f *File) Insert(h *profiler.Handle, rec []byte) (RID, error) {
 		// Page was fuller than the FSM believed; try again with a fresh hint.
 	}
 	return RID{}, errors.New("heap: could not find a page with free space")
+}
+
+// Load stores rows on new pages in row order, the way restart restores a
+// checkpoint, and returns their RIDs in the same order. It pays one Fetch,
+// one page latch and one free-space update per page rather than per row. A
+// page takes rows while it has room for the next one by Insert's count, so
+// rows of one size lie as a run of Inserts would lay them. A row larger
+// than page.MaxRecordSize fails with page.ErrTooLarge.
+func (f *File) Load(rows [][]byte) ([]RID, error) {
+	rids := make([]RID, 0, len(rows))
+	for len(rids) < len(rows) {
+		f.fsm.latch.Lock()
+		pageNo := f.newPageLocked()
+		f.fsm.latch.Unlock()
+		frame, err := f.pool.Fetch(nil, buffer.PageID{Table: f.tableID, Page: pageNo})
+		if err != nil {
+			return nil, err
+		}
+		frame.Latch.Lock()
+		pg, first := frame.Page(), len(rids)
+		for _, rec := range rows[first:] {
+			if len(rids) > first && pg.FreeSpace() < needFor(rec) {
+				break
+			}
+			slot, ierr := pg.Insert(rec) // only an oversize row fails here
+			if ierr != nil {
+				err = ierr
+				break
+			}
+			rids = append(rids, RID{Page: pageNo, Slot: uint32(slot)})
+		}
+		free := pg.FreeSpace()
+		frame.Latch.Unlock()
+		f.pool.Unpin(frame, len(rids) > first)
+		f.updateFree(pageNo, free)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return rids, nil
 }
 
 // Get returns a copy of the record identified by rid.

@@ -292,3 +292,67 @@ func TestFreeSpaceBoundInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadKeepsOrderAndFreeSpace loads rows of mixed sizes behind a row
+// stored by Insert. The RIDs must come back in row order, Scan must return
+// the rows in that order, every page must keep a remainder, and the free
+// space manager's bound must hold; an Insert afterwards still succeeds.
+func TestLoadKeepsOrderAndFreeSpace(t *testing.T) {
+	f := newTestFile(t, 16)
+	first, err := f.Insert(nil, []byte("stored by Insert"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	rows := make([][]byte, 2000)
+	for i := range rows {
+		rows[i] = []byte(fmt.Sprintf("%05d%s", i, bytes.Repeat([]byte("x"), rng.Intn(600))))
+	}
+	rids, err := f.Load(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rids) != len(rows) {
+		t.Fatalf("Load returned %d RIDs for %d rows", len(rids), len(rows))
+	}
+	prev := first
+	for i, rid := range rids {
+		if rid.Page < prev.Page || rid.Page == prev.Page && rid.Slot <= prev.Slot || rid.Page == first.Page {
+			t.Fatalf("row %d at %v after %v: not in row order on new pages", i, rid, prev)
+		}
+		prev = rid
+	}
+	var scanned [][]byte
+	if err := f.Scan(nil, func(_ RID, rec []byte) bool { scanned = append(scanned, rec); return true }); err != nil {
+		t.Fatal(err)
+	}
+	if len(scanned) != len(rows)+1 {
+		t.Fatalf("Scan returned %d rows, want %d", len(scanned), len(rows)+1)
+	}
+	for i, rec := range scanned[1:] {
+		if !bytes.Equal(rec, rows[i]) {
+			t.Fatalf("Scan row %d = %.10q, want %.10q", i+1, rec, rows[i])
+		}
+	}
+	if mapped, pages := uint64(len(f.fsm.free)), f.NumPages(); pages < 10 || mapped != pages {
+		t.Fatalf("%d of %d pages keep a remainder; want every one of at least 10", mapped, pages)
+	}
+	checkBound(t, f)
+	rid, err := f.Insert(nil, []byte("after the load"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := f.Get(nil, rid); err != nil || string(got) != "after the load" {
+		t.Fatalf("Get after the load = %q, %v", got, err)
+	}
+	checkBound(t, f)
+}
+
+// TestLoadRejectsOversizeRow loads a row one byte larger than a page holds.
+func TestLoadRejectsOversizeRow(t *testing.T) {
+	f := newTestFile(t, 16)
+	rows := [][]byte{[]byte("fits"), make([]byte, page.MaxRecordSize+1)}
+	if _, err := f.Load(rows); !errors.Is(err, page.ErrTooLarge) {
+		t.Fatalf("Load of an oversize row = %v, want page.ErrTooLarge", err)
+	}
+}

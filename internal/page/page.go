@@ -120,9 +120,10 @@ func (p *Page) Insert(rec []byte) (int, error) {
 	if len(rec) > MaxRecordSize {
 		return 0, ErrTooLarge
 	}
-	// Find a reusable tombstoned slot first.
+	// Find a reusable tombstoned slot first. There is none while every slot
+	// is live, which skips the scan on pages that have seen no delete.
 	slot := -1
-	for i := 0; i < p.slotCount(); i++ {
+	for i := 0; i < p.slotCount() && p.liveCount() < p.slotCount(); i++ {
 		if off, _ := p.slotEntry(i); off == tombstone {
 			slot = i
 			break

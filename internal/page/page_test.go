@@ -99,6 +99,30 @@ func TestDeleteReusesSlots(t *testing.T) {
 	}
 }
 
+// TestInsertReusesTombstone deletes a middle slot and inserts: the freed
+// slot number comes back. With no tombstone left, the next insert appends a
+// new slot.
+func TestInsertReusesTombstone(t *testing.T) {
+	p := New()
+	for i := 0; i < 3; i++ {
+		if _, err := p.Insert([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	if slot, err := p.Insert([]byte("reused")); err != nil || slot != 1 {
+		t.Fatalf("insert after delete = slot %d, %v; want the freed slot 1", slot, err)
+	}
+	if slot, err := p.Insert([]byte("new")); err != nil || slot != 3 || p.NumSlots() != 4 {
+		t.Fatalf("insert without tombstones = slot %d, %v (%d slots); want new slot 3", slot, err, p.NumSlots())
+	}
+	if got, _ := p.Get(1); string(got) != "reused" {
+		t.Fatalf("slot 1 holds %q", got)
+	}
+}
+
 func TestPageFillsAndReportsFull(t *testing.T) {
 	p := New()
 	rec := bytes.Repeat([]byte("x"), 100)
