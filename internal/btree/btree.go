@@ -53,12 +53,10 @@ func New[V any]() *Tree[V] {
 	return &Tree[V]{root: &leaf[V]{}}
 }
 
-// Build returns a tree mapping keys[i] to vals[i]; keys must be strictly
-// ascending. It bulk-loads bottom-up: leaves filled to degree-1 keys and
-// linked left to right, then each internal level over the one below, whose
-// separators are the first keys of their right children. The tree keeps
-// keys and vals, each node over its own capped window, so a later insert
-// into one node cannot write into the next.
+// Build bulk-loads a tree mapping strictly ascending keys[i] to vals[i]:
+// full leaves linked left to right, then each internal level over the one
+// below, separators being the first keys of right children. Each node owns
+// a capped window of keys and vals, so an insert into it cannot spill over.
 func Build[V any](keys []string, vals []V) *Tree[V] {
 	t := &Tree[V]{root: &leaf[V]{}, size: len(keys)}
 	var level []node[V]

@@ -157,14 +157,12 @@ func OpenAt(dir string, cfg Config) (*Engine, error) {
 // pages in order, and builds each index once from its sorted keys.
 func (e *Engine) restoreSnapshot(snap *recovery.Snapshot) error {
 	set := e.tables.Load()
-	rts := make([]*tableRuntime, len(snap.Tables))
-	for i, ts := range snap.Tables {
+	for _, ts := range snap.Tables {
 		tbl, err := e.cat.RestoreTable(ts.Meta)
 		if err != nil {
 			return err
 		}
-		rts[i] = &tableRuntime{meta: tbl, hf: heap.NewFile(tbl.ID, e.pool), pk: &index{}}
-		set = set.with(rts[i], nil)
+		set = set.with(e.newTableRuntime(tbl), nil)
 	}
 	for _, im := range snap.Indexes {
 		ix, err := e.cat.RestoreIndex(im)
@@ -175,16 +173,16 @@ func (e *Engine) restoreSnapshot(snap *recovery.Snapshot) error {
 		rt.secs = append(rt.secs, idx)
 		set = set.with(rt, idx)
 	}
-	for i, ts := range snap.Tables {
-		rt := rts[i]
+	for _, ts := range snap.Tables {
+		rt := set.byID[ts.Meta.ID]
 		rids, err := rt.hf.Load(ts.Rows)
+		for _, idx := range append([]*index{rt.pk}, rt.secs...) {
+			if err == nil {
+				idx.tree, err = buildIndexTree(rt.meta, idx.meta, ts.Rows, rids)
+			}
+		}
 		if err != nil {
 			return fmt.Errorf("core: checkpoint rows of %q: %w", rt.meta.Name, err)
-		}
-		for _, idx := range append([]*index{rt.pk}, rt.secs...) {
-			if idx.tree, err = buildIndexTree(rt.meta, idx.meta, ts.Rows, rids); err != nil {
-				return fmt.Errorf("core: checkpoint rows of %q: %w", rt.meta.Name, err)
-			}
 		}
 	}
 	e.tables.Store(set)

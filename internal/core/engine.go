@@ -670,13 +670,18 @@ func (e *Engine) CreateTable(name string, schema *record.Schema, primaryKey []st
 	return nil
 }
 
-// installTable publishes an empty runtime (heap file and primary-key tree)
-// for a catalog table descriptor and returns it. DDL calls it under
-// e.ddlMu, restart before the engine is shared.
+// installTable publishes an empty runtime for a catalog table descriptor and
+// returns it. DDL calls it under e.ddlMu, DDL redo before the engine is
+// shared.
 func (e *Engine) installTable(tbl *catalog.Table) *tableRuntime {
-	rt := &tableRuntime{meta: tbl, hf: heap.NewFile(tbl.ID, e.pool), pk: &index{tree: newIndexTree()}}
+	rt := e.newTableRuntime(tbl)
 	e.tables.Store(e.tables.Load().with(rt, nil))
 	return rt
+}
+
+// newTableRuntime returns an empty table's runtime, heap file and pk tree.
+func (e *Engine) newTableRuntime(tbl *catalog.Table) *tableRuntime {
+	return &tableRuntime{meta: tbl, hf: heap.NewFile(tbl.ID, e.pool), pk: &index{tree: newIndexTree()}}
 }
 
 // CreateIndex creates a secondary index on an existing (empty or populated)
@@ -693,7 +698,7 @@ func (e *Engine) CreateIndex(name, table string, columns []string, unique bool) 
 		return err
 	}
 	prev := e.tables.Load()
-	if err := e.installIndex(ix); err == nil {
+	if err = e.installIndex(ix); err == nil {
 		err = e.logDDL(wal.RecCreateIndex, catalog.IndexMetaOf(ix).Encode())
 	}
 	if err != nil {
@@ -705,7 +710,8 @@ func (e *Engine) CreateIndex(name, table string, columns []string, unique bool) 
 }
 
 // installIndex publishes the runtime B+tree for a catalog index descriptor
-// and backfills it from the table's existing rows. It is called where
+// and backfills it from the table's existing rows. Two rows with one key in
+// a unique index fail it with ErrDuplicateKey. It is called where
 // installTable is.
 func (e *Engine) installIndex(ix *catalog.Index) error {
 	set := e.tables.Load()
@@ -721,7 +727,13 @@ func (e *Engine) installIndex(ix *catalog.Index) error {
 		if key, err = rowKey(rt.meta, ix, rec, rid); err != nil {
 			return false
 		}
-		idx.tree.insert(key, rid)
+		// A concurrent insert may have entered this row's key already.
+		if !idx.tree.insert(key, rid) {
+			if got, _ := idx.tree.get(key); got != rid {
+				err = fmt.Errorf("%w: index %s", ErrDuplicateKey, ix.Name)
+				return false
+			}
+		}
 		return true
 	})
 	if err == nil {
@@ -799,19 +811,25 @@ func (rt *tableRuntime) dropKeys(data []byte, rid heap.RID, secs []*index) {
 }
 
 // update overwrites the row at rid with the encoded image after, then moves
-// each secondary key that differs from the one of the old image before.
+// each secondary key that differs from the one of the old image before. If
+// a unique index holds a new key already, it undoes itself: ErrDuplicateKey.
 func (rt *tableRuntime) update(h *profiler.Handle, rid heap.RID, before, after []byte) error {
 	if err := rt.hf.Update(h, rid, after); err != nil {
 		return err
 	}
-	for _, sec := range rt.secs {
+	for i, sec := range rt.secs {
 		oldKey, err := rowKey(rt.meta, sec.meta, before, rid)
 		if err != nil {
 			return err
 		}
 		if newKey, _ := rowKey(rt.meta, sec.meta, after, rid); newKey != oldKey { // callers check after
+			if !sec.tree.insert(newKey, rid) {
+				moved := *rt
+				moved.secs = rt.secs[:i]
+				_ = moved.update(h, rid, after, before)
+				return fmt.Errorf("%w: index %s", ErrDuplicateKey, sec.meta.Name)
+			}
 			sec.tree.remove(oldKey)
-			sec.tree.insert(newKey, rid)
 		}
 	}
 	return nil

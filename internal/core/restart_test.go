@@ -254,3 +254,116 @@ func TestRestoreRejectsDuplicateKey(t *testing.T) {
 		t.Fatalf("LookupIndex(a) after the second restart = %v, want [2 4 5]", got)
 	}
 }
+
+// TestUniqueIndexRejectsDuplicateWrites checks that the live engine never
+// writes a duplicate into a unique index, which a checkpoint could then not
+// restore: an Update onto a value another row holds fails with
+// ErrDuplicateKey and leaves the row and every index as they were (also
+// after its transaction aborts), and a
+// unique CreateIndex over duplicate rows fails and leaves no index. The
+// directory must then reopen, by redo and by restore.
+func TestUniqueIndexRejectsDuplicateWrites(t *testing.T) {
+	dir := t.TempDir()
+	e, err := OpenAt(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := record.MustSchema(
+		record.Column{Name: "id", Type: record.TypeInt},
+		record.Column{Name: "note", Type: record.TypeString},
+		record.Column{Name: "code", Type: record.TypeString},
+	)
+	row := func(id int, note, code string) record.Row {
+		return record.Row{record.Int(int64(id)), record.String(note), record.String(code)}
+	}
+	for _, name := range []string{"t", "u"} {
+		if err := e.CreateTable(name, schema, []string{"id"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The non-unique index comes first, so the failing update has moved its
+	// key before it meets the unique one.
+	if err := e.CreateIndex("t_note", "t", []string{"note"}, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CreateIndex("t_code", "t", []string{"code"}, true); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []record.Row{row(1, "x", "a"), row(2, "y", "b")} {
+		if err := e.Exec(func(tx *Tx) error { return tx.Insert("t", r) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []record.Row{row(1, "x", "a"), row(2, "y", "a")} {
+		if err := e.Exec(func(tx *Tx) error { return tx.Insert("u", r) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	update := func(tx *Tx, code string) error {
+		return tx.Update("t", []record.Value{record.Int(2)}, func(record.Row) (record.Row, error) { return row(2, "z", code), nil })
+	}
+	// The transaction goes on after the failed update and then aborts, so
+	// its rollback must not touch the key row 1 holds.
+	errAbort := errors.New("abort")
+	if err := e.Exec(func(tx *Tx) error {
+		if err := update(tx, "a"); !errors.Is(err, ErrDuplicateKey) {
+			return fmt.Errorf("Update onto a held unique value = %v, want ErrDuplicateKey", err)
+		}
+		if err := tx.Insert("t", row(3, "w", "d")); err != nil {
+			return err
+		}
+		return errAbort
+	}); err != errAbort {
+		t.Fatal(err)
+	}
+	if n := e.UndoFailures(); n != 0 {
+		t.Fatalf("UndoFailures = %d", n)
+	}
+	if err := e.Exec(func(tx *Tx) error {
+		got, _, err := tx.Get("t", record.Int(2))
+		if err == nil && !reflect.DeepEqual(got, row(2, "y", "b")) {
+			err = fmt.Errorf("row 2 after the failed update = %v", got)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	checkIndexesMatchHeap(t, e)
+	if err := e.CreateIndex("u_code", "u", []string{"code"}, true); !errors.Is(err, ErrDuplicateKey) {
+		t.Fatalf("unique CreateIndex over duplicate rows = %v, want ErrDuplicateKey", err)
+	}
+	if ix := e.tables.Load().indexes["u_code"]; ix != nil || len(e.tables.Load().byName["u"].secs) != 0 {
+		t.Fatalf("the failed CreateIndex left index %v", ix)
+	}
+	if err := e.Exec(func(tx *Tx) error { return update(tx, "c") }); err != nil {
+		t.Fatal(err)
+	}
+	checkIndexesMatchHeap(t, e)
+
+	e.SimulateCrash()
+	if e, err = OpenAt(dir, Config{}); err != nil {
+		t.Fatalf("reopen by redo: %v", err)
+	}
+	checkIndexesMatchHeap(t, e)
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	if e, err = OpenAt(dir, Config{}); err != nil {
+		t.Fatalf("reopen by restore: %v", err)
+	}
+	defer e.Close()
+	if st := e.RecoveryStats(); st.RowsRestored != 4 {
+		t.Fatalf("restore did not restore 4 rows: %+v", st)
+	}
+	checkIndexesMatchHeap(t, e)
+	if err := e.Exec(func(tx *Tx) error {
+		rows, err := tx.LookupIndex("t_code", record.String("c"))
+		if err == nil && (len(rows) != 1 || !reflect.DeepEqual(rows[0], row(2, "z", "c"))) {
+			err = fmt.Errorf("LookupIndex(t_code, c) = %v", rows)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+}

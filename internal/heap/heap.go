@@ -169,12 +169,10 @@ func (f *File) Insert(h *profiler.Handle, rec []byte) (RID, error) {
 	return RID{}, errors.New("heap: could not find a page with free space")
 }
 
-// Load stores rows on new pages in row order, the way restart restores a
-// checkpoint, and returns their RIDs in the same order. It pays one Fetch,
-// one page latch and one free-space update per page rather than per row. A
-// page takes rows while it has room for the next one by Insert's count, so
-// rows of one size lie as a run of Inserts would lay them. A row larger
-// than page.MaxRecordSize fails with page.ErrTooLarge.
+// Load stores rows on new pages in row order and returns their RIDs, with
+// one Fetch, page latch and free-space update per page. A page takes rows
+// while needFor allows, so rows of one size lie as Inserts would lay them.
+// A row larger than page.MaxRecordSize fails with page.ErrTooLarge.
 func (f *File) Load(rows [][]byte) ([]RID, error) {
 	rids := make([]RID, 0, len(rows))
 	for len(rids) < len(rows) {

@@ -123,10 +123,12 @@ func (p *Page) Insert(rec []byte) (int, error) {
 	// Find a reusable tombstoned slot first. There is none while every slot
 	// is live, which skips the scan on pages that have seen no delete.
 	slot := -1
-	for i := 0; i < p.slotCount() && p.liveCount() < p.slotCount(); i++ {
-		if off, _ := p.slotEntry(i); off == tombstone {
-			slot = i
-			break
+	if p.liveCount() < p.slotCount() {
+		for i := 0; i < p.slotCount(); i++ {
+			if off, _ := p.slotEntry(i); off == tombstone {
+				slot = i
+				break
+			}
 		}
 	}
 	needDirectory := 0
