@@ -137,13 +137,13 @@ func runRecover(dir string) {
 	fmt.Printf("  records undone    %d (%d tx rolled back, %d rollbacks resumed)\n",
 		st.RecordsUndone, st.TxUndone, st.RollbacksResumed)
 	fmt.Println("tables:")
-	for _, tbl := range e.Catalog().Tables() {
+	for _, name := range e.Tables() {
 		rows := 0
 		err := e.Exec(func(tx *core.Tx) error {
-			return tx.ScanTable(tbl.Name, func(record.Row) bool { rows++; return true })
+			return tx.ScanTable(name, func(record.Row) bool { rows++; return true })
 		})
 		exitOn(err)
-		fmt.Printf("  %-24s %d rows\n", tbl.Name, rows)
+		fmt.Printf("  %-24s %d rows\n", name, rows)
 	}
 	exitOn(e.Checkpoint())
 	fmt.Println("checkpointed; log truncated")

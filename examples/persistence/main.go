@@ -41,7 +41,7 @@ func main() {
 		slidb.Column{Name: "id", Type: slidb.TypeInt},
 		slidb.Column{Name: "balance", Type: slidb.TypeInt},
 	)
-	if len(db.Catalog().Tables()) == 0 {
+	if len(db.Tables()) == 0 {
 		if err := db.CreateTable("accounts", schema, []string{"id"}); err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"reflect"
 	"testing"
 
 	"slidb/internal/record"
@@ -14,71 +15,54 @@ func subscriberSchema() *record.Schema {
 	)
 }
 
+func subscriberMeta(pk ...string) TableMeta {
+	return TableMeta{ID: 3, Name: "subscriber", Columns: subscriberSchema().Columns(), PrimaryKey: pk}
+}
+
+// TestCreateTableAndLookup builds a table descriptor and reads its metadata
+// back through the embedded TableMeta; the descriptor owns copies of the
+// caller's slices.
 func TestCreateTableAndLookup(t *testing.T) {
-	c := New()
-	tbl, err := c.CreateTable("subscriber", subscriberSchema(), []string{"s_id"})
+	pk := []string{"s_id"}
+	tbl, err := NewTable(subscriberMeta(pk...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.ID == 0 {
-		t.Fatal("table ID 0 is reserved")
+	if tbl.ID != 3 || tbl.Name != "subscriber" || !reflect.DeepEqual(tbl.PrimaryKey, []string{"s_id"}) {
+		t.Fatalf("descriptor = %+v", tbl.TableMeta)
 	}
-	got, ok := c.Table("subscriber")
-	if !ok || got != tbl {
-		t.Fatal("Table lookup by name failed")
+	if !reflect.DeepEqual(tbl.Columns, tbl.Schema.Columns()) || tbl.Schema.NumColumns() != 3 {
+		t.Fatalf("columns %v, schema %v", tbl.Columns, tbl.Schema.Columns())
 	}
-	got, ok = c.TableByID(tbl.ID)
-	if !ok || got != tbl {
-		t.Fatal("Table lookup by ID failed")
-	}
-	if _, ok := c.Table("missing"); ok {
-		t.Fatal("lookup of missing table succeeded")
-	}
-	if len(c.Tables()) != 1 {
-		t.Fatal("Tables() wrong length")
+	pk[0] = "changed"
+	if tbl.PrimaryKey[0] != "s_id" {
+		t.Fatal("descriptor shares the caller's primary-key slice")
 	}
 }
 
 func TestCreateTableErrors(t *testing.T) {
-	c := New()
-	if _, err := c.CreateTable("", subscriberSchema(), []string{"s_id"}); err == nil {
-		t.Fatal("empty name accepted")
+	for name, m := range map[string]TableMeta{
+		"empty name":          {ID: 1, Columns: subscriberSchema().Columns(), PrimaryKey: []string{"s_id"}},
+		"reserved ID 0":       {Name: "t", Columns: subscriberSchema().Columns(), PrimaryKey: []string{"s_id"}},
+		"no columns":          {ID: 1, Name: "t", PrimaryKey: []string{"s_id"}},
+		"duplicate column":    {ID: 1, Name: "t", Columns: []record.Column{{Name: "a", Type: record.TypeInt}, {Name: "a", Type: record.TypeInt}}, PrimaryKey: []string{"a"}},
+		"missing primary key": {ID: 1, Name: "t", Columns: subscriberSchema().Columns()},
+		"unknown key column":  {ID: 1, Name: "t", Columns: subscriberSchema().Columns(), PrimaryKey: []string{"nope"}},
+	} {
+		if _, err := NewTable(m); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	if _, err := c.CreateTable("t", subscriberSchema(), nil); err == nil {
-		t.Fatal("missing primary key accepted")
-	}
-	if _, err := c.CreateTable("t", subscriberSchema(), []string{"nope"}); err == nil {
-		t.Fatal("unknown primary key column accepted")
-	}
-	if _, err := c.CreateTable("t", subscriberSchema(), []string{"s_id"}); err != nil {
+	if _, err := NewTable(subscriberMeta("s_id")); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := c.CreateTable("t", subscriberSchema(), []string{"s_id"}); err == nil {
-		t.Fatal("duplicate table accepted")
-	}
-}
-
-func TestTableIDsAreDistinct(t *testing.T) {
-	c := New()
-	ids := map[uint32]bool{}
-	for _, name := range []string{"a", "b", "c", "d"} {
-		tbl, err := c.CreateTable(name, subscriberSchema(), []string{"s_id"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ids[tbl.ID] {
-			t.Fatalf("duplicate table id %d", tbl.ID)
-		}
-		ids[tbl.ID] = true
-	}
-	if got := len(c.Tables()); got != 4 {
-		t.Fatalf("Tables() = %d, want 4", got)
 	}
 }
 
 func TestPrimaryKeyExtraction(t *testing.T) {
-	c := New()
-	tbl, _ := c.CreateTable("subscriber", subscriberSchema(), []string{"s_id", "sub_nbr"})
+	tbl, err := NewTable(subscriberMeta("s_id", "sub_nbr"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	row := record.Row{record.Int(7), record.String("555-0001"), record.Int(99)}
 	pk := tbl.PrimaryKeyIndexes()
 	if len(pk) != 2 || pk[0] != 0 || pk[1] != 1 {
@@ -90,26 +74,25 @@ func TestPrimaryKeyExtraction(t *testing.T) {
 }
 
 func TestCreateIndexAndKeyExtraction(t *testing.T) {
-	c := New()
-	if _, err := c.CreateIndex("ix", "missing", []string{"s_id"}, false); err == nil {
-		t.Fatal("index on missing table accepted")
-	}
-	c.CreateTable("subscriber", subscriberSchema(), []string{"s_id"})
-	ix, err := c.CreateIndex("sub_by_nbr", "subscriber", []string{"sub_nbr"}, true)
+	tbl, err := NewTable(subscriberMeta("s_id"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ix.Unique || ix.TableID == 0 {
-		t.Fatalf("index metadata wrong: %+v", ix)
+	ix, err := NewIndex(IndexMeta{Name: "sub_by_nbr", TableID: tbl.ID, Columns: []string{"sub_nbr"}, Unique: true}, tbl)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := c.CreateIndex("sub_by_nbr", "subscriber", []string{"sub_nbr"}, true); err == nil {
-		t.Fatal("duplicate index accepted")
+	if !ix.Unique || ix.TableID != tbl.ID || ix.Name != "sub_by_nbr" {
+		t.Fatalf("index metadata wrong: %+v", ix.IndexMeta)
 	}
-	if _, err := c.CreateIndex("bad", "subscriber", []string{"missing"}, false); err == nil {
-		t.Fatal("index on missing column accepted")
-	}
-	if _, err := c.CreateIndex("", "subscriber", nil, false); err == nil {
-		t.Fatal("nameless index accepted")
+	for name, m := range map[string]IndexMeta{
+		"index on missing column": {Name: "bad", TableID: tbl.ID, Columns: []string{"missing"}},
+		"nameless index":          {TableID: tbl.ID, Columns: []string{"sub_nbr"}},
+		"index without columns":   {Name: "bad", TableID: tbl.ID},
+	} {
+		if _, err := NewIndex(m, tbl); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 
 	row := record.Row{record.Int(7), record.String("555-0001"), record.Int(99)}
@@ -120,19 +103,11 @@ func TestCreateIndexAndKeyExtraction(t *testing.T) {
 	if key := row[cols[0]]; key.AsString() != "555-0001" {
 		t.Fatalf("index key = %v", key)
 	}
-
-	got, ok := c.Index("sub_by_nbr")
-	if !ok || got != ix {
-		t.Fatal("Index lookup failed")
+	two, err := NewIndex(IndexMeta{Name: "by_loc_nbr", TableID: tbl.ID, Columns: []string{"vlr_location", "sub_nbr"}}, tbl)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := c.Index("nope"); ok {
-		t.Fatal("missing index lookup succeeded")
-	}
-	tbl, _ := c.Table("subscriber")
-	if len(c.TableIndexes(tbl.ID)) != 1 {
-		t.Fatal("TableIndexes wrong")
-	}
-	if len(c.TableIndexes(999)) != 0 {
-		t.Fatal("TableIndexes of unknown table should be empty")
+	if cols := two.ColumnIndexes(); len(cols) != 2 || cols[0] != 2 || cols[1] != 1 {
+		t.Fatalf("ColumnIndexes = %v, want [2 1]", cols)
 	}
 }

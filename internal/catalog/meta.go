@@ -8,45 +8,6 @@ import (
 	"slidb/internal/record"
 )
 
-// TableMeta is the serializable description of a table, used by the WAL's
-// DDL records and by checkpoint files to recreate the catalog during
-// recovery. The ID is included so recovered tables keep the identifiers that
-// data log records reference.
-type TableMeta struct {
-	ID         uint32
-	Name       string
-	Columns    []record.Column
-	PrimaryKey []string
-}
-
-// TableMetaOf extracts the metadata of a table descriptor.
-func TableMetaOf(t *Table) TableMeta {
-	return TableMeta{
-		ID:         t.ID,
-		Name:       t.Name,
-		Columns:    append([]record.Column(nil), t.Schema.Columns()...),
-		PrimaryKey: append([]string(nil), t.PrimaryKey...),
-	}
-}
-
-// IndexMeta is the serializable description of a secondary index.
-type IndexMeta struct {
-	Name    string
-	TableID uint32
-	Columns []string
-	Unique  bool
-}
-
-// IndexMetaOf extracts the metadata of an index descriptor.
-func IndexMetaOf(ix *Index) IndexMeta {
-	return IndexMeta{
-		Name:    ix.Name,
-		TableID: ix.TableID,
-		Columns: append([]string(nil), ix.Columns...),
-		Unique:  ix.Unique,
-	}
-}
-
 // ErrBadMeta is returned when serialized table or index metadata cannot be
 // decoded.
 var ErrBadMeta = errors.New("catalog: corrupt metadata")
@@ -176,118 +137,4 @@ func DecodeIndexMeta(data []byte) (IndexMeta, error) {
 		return IndexMeta{}, err
 	}
 	return m, nil
-}
-
-// RestoreTable re-registers a table under its original ID during recovery.
-// It fails if the name or ID is already taken; the catalog's ID allocator is
-// advanced past the restored ID so later CreateTable calls cannot collide.
-func (c *Catalog) RestoreTable(m TableMeta) (*Table, error) {
-	if m.ID == 0 {
-		return nil, fmt.Errorf("catalog: cannot restore table %q with reserved ID 0", m.Name)
-	}
-	schema, err := record.NewSchema(m.Columns...)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: restore table %q: %w", m.Name, err)
-	}
-	if len(m.PrimaryKey) == 0 {
-		return nil, fmt.Errorf("catalog: restored table %q needs a primary key", m.Name)
-	}
-	pkIdx := make([]int, len(m.PrimaryKey))
-	for i, col := range m.PrimaryKey {
-		idx := schema.ColumnIndex(col)
-		if idx < 0 {
-			return nil, fmt.Errorf("catalog: primary key column %q not in schema of restored %q", col, m.Name)
-		}
-		pkIdx[i] = idx
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, exists := c.byName[m.Name]; exists {
-		return nil, fmt.Errorf("catalog: table %q already exists", m.Name)
-	}
-	if _, exists := c.byID[m.ID]; exists {
-		return nil, fmt.Errorf("catalog: table ID %d already exists", m.ID)
-	}
-	t := &Table{
-		ID:         m.ID,
-		Name:       m.Name,
-		Schema:     schema,
-		PrimaryKey: append([]string(nil), m.PrimaryKey...),
-		pkIdx:      pkIdx,
-	}
-	c.byName[m.Name] = t
-	c.byID[m.ID] = t
-	if m.ID >= c.nextTableID {
-		c.nextTableID = m.ID + 1
-	}
-	return t, nil
-}
-
-// RemoveTable deletes a table and its indexes from the catalog. It exists
-// to roll back DDL whose write-ahead log record could not be made durable;
-// it must not be used while transactions may reference the table.
-func (c *Catalog) RemoveTable(id uint32) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t, ok := c.byID[id]
-	if !ok {
-		return
-	}
-	for _, ix := range c.byTable[id] {
-		delete(c.indexes, ix.Name)
-	}
-	delete(c.byTable, id)
-	delete(c.byID, id)
-	delete(c.byName, t.Name)
-}
-
-// RemoveIndex deletes a secondary index from the catalog (DDL rollback
-// counterpart of RemoveTable).
-func (c *Catalog) RemoveIndex(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ix, ok := c.indexes[name]
-	if !ok {
-		return
-	}
-	delete(c.indexes, name)
-	list := c.byTable[ix.TableID]
-	for i, cand := range list {
-		if cand == ix {
-			c.byTable[ix.TableID] = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-}
-
-// RestoreIndex re-registers a secondary index during recovery. The indexed
-// table must have been restored first.
-func (c *Catalog) RestoreIndex(m IndexMeta) (*Index, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t, ok := c.byID[m.TableID]
-	if !ok {
-		return nil, fmt.Errorf("catalog: restored index %q references unknown table %d", m.Name, m.TableID)
-	}
-	if _, exists := c.indexes[m.Name]; exists {
-		return nil, fmt.Errorf("catalog: index %q already exists", m.Name)
-	}
-	colIdx := make([]int, len(m.Columns))
-	for i, col := range m.Columns {
-		idx := t.Schema.ColumnIndex(col)
-		if idx < 0 {
-			return nil, fmt.Errorf("catalog: column %q not in table %q", col, t.Name)
-		}
-		colIdx[i] = idx
-	}
-	ix := &Index{
-		Name:    m.Name,
-		TableID: m.TableID,
-		Columns: append([]string(nil), m.Columns...),
-		Unique:  m.Unique,
-		colIdx:  colIdx,
-	}
-	c.indexes[m.Name] = ix
-	c.byTable[m.TableID] = append(c.byTable[m.TableID], ix)
-	return ix, nil
 }

@@ -8,17 +8,15 @@ import (
 )
 
 func TestTableMetaRoundTrip(t *testing.T) {
-	c := New()
-	schema := record.MustSchema(
-		record.Column{Name: "id", Type: record.TypeInt},
-		record.Column{Name: "region", Type: record.TypeString},
-		record.Column{Name: "score", Type: record.TypeFloat},
-	)
-	tbl, err := c.CreateTable("players", schema, []string{"id", "region"})
+	tbl, err := NewTable(TableMeta{ID: 5, Name: "players", Columns: []record.Column{
+		{Name: "id", Type: record.TypeInt},
+		{Name: "region", Type: record.TypeString},
+		{Name: "score", Type: record.TypeFloat},
+	}, PrimaryKey: []string{"id", "region"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := TableMetaOf(tbl)
+	m := tbl.TableMeta
 	got, err := DecodeTableMeta(m.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -40,56 +38,7 @@ func TestIndexMetaRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, m) {
 		t.Fatalf("round trip:\n in: %+v\nout: %+v", m, got)
 	}
-}
-
-func TestRestorePreservesIDsAndAdvancesAllocator(t *testing.T) {
-	c := New()
-	schema := record.MustSchema(record.Column{Name: "id", Type: record.TypeInt})
-	meta := TableMeta{
-		ID: 7, Name: "restored",
-		Columns:    []record.Column{{Name: "id", Type: record.TypeInt}},
-		PrimaryKey: []string{"id"},
-	}
-	tbl, err := c.RestoreTable(meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.ID != 7 {
-		t.Fatalf("restored ID = %d, want 7", tbl.ID)
-	}
-	if _, err := c.RestoreTable(meta); err == nil {
-		t.Fatal("duplicate restore succeeded")
-	}
-	// New tables must not collide with the restored ID.
-	next, err := c.CreateTable("fresh", schema, []string{"id"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next.ID <= 7 {
-		t.Fatalf("allocator did not advance past restored ID: got %d", next.ID)
-	}
-
-	ix, err := c.RestoreIndex(IndexMeta{Name: "ix", TableID: 7, Columns: []string{"id"}, Unique: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.TableIndexes(7); len(got) != 1 || got[0] != ix {
-		t.Fatalf("restored index not registered: %v", got)
-	}
-	if _, err := c.RestoreIndex(IndexMeta{Name: "ix2", TableID: 99, Columns: []string{"id"}}); err == nil {
-		t.Fatal("restore against unknown table succeeded")
-	}
-
-	// Rollback helpers: removal frees the name and drops index registrations.
-	c.RemoveIndex("ix")
-	if got := c.TableIndexes(7); len(got) != 0 {
-		t.Fatalf("RemoveIndex left %v", got)
-	}
-	c.RemoveTable(7)
-	if _, ok := c.Table("restored"); ok {
-		t.Fatal("RemoveTable left the table visible by name")
-	}
-	if _, err := c.RestoreTable(meta); err != nil {
-		t.Fatalf("re-restore after removal: %v", err)
+	if _, err := DecodeIndexMeta(append(m.Encode(), 0)); err == nil {
+		t.Fatal("metadata with a trailing byte decoded without error")
 	}
 }

@@ -377,8 +377,8 @@ func TestRollbackFindsMovedRow(t *testing.T) {
 			t.Fatal(err)
 		}
 		rt, _ := e.tableRuntime("t")
-		first, _ := rt.pk.tree.get(record.EncodeKey(record.Int(1)))
-		last, _ := rt.pk.tree.get(record.EncodeKey(record.Int(rows)))
+		first, _ := rt.pk.tree.Get(record.EncodeKey(record.Int(1)))
+		last, _ := rt.pk.tree.Get(record.EncodeKey(record.Int(rows)))
 		if first.Page == last.Page {
 			t.Fatalf("row 1 shares the append page %d; the test needs it on an older page", last.Page)
 		}

@@ -153,25 +153,21 @@ func OpenAt(dir string, cfg Config) (*Engine, error) {
 }
 
 // restoreSnapshot loads a checkpoint image in bulk and publishes its table
-// set once: it restores the catalog, loads each table's rows onto fresh heap
-// pages in order, and builds each index once from its sorted keys.
+// set once: it registers the tables and indexes the way DDL does, loads each
+// table's rows onto fresh heap pages in order, and builds each index once
+// from its sorted keys.
 func (e *Engine) restoreSnapshot(snap *recovery.Snapshot) error {
 	set := e.tables.Load()
+	var err error
 	for _, ts := range snap.Tables {
-		tbl, err := e.cat.RestoreTable(ts.Meta)
-		if err != nil {
+		if set, err = set.withTable(ts.Meta, e.pool); err != nil {
 			return err
 		}
-		set = set.with(e.newTableRuntime(tbl), nil)
 	}
 	for _, im := range snap.Indexes {
-		ix, err := e.cat.RestoreIndex(im)
-		if err != nil {
+		if set, _, err = set.withIndex(im); err != nil {
 			return err
 		}
-		rt, idx := set.byID[ix.TableID], &index{meta: ix}
-		rt.secs = append(rt.secs, idx)
-		set = set.with(rt, idx)
 	}
 	for _, ts := range snap.Tables {
 		rt := set.byID[ts.Meta.ID]
@@ -192,7 +188,7 @@ func (e *Engine) restoreSnapshot(snap *recovery.Snapshot) error {
 // buildIndexTree bulk-loads the tree of ix (nil: the primary key) over the
 // encoded rows stored at rids. Two rows with one key fail with
 // ErrDuplicateKey; only the primary key and unique indexes can have them.
-func buildIndexTree(tbl *catalog.Table, ix *catalog.Index, rows [][]byte, rids []heap.RID) (*indexTree, error) {
+func buildIndexTree(tbl *catalog.Table, ix *catalog.Index, rows [][]byte, rids []heap.RID) (*btree.Tree[heap.RID], error) {
 	type entry struct {
 		key string
 		rid heap.RID
@@ -217,7 +213,7 @@ func buildIndexTree(tbl *catalog.Table, ix *catalog.Index, rows [][]byte, rids [
 		}
 		keys[i], vals[i] = en.key, en.rid
 	}
-	return &indexTree{t: btree.Build(keys, vals)}, nil
+	return btree.Build(keys, vals), nil
 }
 
 // engineApplier applies the recovery package's replay calls through the
@@ -252,7 +248,7 @@ func (a engineApplier) find(tableID uint32, data []byte) (*tableRuntime, heap.RI
 	if err != nil {
 		return nil, heap.RID{}, err
 	}
-	rid, ok := rt.pk.tree.get(pk)
+	rid, ok := rt.pk.tree.Get(pk)
 	if !ok {
 		return nil, heap.RID{}, fmt.Errorf("core: log changes a missing row of table %d", tableID)
 	}
@@ -265,23 +261,14 @@ func (a engineApplier) CreateTable(m catalog.TableMeta) error {
 		// idempotent because checkpointing and DDL logging can overlap.
 		return nil
 	}
-	tbl, err := a.e.cat.RestoreTable(m)
-	if err != nil {
-		return err
-	}
-	a.e.installTable(tbl)
-	return nil
+	return a.e.addTable(m)
 }
 
 func (a engineApplier) CreateIndex(m catalog.IndexMeta) error {
 	if a.e.tables.Load().indexes[m.Name] != nil {
 		return nil
 	}
-	ix, err := a.e.cat.RestoreIndex(m)
-	if err != nil {
-		return err
-	}
-	return a.e.installIndex(ix)
+	return a.e.addIndex(m)
 }
 
 func (a engineApplier) Insert(tableID uint32, after []byte) error {
@@ -311,7 +298,7 @@ func (a engineApplier) Delete(tableID uint32, before []byte) error {
 // Checkpoint persists a point-in-time image of the database and truncates
 // the write-ahead log, bounding the work a future restart has to do. It
 // briefly quiesces transaction execution (new transactions wait, in-flight
-// ones drain), forces the log, snapshots the catalog and every table's rows
+// ones drain), forces the log, snapshots the schema and every table's rows
 // to the checkpoint file, and deletes log segments the snapshot covers.
 // Calling Checkpoint from inside a transaction body deadlocks.
 func (e *Engine) Checkpoint() error {
@@ -321,7 +308,7 @@ func (e *Engine) Checkpoint() error {
 	if e.segs == nil {
 		return ErrNotDurable
 	}
-	// DDL waits too, so every catalog table has its runtime published and
+	// DDL waits too, so the published table set is complete and
 	// no DDL record lands between the snapshot and the log it truncates.
 	e.ddlMu.Lock()
 	defer e.ddlMu.Unlock()
@@ -334,10 +321,8 @@ func (e *Engine) Checkpoint() error {
 	snapLSN := e.log.DurableLSN()
 
 	snap := &recovery.Snapshot{LSN: snapLSN, NextXID: e.nextXID.Load()}
-	set := e.tables.Load()
-	for _, tbl := range e.cat.Tables() {
-		rt := set.byID[tbl.ID]
-		ts := recovery.TableSnapshot{Meta: catalog.TableMetaOf(tbl)}
+	for _, rt := range e.tables.Load().inIDOrder() {
+		ts := recovery.TableSnapshot{Meta: rt.meta.TableMeta}
 		err := rt.hf.Scan(nil, func(rid heap.RID, rec []byte) bool {
 			ts.Rows = append(ts.Rows, rec)
 			return true
@@ -347,7 +332,7 @@ func (e *Engine) Checkpoint() error {
 		}
 		snap.Tables = append(snap.Tables, ts)
 		for _, sec := range rt.secs {
-			snap.Indexes = append(snap.Indexes, catalog.IndexMetaOf(sec.meta))
+			snap.Indexes = append(snap.Indexes, sec.meta.IndexMeta)
 		}
 	}
 	if err := recovery.WriteCheckpoint(e.dir, snap); err != nil {

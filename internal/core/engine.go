@@ -1,6 +1,6 @@
 // Package core implements the storage-manager engine: it composes the lock
 // manager (with Speculative Lock Inheritance), write-ahead log, buffer pool,
-// heap files, B+tree indexes and catalog into a transactional embedded
+// heap files, B+tree indexes and schema registry into a transactional embedded
 // database, and executes transactions on a pool of agent threads exactly as
 // Shore-MT does — one agent goroutine runs one transaction at a time, and
 // SLI passes hot locks from a committing transaction to the next transaction
@@ -10,6 +10,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
@@ -18,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"slidb/internal/btree"
 	"slidb/internal/buffer"
 	"slidb/internal/catalog"
 	"slidb/internal/heap"
@@ -121,7 +123,6 @@ var ErrClosed = errors.New("core: engine is closed")
 // Engine is the storage manager.
 type Engine struct {
 	cfg  Config
-	cat  *catalog.Catalog
 	lm   *lockmgr.Manager
 	log  *wal.Log
 	segs *wal.Segments // nil for in-memory (volatile) engines
@@ -213,7 +214,6 @@ func Open(cfg Config) *Engine {
 func newEngine(cfg Config, durable *wal.Segments, startLSN wal.LSN) *Engine {
 	e := &Engine{
 		cfg:      cfg,
-		cat:      catalog.New(),
 		segs:     durable,
 		prof:     profiler.New(cfg.Profile),
 		jobs:     make(chan job),
@@ -264,8 +264,14 @@ func (e *Engine) Close() error {
 	return err
 }
 
-// Catalog exposes the schema catalog.
-func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
+// Tables returns the names of the engine's tables in creation order.
+func (e *Engine) Tables() []string {
+	var names []string
+	for _, rt := range e.tables.Load().inIDOrder() {
+		names = append(names, rt.meta.Name)
+	}
+	return names
+}
 
 // LockManager exposes the lock manager (for statistics and SLI control).
 func (e *Engine) LockManager() *lockmgr.Manager { return e.lm }
@@ -606,7 +612,7 @@ func (e *Engine) runOnce(w *worker, fn func(*Tx) error) (<-chan error, error) {
 // the RID to the key to keep entries distinct.
 type index struct {
 	meta *catalog.Index // nil for primary-key indexes
-	tree *indexTree
+	tree *btree.Tree[heap.RID]
 }
 
 // tableRuntime is the engine's one handle on a table: its catalog entry,
@@ -623,10 +629,12 @@ type tableRuntime struct {
 	secs []*index
 }
 
-// tableSet is the engine's table registry: an immutable snapshot that every
+// tableSet is the engine's schema registry: an immutable snapshot that every
 // DDL replaces with an extended copy under Engine.ddlMu, so transactions,
 // rollback and restart resolve a table or an index with one atomic load and
-// no lock.
+// no lock. Live DDL, DDL redo and checkpoint restore all extend it through
+// withTable and withIndex, which refuse a taken name or ID; a failed DDL
+// publishes the set it started from again.
 type tableSet struct {
 	byName  map[string]*tableRuntime
 	byID    map[uint32]*tableRuntime
@@ -644,6 +652,56 @@ func (s *tableSet) with(rt *tableRuntime, idx *index) *tableSet {
 	return n
 }
 
+// inIDOrder returns the runtimes of s by ascending table ID, which is
+// creation order.
+func (s *tableSet) inIDOrder() []*tableRuntime {
+	return slices.SortedFunc(maps.Values(s.byID), func(a, b *tableRuntime) int { return cmp.Compare(a.meta.ID, b.meta.ID) })
+}
+
+// nextTableID is the ID a new table takes: one above the highest in s.
+func (s *tableSet) nextTableID() uint32 {
+	id := uint32(1)
+	for have := range s.byID {
+		id = max(id, have+1)
+	}
+	return id
+}
+
+// withTable returns a copy of s holding an empty runtime, heap file on pool
+// and primary-key tree, for the table m describes.
+func (s *tableSet) withTable(m catalog.TableMeta, pool *buffer.Pool) (*tableSet, error) {
+	tbl, err := catalog.NewTable(m)
+	if err != nil {
+		return nil, err
+	}
+	if s.byName[m.Name] != nil {
+		return nil, fmt.Errorf("catalog: table %q already exists", m.Name)
+	}
+	if s.byID[m.ID] != nil {
+		return nil, fmt.Errorf("catalog: table ID %d already exists", m.ID)
+	}
+	return s.with(&tableRuntime{meta: tbl, hf: heap.NewFile(tbl.ID, pool), pk: &index{tree: btree.New[heap.RID]()}}, nil), nil
+}
+
+// withIndex returns a copy of s in which the table m names carries the
+// empty index m describes, and that index.
+func (s *tableSet) withIndex(m catalog.IndexMeta) (*tableSet, *index, error) {
+	rt := s.byID[m.TableID]
+	if rt == nil {
+		return nil, nil, fmt.Errorf("catalog: restored index %q references unknown table %d", m.Name, m.TableID)
+	}
+	if s.indexes[m.Name] != nil {
+		return nil, nil, fmt.Errorf("catalog: index %q already exists", m.Name)
+	}
+	ix, err := catalog.NewIndex(m, rt.meta)
+	if err != nil {
+		return nil, nil, err
+	}
+	n, idx := *rt, &index{meta: ix, tree: btree.New[heap.RID]()}
+	n.secs = append(slices.Clip(rt.secs), idx)
+	return s.with(&n, idx), idx, nil
+}
+
 // CreateTable creates a table with the given schema and primary key. It must
 // be called before any transaction uses the table; DDL is not transactional.
 // On durable engines the DDL is logged and forced to disk before returning.
@@ -653,35 +711,31 @@ func (e *Engine) CreateTable(name string, schema *record.Schema, primaryKey []st
 	}
 	e.ddlMu.Lock()
 	defer e.ddlMu.Unlock()
-	tbl, err := e.cat.CreateTable(name, schema, primaryKey)
-	if err != nil {
+	prev := e.tables.Load()
+	m := catalog.TableMeta{ID: prev.nextTableID(), Name: name, Columns: schema.Columns(), PrimaryKey: primaryKey}
+	if err := e.addTable(m); err != nil {
 		return err
 	}
-	prev := e.tables.Load()
-	e.installTable(tbl)
-	if err := e.logDDL(wal.RecCreateTable, catalog.TableMetaOf(tbl).Encode()); err != nil {
-		// The DDL record could not be made durable: undo the in-memory
-		// creation so the failed call leaves no half-created table that a
-		// restart would not know about.
-		e.cat.RemoveTable(tbl.ID)
+	if err := e.logDDL(wal.RecCreateTable, m.Encode()); err != nil {
+		// The DDL record could not be made durable: drop the table, so the
+		// failed call leaves nothing a restart would not know about. Its ID
+		// is free again, which is safe: a log that failed an append or a
+		// flush takes no later record, so no durable record can give the
+		// ID to a second table.
 		e.tables.Store(prev)
 		return err
 	}
 	return nil
 }
 
-// installTable publishes an empty runtime for a catalog table descriptor and
-// returns it. DDL calls it under e.ddlMu, DDL redo before the engine is
-// shared.
-func (e *Engine) installTable(tbl *catalog.Table) *tableRuntime {
-	rt := e.newTableRuntime(tbl)
-	e.tables.Store(e.tables.Load().with(rt, nil))
-	return rt
-}
-
-// newTableRuntime returns an empty table's runtime, heap file and pk tree.
-func (e *Engine) newTableRuntime(tbl *catalog.Table) *tableRuntime {
-	return &tableRuntime{meta: tbl, hf: heap.NewFile(tbl.ID, e.pool), pk: &index{tree: newIndexTree()}}
+// addTable publishes an empty runtime for the table m describes. DDL calls
+// it under e.ddlMu, DDL redo before the engine is shared.
+func (e *Engine) addTable(m catalog.TableMeta) error {
+	set, err := e.tables.Load().withTable(m, e.pool)
+	if err == nil {
+		e.tables.Store(set)
+	}
+	return err
 }
 
 // CreateIndex creates a secondary index on an existing (empty or populated)
@@ -693,44 +747,43 @@ func (e *Engine) CreateIndex(name, table string, columns []string, unique bool) 
 	}
 	e.ddlMu.Lock()
 	defer e.ddlMu.Unlock()
-	ix, err := e.cat.CreateIndex(name, table, columns, unique)
-	if err != nil {
-		return err
-	}
 	prev := e.tables.Load()
-	if err = e.installIndex(ix); err == nil {
-		err = e.logDDL(wal.RecCreateIndex, catalog.IndexMetaOf(ix).Encode())
+	rt := prev.byName[table]
+	if rt == nil {
+		return fmt.Errorf("catalog: unknown table %q", table)
+	}
+	m := catalog.IndexMeta{Name: name, TableID: rt.meta.ID, Columns: columns, Unique: unique}
+	err := e.addIndex(m)
+	if err == nil {
+		err = e.logDDL(wal.RecCreateIndex, m.Encode())
 	}
 	if err != nil {
-		e.cat.RemoveIndex(ix.Name)
 		e.tables.Store(prev)
-		return err
 	}
-	return nil
+	return err
 }
 
-// installIndex publishes the runtime B+tree for a catalog index descriptor
-// and backfills it from the table's existing rows. Two rows with one key in
-// a unique index fail it with ErrDuplicateKey. It is called where
-// installTable is.
-func (e *Engine) installIndex(ix *catalog.Index) error {
-	set := e.tables.Load()
-	rt := *set.byID[ix.TableID]
-	idx := &index{meta: ix, tree: newIndexTree()}
-	rt.secs = append(slices.Clip(rt.secs), idx)
+// addIndex publishes the index m describes and backfills it from its
+// table's existing rows. Two rows with one key in a unique index fail it
+// with ErrDuplicateKey. It is called where addTable is.
+func (e *Engine) addIndex(m catalog.IndexMeta) error {
+	set, idx, err := e.tables.Load().withIndex(m)
+	if err != nil {
+		return err
+	}
+	rt := set.byID[m.TableID]
 	// Published before the backfill, so a concurrent insert maintains the
 	// index from the moment the scan below could miss its row.
-	e.tables.Store(set.with(&rt, idx))
-	var err error
+	e.tables.Store(set)
 	serr := rt.hf.Scan(nil, func(rid heap.RID, rec []byte) bool {
 		var key string
-		if key, err = rowKey(rt.meta, ix, rec, rid); err != nil {
+		if key, err = rowKey(rt.meta, idx.meta, rec, rid); err != nil {
 			return false
 		}
 		// A concurrent insert may have entered this row's key already.
-		if !idx.tree.insert(key, rid) {
-			if got, _ := idx.tree.get(key); got != rid {
-				err = fmt.Errorf("%w: index %s", ErrDuplicateKey, ix.Name)
+		if !idx.tree.InsertIfAbsent(key, rid) {
+			if got, _ := idx.tree.Get(key); got != rid {
+				err = fmt.Errorf("%w: index %s", ErrDuplicateKey, m.Name)
 				return false
 			}
 		}
@@ -786,12 +839,12 @@ func (rt *tableRuntime) addKeys(data []byte, rid heap.RID) error {
 	if err != nil {
 		return err
 	}
-	if !rt.pk.tree.insert(pk, rid) {
+	if !rt.pk.tree.InsertIfAbsent(pk, rid) {
 		return fmt.Errorf("%w: %s in %s", ErrDuplicateKey, pk, rt.meta.Name)
 	}
 	for i, sec := range rt.secs {
 		key, _ := rowKey(rt.meta, sec.meta, data, rid) // data passed above
-		if !sec.tree.insert(key, rid) {
+		if !sec.tree.InsertIfAbsent(key, rid) {
 			rt.dropKeys(data, rid, rt.secs[:i])
 			return fmt.Errorf("%w: index %s", ErrDuplicateKey, sec.meta.Name)
 		}
@@ -804,10 +857,10 @@ func (rt *tableRuntime) addKeys(data []byte, rid heap.RID) error {
 func (rt *tableRuntime) dropKeys(data []byte, rid heap.RID, secs []*index) {
 	for _, sec := range secs {
 		key, _ := rowKey(rt.meta, sec.meta, data, rid)
-		sec.tree.remove(key)
+		sec.tree.Delete(key)
 	}
 	pk, _ := rowKey(rt.meta, nil, data, rid)
-	rt.pk.tree.remove(pk)
+	rt.pk.tree.Delete(pk)
 }
 
 // update overwrites the row at rid with the encoded image after, then moves
@@ -823,13 +876,13 @@ func (rt *tableRuntime) update(h *profiler.Handle, rid heap.RID, before, after [
 			return err
 		}
 		if newKey, _ := rowKey(rt.meta, sec.meta, after, rid); newKey != oldKey { // callers check after
-			if !sec.tree.insert(newKey, rid) {
+			if !sec.tree.InsertIfAbsent(newKey, rid) {
 				moved := *rt
 				moved.secs = rt.secs[:i]
 				_ = moved.update(h, rid, after, before)
 				return fmt.Errorf("%w: index %s", ErrDuplicateKey, sec.meta.Name)
 			}
-			sec.tree.remove(oldKey)
+			sec.tree.Delete(oldKey)
 		}
 	}
 	return nil

@@ -453,7 +453,7 @@ func TestSLIEngineTogglesAndStats(t *testing.T) {
 	}
 	// Force the hot path: mark table + db locks hot, then run many
 	// single-row reads through the agent pool.
-	tbl, _ := e.Catalog().Table("accounts")
+	tbl := e.tables.Load().byName["accounts"].meta
 	e.LockManager().ForceHot(lockmgr.TableLock(databaseID, tbl.ID))
 	e.LockManager().ForceHot(lockmgr.DatabaseLock(databaseID))
 	for i := 0; i < 300; i++ {

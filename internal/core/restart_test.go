@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"slidb/internal/btree"
 	"slidb/internal/catalog"
 	"slidb/internal/heap"
 	"slidb/internal/record"
@@ -110,9 +111,9 @@ func TestRestartKeysFromBytes(t *testing.T) {
 		}
 	}
 	set := e.tables.Load()
-	trees := map[string]*indexTree{"primary key": set.byName["t"].pk.tree, "t_code": set.indexes["t_code"].tree, "t_score_grp": set.indexes["t_score_grp"].tree}
+	trees := map[string]*btree.Tree[heap.RID]{"primary key": set.byName["t"].pk.tree, "t_code": set.indexes["t_code"].tree, "t_score_grp": set.indexes["t_score_grp"].tree}
 	for name, tree := range trees {
-		if n := tree.t.Len(); n != len(model) {
+		if n := tree.Len(); n != len(model) {
 			t.Errorf("%s holds %d entries for %d rows", name, n, len(model))
 		}
 	}
@@ -130,7 +131,7 @@ func checkIndexesMatchHeap(t *testing.T, e *Engine) {
 			rows++
 			for _, idx := range indexes {
 				key, err := rowKey(rt.meta, idx.meta, rec, rid)
-				if got, ok := idx.tree.get(key); err != nil || !ok || got != rid {
+				if got, ok := idx.tree.Get(key); err != nil || !ok || got != rid {
 					t.Errorf("%s: row at %v not found through index %v: %v, %v, %v", name, rid, idx.meta, got, ok, err)
 				}
 			}
@@ -139,7 +140,7 @@ func checkIndexesMatchHeap(t *testing.T, e *Engine) {
 			t.Fatal(err)
 		}
 		for _, idx := range indexes {
-			if n := idx.tree.t.Len(); n != rows {
+			if n := idx.tree.Len(); n != rows {
 				t.Errorf("%s: index %v holds %d entries for %d rows", name, idx.meta, n, rows)
 			}
 		}

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"slidb/internal/btree"
+	"slidb/internal/heap"
 	"slidb/internal/record"
 )
 
@@ -41,7 +43,7 @@ func TestApplierDuplicateInsertLeavesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, _ := e.cat.Table("t")
+	tbl := e.tables.Load().byName["t"].meta
 	if err := (engineApplier{e: e}).Insert(tbl.ID, dup); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("applier Insert of a duplicate key = %v, want ErrDuplicateKey", err)
 	}
@@ -55,8 +57,8 @@ func TestApplierDuplicateInsertLeavesNothing(t *testing.T) {
 		t.Errorf("ScanTable sees %d rows, want 1", rows)
 	}
 	set := e.tables.Load()
-	for name, tree := range map[string]*indexTree{"primary key": set.byName["t"].pk.tree, "t_code": set.indexes["t_code"].tree, "t_grp": set.indexes["t_grp"].tree} {
-		if n := tree.t.Len(); n != 1 {
+	for name, tree := range map[string]*btree.Tree[heap.RID]{"primary key": set.byName["t"].pk.tree, "t_code": set.indexes["t_code"].tree, "t_grp": set.indexes["t_grp"].tree} {
+		if n := tree.Len(); n != 1 {
 			t.Errorf("%s holds %d entries, want 1", name, n)
 		}
 	}

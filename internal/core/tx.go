@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"slidb/internal/btree"
 	"slidb/internal/heap"
 	"slidb/internal/lockmgr"
 	"slidb/internal/profiler"
@@ -31,20 +30,6 @@ var ErrPrimaryKeyChange = errors.New("core: updates may not modify primary key c
 // callers can distinguish business-rule aborts (e.g. the NDBB transactions
 // that fail on invalid input) from unexpected errors.
 var Abort = errors.New("core: transaction aborted by application")
-
-// indexTree wraps the generic B+tree used by all indexes.
-type indexTree struct {
-	t *btree.Tree[heap.RID]
-}
-
-func newIndexTree() *indexTree { return &indexTree{t: btree.New[heap.RID]()} }
-
-func (it *indexTree) insert(key string, rid heap.RID) bool { return it.t.InsertIfAbsent(key, rid) }
-func (it *indexTree) remove(key string) bool               { return it.t.Delete(key) }
-func (it *indexTree) get(key string) (heap.RID, bool)      { return it.t.Get(key) }
-func (it *indexTree) scanRange(lo, hi string, fn func(key string, rid heap.RID) bool) {
-	it.t.AscendRange(lo, hi, fn)
-}
 
 // undoEntry is one registered rollback step: the LSN of a logged data
 // record (the CLR chain's UndoNext pointer targets it) and that record's
@@ -385,7 +370,7 @@ func (tx *Tx) Insert(table string, row record.Row) error {
 		return err
 	}
 	pk, _ := rowKey(rt.meta, nil, data, heap.RID{})
-	if _, dup := rt.pk.tree.get(pk); dup {
+	if _, dup := rt.pk.tree.Get(pk); dup {
 		return fmt.Errorf("%w: %s in %s", ErrDuplicateKey, pk, table)
 	}
 	rid, err := rt.hf.Insert(tx.prof, data)
@@ -440,7 +425,7 @@ func (tx *Tx) getRow(table string, mode lockmgr.Mode, key []record.Value) (recor
 // get finds the row with the given primary key and reads it through
 // tx.read, returning its heap bytes beside the decoded row.
 func (tx *Tx) get(rt *tableRuntime, mode lockmgr.Mode, key []record.Value) (row record.Row, rid heap.RID, data []byte, found bool, err error) {
-	rid, ok := rt.pk.tree.get(record.EncodeKey(key...))
+	rid, ok := rt.pk.tree.Get(record.EncodeKey(key...))
 	if !ok {
 		// Lock the table in intention mode so the read of "not there" is at
 		// least protected against drops; record-level locking cannot lock a
@@ -571,11 +556,11 @@ func (tx *Tx) lookupIndex(indexName string, mode lockmgr.Mode, key ...record.Val
 	prefix := record.EncodeKey(key...)
 	var rids []heap.RID
 	if idx.meta.Unique {
-		if rid, ok := idx.tree.get(prefix); ok {
+		if rid, ok := idx.tree.Get(prefix); ok {
 			rids = append(rids, rid)
 		}
 	} else {
-		idx.tree.scanRange(prefix, prefix+"\xff", func(k string, rid heap.RID) bool {
+		idx.tree.AscendRange(prefix, prefix+"\xff", func(k string, rid heap.RID) bool {
 			rids = append(rids, rid)
 			return true
 		})
@@ -620,7 +605,7 @@ func (tx *Tx) scanRange(table string, mode lockmgr.Mode, lo, hi []record.Value, 
 		hiKey = record.EncodeKey(hi...) + "\xff"
 	}
 	var rids []heap.RID
-	rt.pk.tree.scanRange(loKey, hiKey, func(k string, rid heap.RID) bool {
+	rt.pk.tree.AscendRange(loKey, hiKey, func(k string, rid heap.RID) bool {
 		rids = append(rids, rid)
 		return true
 	})

@@ -5,10 +5,10 @@
 // paper observes absorbing contention from New Order once SLI removes the
 // lock-manager bottleneck (§7.2).
 //
-// The free space manager's invariant: every page it maps other than the
-// append page has fewer than bound free bytes. An insert needing bound or
-// more goes to the append page or a new one without scanning the file, so a
-// bulk load costs one map lookup per row, not a pass over earlier pages.
+// The free space manager's invariant: every page other than the append page
+// has fewer than bound free bytes. An insert needing bound or more goes to
+// the append page or a new one without scanning the file, so a bulk load
+// costs one lookup per row, not a pass over earlier pages.
 package heap
 
 import (
@@ -35,14 +35,16 @@ var ErrNotFound = errors.New("heap: record not found")
 
 // freeSpaceManager tracks per-page free space so inserts can find a page
 // with room without scanning the file. It is a single latched structure per
-// heap file, mirroring Shore's free space manager.
+// heap file, mirroring Shore's free space manager. Placement is a function
+// of the history of calls alone: a scan takes the lowest-numbered page with
+// room.
 type freeSpaceManager struct {
 	latch     latch.Mutex
-	free      map[uint64]int // page -> free bytes (approximate)
+	free      []int // page -> free bytes (approximate); 0 once full
 	numPages  uint64
-	appendPos uint64 // page currently receiving appends
-	// bound > free[p] for every mapped p != appendPos: a scan that fails for
-	// need sets it to need; an update or a retirement that reaches it lifts it.
+	appendPos int // page currently receiving appends
+	// bound > free[p] for every p != appendPos: a scan that fails for need
+	// sets it to need; an update or a retirement that reaches it lifts it.
 	bound   int
 	visited uint64 // free-map entries examined by choosePage's scans
 }
@@ -59,7 +61,6 @@ func NewFile(tableID uint32, pool *buffer.Pool) *File {
 	return &File{
 		tableID: tableID,
 		pool:    pool,
-		fsm:     freeSpaceManager{free: make(map[uint64]int)},
 	}
 }
 
@@ -86,17 +87,16 @@ func (f *File) choosePage(h *profiler.Handle, need int) uint64 {
 	// Prefer the current append page (the common case and the paper's
 	// "roving hotspot": appends concentrate on the last page until it fills).
 	if f.fsm.numPages > 0 {
-		appendFree := f.fsm.free[f.fsm.appendPos] // 0 once unmapped (full)
-		if appendFree >= need {
-			return f.fsm.appendPos
+		if f.fsm.free[f.fsm.appendPos] >= need {
+			return uint64(f.fsm.appendPos)
 		}
-		// Otherwise any page with room; the bound rules out a scan that
-		// cannot find one.
+		// Otherwise the lowest-numbered page with room; the bound rules out
+		// a scan that cannot find one.
 		if need < f.fsm.bound {
 			for p, free := range f.fsm.free {
 				f.fsm.visited++
 				if free >= need {
-					return p
+					return uint64(p)
 				}
 			}
 			f.fsm.bound = need
@@ -109,26 +109,21 @@ func (f *File) choosePage(h *profiler.Handle, need int) uint64 {
 // bytes, and maps a new empty page as the append page. The caller holds the
 // free space manager's latch.
 func (f *File) newPageLocked() uint64 {
-	if appendFree := f.fsm.free[f.fsm.appendPos]; f.fsm.numPages > 0 && appendFree >= f.fsm.bound {
-		f.fsm.bound = appendFree + 1
+	if f.fsm.numPages > 0 && f.fsm.free[f.fsm.appendPos] >= f.fsm.bound {
+		f.fsm.bound = f.fsm.free[f.fsm.appendPos] + 1
 	}
-	p := f.fsm.numPages
+	f.fsm.appendPos = len(f.fsm.free)
+	f.fsm.free = append(f.fsm.free, page.MaxRecordSize)
 	f.fsm.numPages++
-	f.fsm.free[p] = page.MaxRecordSize
-	f.fsm.appendPos = p
-	return p
+	return uint64(f.fsm.appendPos)
 }
 
 // updateFree records the new free-byte count for a page.
 func (f *File) updateFree(pageNo uint64, free int) {
 	f.fsm.latch.Lock()
-	if free <= 0 {
-		delete(f.fsm.free, pageNo)
-	} else {
-		f.fsm.free[pageNo] = free
-		if pageNo != f.fsm.appendPos && free >= f.fsm.bound {
-			f.fsm.bound = free + 1
-		}
+	f.fsm.free[pageNo] = max(free, 0)
+	if int(pageNo) != f.fsm.appendPos && free >= f.fsm.bound {
+		f.fsm.bound = free + 1
 	}
 	f.fsm.latch.Unlock()
 }

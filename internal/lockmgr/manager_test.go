@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -415,44 +417,52 @@ func TestHotDetection(t *testing.T) {
 	}
 }
 
+// blockedOnHeadLatch counts the goroutines that failed to take a lock
+// head's latch at once and are waiting for it.
+func blockedOnHeadLatch() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "(*Mutex).lockSlow") && strings.Contains(g, "lockmgr.(*lockTable).latched") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestHotDetectionFromRealContention makes a table lock hot from real latch
+// contention, with no manual help: the test holds the lock head's latch
+// while requesters start, so their TryLocks fail, and releases it once they
+// have blocked on it. It repeats this until the lock is hot and fails after
+// a bounded number of rounds.
 func TestHotDetectionFromRealContention(t *testing.T) {
-	// Hammer a single table lock from many goroutines; the contention window
-	// should eventually mark it hot without any manual help.
 	m := newTestManager(false)
 	tbl := TableLock(1, 88)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+	const requesters, rounds = 8, 20
+	for round := 0; !m.IsHot(tbl); round++ {
+		if round == rounds {
+			t.Fatalf("lock not hot after %d rounds of %d requesters contending for its latch", rounds, requesters)
+		}
+		h, _, _ := m.table.latched(tbl, tbl.hash())
+		var done sync.WaitGroup
+		for g := 0; g < requesters; g++ {
+			done.Add(1)
+			go func() {
+				defer done.Done()
 				o := m.NewOwner(nil, nil)
 				if err := o.Lock(tbl, IS); err != nil {
 					t.Error(err)
 					return
 				}
 				o.ReleaseAll()
-			}
-		}()
-	}
-	deadline := time.After(5 * time.Second)
-	for !m.IsHot(tbl) {
-		select {
-		case <-deadline:
-			close(stop)
-			wg.Wait()
-			t.Skip("no latch contention observed on this machine; hot detection not exercised")
-		case <-time.After(5 * time.Millisecond):
+			}()
 		}
+		for deadline := time.Now().Add(5 * time.Second); blockedOnHeadLatch() < requesters && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+		h.latch.Unlock()
+		done.Wait()
 	}
-	close(stop)
-	wg.Wait()
 }
 
 // TestConcurrentRandomWorkloadInvariant runs many goroutines acquiring
