@@ -96,6 +96,6 @@ func NewIndex(m IndexMeta, t *Table) (*Index, error) {
 			return nil, fmt.Errorf("catalog: column %q not in table %q", col, t.Name)
 		}
 	}
-	m.TableID, m.Columns = t.ID, slices.Clone(m.Columns)
+	m.Columns = slices.Clone(m.Columns)
 	return &Index{IndexMeta: m, colIdx: colIdx}, nil
 }
