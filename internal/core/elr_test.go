@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -266,5 +267,168 @@ func TestExecDoesNotHangOnConcurrentClose(t *testing.T) {
 	// Exec on the closed engine fails fast.
 	if err := e.Exec(func(tx *Tx) error { return nil }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Exec after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestAsyncCommitFreesTheAgent pins what AsyncCommit buys: the agent is
+// freed at pre-commit. On a single agent with a slow force, a read-only Exec
+// queued behind an ExecAsync write runs at once with AsyncCommit, and waits
+// out the writer's force without it.
+func TestAsyncCommitFreesTheAgent(t *testing.T) {
+	const delay = 200 * time.Millisecond
+	for _, async := range []bool{true, false} {
+		t.Run(map[bool]string{true: "async", false: "sync"}[async], func(t *testing.T) {
+			e := openELREngine(t, Config{
+				Agents:           1,
+				EarlyLockRelease: true,
+				AsyncCommit:      async,
+				LogFlushDelay:    delay,
+			})
+			started := make(chan struct{})
+			var once sync.Once
+			writer := e.ExecAsync(func(tx *Tx) error {
+				once.Do(func() { close(started) })
+				return tx.Update("t", []record.Value{record.Int(1)}, func(r record.Row) (record.Row, error) {
+					r[1] = record.Int(7)
+					return r, nil
+				})
+			})
+			<-started // the one agent holds the write; the read queues behind it
+
+			start := time.Now()
+			if err := e.Exec(func(tx *Tx) error {
+				_, _, err := tx.Get("t", record.Int(1))
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			elapsed := time.Since(start)
+			if async && elapsed >= delay/2 {
+				t.Errorf("read behind a pre-committed write took %v, want < %v: the agent waited for the force", elapsed, delay/2)
+			}
+			if !async && elapsed < delay {
+				t.Errorf("read behind a write took %v, want >= %v: the agent did not wait for the force", elapsed, delay)
+			}
+			if err := <-writer; err != nil {
+				t.Fatalf("writer: %v", err)
+			}
+		})
+	}
+}
+
+// TestCloseResolvesOutstandingFutures closes a durable engine while 16
+// pre-committed transactions wait inside a slow force. Close drains the log,
+// so every future resolves nil and a reopen finds every row.
+func TestCloseResolvesOutstandingFutures(t *testing.T) {
+	const n = 16
+	dir := t.TempDir()
+	e, err := OpenAt(dir, Config{
+		Agents:           2,
+		EarlyLockRelease: true,
+		AsyncCommit:      true,
+		LogFlushDelay:    300 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := record.MustSchema(record.Column{Name: "id", Type: record.TypeInt})
+	if err := e.CreateTable("t", schema, []string{"id"}); err != nil {
+		t.Fatal(err)
+	}
+	// Count pre-commits through the completion hook, which runOnce calls
+	// once preCommit has returned.
+	var preCommitted atomic.Int64
+	hook := func(c TxCompletion) {
+		if c.Committed {
+			preCommitted.Add(1)
+		}
+	}
+	e.txHook.Store(&hook)
+	futures := make([]<-chan error, n)
+	for i := range futures {
+		id := int64(i + 1)
+		futures[i] = e.ExecAsync(func(tx *Tx) error { return tx.Insert("t", record.Row{record.Int(id)}) })
+	}
+	for deadline := time.Now().Add(5 * time.Second); preCommitted.Load() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d transactions pre-committed after 5s", preCommitted.Load(), n)
+		}
+	}
+	if e.DurableLag() == 0 {
+		t.Fatal("no commit left inside the force: the test closes nothing outstanding")
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, fut := range futures {
+		select {
+		case err := <-fut:
+			if err != nil {
+				t.Fatalf("future %d: %v", i, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("future %d unresolved 5s after Close", i)
+		}
+	}
+
+	e, err = OpenAt(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.Exec(func(tx *Tx) error {
+		for id := int64(1); id <= n; id++ {
+			if _, ok, err := tx.Get("t", record.Int(id)); err != nil || !ok {
+				t.Errorf("row %d after reopen: found=%v err=%v", id, ok, err)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAsyncCommitAddsNoGoroutines pins that under AsyncCommit an agent is
+// one goroutine: the Exec caller, not a helper goroutine, makes the
+// durability wait.
+func TestAsyncCommitAddsNoGoroutines(t *testing.T) {
+	const agents = 4
+	before := runtime.NumGoroutine()
+	e := Open(Config{Agents: agents, EarlyLockRelease: true, AsyncCommit: true})
+	defer e.Close()
+	if got := runtime.NumGoroutine() - before; got > agents {
+		t.Fatalf("Open with %d agents under AsyncCommit started %d goroutines, want <= %d", agents, got, agents)
+	}
+}
+
+// TestAsyncWaitsChargedOnce pins the LogFlush attribution of the waits Exec
+// callers make under AsyncCommit: concurrent callers of one agent are
+// charged the time that agent has a commit outstanding, once, so LogFlush
+// never exceeds the wall time of a single-agent run.
+func TestAsyncWaitsChargedOnce(t *testing.T) {
+	const n = 16
+	e := openELREngine(t, Config{
+		Agents:           1,
+		EarlyLockRelease: true,
+		AsyncCommit:      true,
+		LogFlushDelay:    50 * time.Millisecond,
+		Profile:          true,
+	})
+	e.Profiler().Reset()
+	start := time.Now()
+	futures := make([]<-chan error, n)
+	for i := range futures {
+		id := int64(i + 2)
+		futures[i] = e.ExecAsync(func(tx *Tx) error { return tx.Insert("t", record.Row{record.Int(id), record.Int(0)}) })
+	}
+	for i, fut := range futures {
+		if err := <-fut; err != nil {
+			t.Fatalf("future %d: %v", i, err)
+		}
+	}
+	wall := time.Since(start)
+	got := e.Profiler().Aggregate().Get(profiler.LogFlush)
+	if got == 0 || got > wall {
+		t.Fatalf("LogFlush = %v over a %v run of one agent, want in (0, %v]", got, wall, wall)
 	}
 }

@@ -33,15 +33,9 @@ import (
 // databaseID is the single database (volume) ID used by the engine.
 const databaseID uint32 = 1
 
-const (
-	// pipelineDepth bounds the in-flight pre-committed transactions per
-	// worker under AsyncCommit.
-	pipelineDepth = 32
-	// maxDeadlockRetries is how many times Exec re-runs a transaction that
-	// was chosen as a deadlock victim (or timed out on a lock) before giving
-	// up.
-	maxDeadlockRetries = 10
-)
+// maxDeadlockRetries is how many times Exec re-runs a transaction that was
+// chosen as a deadlock victim (or timed out on a lock) before giving up.
+const maxDeadlockRetries = 10
 
 // Config configures an Engine.
 type Config struct {
@@ -85,14 +79,14 @@ type Config struct {
 	// instead of holding them across the force of that record. Independent
 	// of EarlyLockRelease — enable both for the full ELR pipeline.
 	EarlyLockReleaseAborts bool
-	// AsyncCommit lets each agent worker start its next transaction while up
-	// to pipelineDepth (32) earlier transactions are still waiting for their
-	// commit records to be forced to disk (flush pipelining). Exec still
-	// blocks its caller until the transaction is durable; only the agent is
-	// freed. It requires EarlyLockRelease: without it a committing
-	// transaction must hold its locks until the force completes, so the
-	// flush happens synchronously and there is nothing to pipeline —
-	// AsyncCommit alone is a no-op.
+	// AsyncCommit frees the agent worker at pre-commit: it replies to Exec
+	// once the commit record is appended and the locks are released, and
+	// starts its next transaction while the Exec caller waits for the force
+	// (flush pipelining). Exec still blocks its caller until the transaction
+	// is durable; only the agent is freed. It requires EarlyLockRelease:
+	// without it a committing transaction must hold its locks until the
+	// force completes, so the flush happens synchronously and there is
+	// nothing to pipeline — AsyncCommit alone is a no-op.
 	AsyncCommit bool
 	// Profile enables the per-component time breakdown used by the figure
 	// harness. It adds a small overhead per operation.
@@ -147,7 +141,12 @@ type Engine struct {
 	stopping  chan struct{} // closed by Close/SimulateCrash; unblocks Exec senders
 	workersMu sync.Mutex
 	workers   []*worker
+	nworkers  atomic.Int32 // len(workers), stored under workersMu; Exec reads it lock-free
 	closed    atomic.Bool
+
+	// ackProf takes the LogFlush time of the durability waits Exec callers
+	// make under AsyncCommit (see waitAsync). nil when profiling is off.
+	ackProf *profiler.Handle
 
 	// obs is the engine's observability surface, created lazily by Observe
 	// (see obs.go). txHook is the per-transaction completion hook it
@@ -171,34 +170,28 @@ type Engine struct {
 
 type job struct {
 	fn   func(*Tx) error
-	done chan error
+	done chan reply
 }
 
-// pendingCommit is one pre-committed transaction a worker has handed to its
-// ack pipeline: the WAL's durability ack on one side, the Exec caller's done
-// channel on the other.
-type pendingCommit struct {
-	ack  <-chan error
-	done chan error
+// reply is a transaction's outcome as runTxn returns it: the error that
+// aborted it, or, for a pre-committed transaction whose force nobody has
+// waited for yet, the WAL's durability ack and the agent that ran it (nil
+// inline).
+type reply struct {
+	ack <-chan error
+	err error
+	w   *worker
 }
 
 type worker struct {
-	agent *lockmgr.Agent
-	prof  *profiler.Handle
-	quit  chan struct{}
-	done  chan struct{}
-
-	// inflight carries pre-committed transactions to the worker's acker
-	// goroutine under AsyncCommit; its capacity is the worker's pipelining
-	// window. nil when pipelining is off.
-	inflight  chan pendingCommit
-	ackerDone chan struct{}
-	// ackProf is the acker goroutine's own profiler handle. The acker runs
-	// concurrently with the worker's next transaction; attributing its
-	// LogFlush waits to w.prof would corrupt runOnce's wall-vs-accounted
-	// TxWork attribution for that transaction.
-	ackProf *profiler.Handle
+	agent   *lockmgr.Agent
+	prof    *profiler.Handle
+	quit    chan struct{}
+	done    chan struct{}
+	ackedTo atomic.Int64 // how far past clockBase waitAsync has charged this agent's commits
 }
+
+var clockBase = time.Now() // anchors worker.ackedTo's monotonic timestamps
 
 // Open creates an in-memory (volatile) engine with the given configuration.
 // For a disk-backed engine with crash recovery, use OpenAt.
@@ -219,6 +212,7 @@ func newEngine(cfg Config, durable *wal.Segments, startLSN wal.LSN) *Engine {
 		jobs:     make(chan job),
 		stopping: make(chan struct{}),
 	}
+	e.ackProf = e.prof.NewHandle()
 	e.tables.Store(&tableSet{byName: map[string]*tableRuntime{}, byID: map[uint32]*tableRuntime{}, indexes: map[string]*index{}})
 	e.lm = lockmgr.New(lockmgr.Config{
 		SLI:             cfg.SLI,
@@ -343,11 +337,7 @@ func (e *Engine) SetSLI(enabled bool) { e.lm.SetSLI(enabled) }
 func (e *Engine) SLIEnabled() bool { return e.lm.SLIEnabled() }
 
 // Concurrency returns the current number of agent workers.
-func (e *Engine) Concurrency() int {
-	e.workersMu.Lock()
-	defer e.workersMu.Unlock()
-	return len(e.workers)
-}
+func (e *Engine) Concurrency() int { return int(e.nworkers.Load()) }
 
 // SetConcurrency resizes the agent pool to n workers. It blocks until
 // removed workers have drained their current transaction.
@@ -364,14 +354,6 @@ func (e *Engine) SetConcurrency(n int) {
 			quit:  make(chan struct{}),
 			done:  make(chan struct{}),
 		}
-		// Pipelining needs EarlyLockRelease: without it preCommit flushes
-		// synchronously and never yields an ack to pipeline.
-		if e.cfg.AsyncCommit && e.cfg.EarlyLockRelease {
-			w.inflight = make(chan pendingCommit, pipelineDepth)
-			w.ackerDone = make(chan struct{})
-			w.ackProf = e.prof.NewHandle()
-			go e.ackerLoop(w)
-		}
 		e.workers = append(e.workers, w)
 		go e.workerLoop(w)
 	}
@@ -382,51 +364,31 @@ func (e *Engine) SetConcurrency(n int) {
 		close(w.quit)
 		stopped = append(stopped, w)
 	}
+	e.nworkers.Store(int32(len(e.workers)))
 	for _, w := range stopped {
 		<-w.done
 	}
 }
 
-// workerLoop is one agent thread. Under AsyncCommit the worker only carries
-// a transaction to its pre-commit (commit record appended, locks released)
-// and hands the durability wait to its acker goroutine, immediately starting
-// the next transaction — flush pipelining. The inflight channel's capacity
-// bounds how many pre-committed transactions a worker may have outstanding;
-// when the window is full the worker blocks here until acks drain.
+// workerLoop is one agent thread: it runs one transaction at a time and
+// replies as soon as the transaction's outcome is decided. A pre-committed
+// transaction's force is waited for here, unless AsyncCommit hands that wait
+// to the Exec caller so the agent can start its next transaction (flush
+// pipelining). Without EarlyLockRelease preCommit forces synchronously and
+// yields no ack, so AsyncCommit changes nothing there.
 func (e *Engine) workerLoop(w *worker) {
-	defer func() {
-		if w.inflight != nil {
-			close(w.inflight)
-			<-w.ackerDone
-		}
-		close(w.done)
-	}()
+	defer close(w.done)
 	for {
 		select {
 		case <-w.quit:
 			return
 		case j := <-e.jobs:
 			ack, err := e.runTxn(w, j.fn)
-			switch {
-			case ack == nil:
-				j.done <- err
-			case w.inflight != nil:
-				w.inflight <- pendingCommit{ack: ack, done: j.done}
-			default:
-				j.done <- e.waitDurable(w.prof, ack)
+			if ack != nil && !e.cfg.AsyncCommit {
+				ack, err = nil, e.waitDurable(w.prof, ack)
 			}
+			j.done <- reply{ack: ack, err: err, w: w}
 		}
-	}
-}
-
-// ackerLoop drains a worker's in-flight pre-committed transactions in
-// pre-commit order, waiting for each commit's durability ack and completing
-// the Exec caller. Progress is guaranteed by the WAL's dedicated flusher:
-// acks resolve without any engine worker having to call Flush.
-func (e *Engine) ackerLoop(w *worker) {
-	defer close(w.ackerDone)
-	for p := range w.inflight {
-		p.done <- e.waitDurable(w.ackProf, p.ack)
 	}
 }
 
@@ -448,7 +410,8 @@ func (e *Engine) waitDurable(prof *profiler.Handle, ack <-chan error) error {
 // Exec runs fn as one transaction and returns once its outcome is decided
 // and durable. If the engine has agent workers the transaction is queued to
 // the pool (and benefits from SLI); otherwise it runs inline on the calling
-// goroutine. Deadlock victims are retried up to maxDeadlockRetries times. A
+// goroutine. Either way the caller makes the durability wait the agent left
+// to it. Deadlock victims are retried up to maxDeadlockRetries times. A
 // non-nil error returned by fn aborts the transaction and is returned to the
 // caller. Exec returns ErrClosed — rather than blocking forever — when the
 // engine is closed before a worker picks the transaction up.
@@ -456,56 +419,56 @@ func (e *Engine) Exec(fn func(*Tx) error) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
+	var r reply
 	if e.Concurrency() == 0 {
-		ack, err := e.runTxn(nil, fn)
-		if err != nil {
-			return err
-		}
-		if ack == nil {
-			return nil
-		}
-		return e.waitDurable(nil, ack)
-	}
-	done := make(chan error, 1)
-	select {
-	case e.jobs <- job{fn: fn, done: done}:
-		return <-done
-	case <-e.stopping:
-		return ErrClosed
-	}
-}
-
-// ExecAsync runs fn as one transaction and returns a durable-ack future: the
-// channel receives exactly one value — nil once the transaction has
-// committed AND its commit record is durable, or the error that aborted it.
-// Futures are acknowledged in commit (LSN) order, so a resolved future
-// implies every transaction it could have depended on is durable too.
-// ExecAsync never blocks the caller waiting for other transactions; the
-// bounded pipelining window applies to the agent workers instead.
-func (e *Engine) ExecAsync(fn func(*Tx) error) <-chan error {
-	done := make(chan error, 1)
-	if e.closed.Load() {
-		done <- ErrClosed
-		return done
-	}
-	if e.Concurrency() == 0 {
-		ack, err := e.runTxn(nil, fn)
-		if err != nil {
-			done <- err
-		} else if ack == nil {
-			done <- nil
-		} else {
-			go func() { done <- e.waitDurable(nil, ack) }()
-		}
-		return done
-	}
-	go func() {
+		r.ack, r.err = e.runTxn(nil, fn)
+	} else {
+		done := make(chan reply, 1)
 		select {
 		case e.jobs <- job{fn: fn, done: done}:
+			r = <-done
 		case <-e.stopping:
-			done <- ErrClosed
+			return ErrClosed
 		}
-	}()
+	}
+	if r.ack == nil {
+		return r.err
+	}
+	return e.waitAsync(r.w, r.ack)
+}
+
+// waitAsync is the durability wait an Exec caller makes for a transaction
+// agent w pre-committed under AsyncCommit (w is nil inline: that wait is the
+// caller's own time and goes uncharged). It overlaps w's next transaction,
+// so it goes to e.ackProf, not to w's handle, where it would corrupt
+// runOnce's TxWork attribution. One agent's callers wait concurrently, so
+// only the part of a wait past w.ackedTo is charged: the time the agent has
+// a commit outstanding counts once, as for one goroutine awaiting them in turn.
+func (e *Engine) waitAsync(w *worker, ack <-chan error) error {
+	if w == nil || e.ackProf == nil {
+		return e.waitDurable(nil, ack)
+	}
+	start := time.Since(clockBase)
+	err := e.waitDurable(nil, ack)
+	end := time.Since(clockBase)
+	prev := w.ackedTo.Load()
+	for int64(end) > prev && !w.ackedTo.CompareAndSwap(prev, int64(end)) {
+		prev = w.ackedTo.Load()
+	}
+	// A wait that ends before prev was charged already; Add drops it.
+	e.ackProf.Add(profiler.LogFlush, end-max(start, time.Duration(prev)))
+	return err
+}
+
+// ExecAsync runs fn as Exec does and returns a durable-ack future: the
+// channel receives exactly one value — nil once the transaction has
+// committed AND its commit record is durable, or the error that aborted it.
+// The WAL acknowledges commits in LSN order, so a resolved future implies
+// every transaction it could have depended on is durable too. ExecAsync
+// never blocks its caller.
+func (e *Engine) ExecAsync(fn func(*Tx) error) <-chan error {
+	done := make(chan error, 1)
+	go func() { done <- e.Exec(fn) }()
 	return done
 }
 

@@ -112,8 +112,9 @@ func (tx *Tx) logAppend(rec wal.Record) error {
 // preCommit finishes the transaction up to (but not including) durability.
 // It appends the commit record and releases the transaction's locks,
 // applying SLI to eligible locks. The returned ack channel, when non-nil,
-// resolves once the commit record is durable; the caller (or the worker's
-// pipeline) must wait on it before acknowledging the commit.
+// resolves once the commit record is durable; the agent worker, or under
+// AsyncCommit the Exec caller, must wait on it before acknowledging the
+// commit.
 //
 // With Early Lock Release the locks are released as soon as the commit
 // record is appended — before the group-commit fsync — so lock hold times
@@ -168,8 +169,12 @@ func (tx *Tx) preCommit() (<-chan error, error) {
 // as a redo-only CLR whose UndoNext points at the transaction's next
 // still-to-be-undone record, so a restart that finds a partial CLR chain
 // resumes the rollback where it stopped instead of re-undoing compensated
-// work. Once the chain is complete an abort record is appended; a durable
-// abort record marks the rollback as fully logged.
+// work. This is RollbackTo to the start of the transaction. Once the chain
+// is complete an abort record is appended; a durable abort record marks the
+// rollback as fully logged. After any failure in the chain — an undo that
+// failed in memory (counted in UndoFailures) or a log that took no more
+// CLRs — no abort record is appended, and restart finishes the rollback from
+// the log's durable prefix.
 //
 // Lock release mirrors preCommit, governed by its own knob
 // (Config.EarlyLockReleaseAborts) so the abort-elr ablation can isolate the
@@ -184,25 +189,7 @@ func (tx *Tx) preCommit() (<-chan error, error) {
 // locks until the abort record is durable — the strict baseline whose flush
 // wait the high-abort ablation measures.
 func (tx *Tx) abort() {
-	logOK := tx.logged
-	for i := len(tx.undo) - 1; i >= 0; i-- {
-		ent := tx.undo[i]
-		// Failures are counted by applyUndo; rollback continues regardless,
-		// since locks are still held and memory must stay as consistent as
-		// possible.
-		//slint:ignore errwedge failures are counted in UndoFailures by applyUndo; rollback must continue under held locks
-		_ = tx.applyUndo(ent.clr)
-		if logOK {
-			if _, err := tx.logCLR(ent, i); err != nil {
-				// The log is wedged or crashed: keep applying the in-memory
-				// undo (locks are still held, memory must stay consistent)
-				// but stop logging — recovery will finish the rollback from
-				// the durable prefix.
-				logOK = false
-			}
-		}
-	}
-	if logOK {
+	if err := tx.RollbackTo(Savepoint{}); err == nil && tx.logged {
 		lsn, err := tx.appendTimed(wal.Record{XID: tx.xid, Type: wal.RecAbort}, profiler.AbortLogWork)
 		if err == nil {
 			tx.lastLSN = lsn
@@ -319,10 +306,10 @@ func (tx *Tx) RollbackTo(sp Savepoint) error {
 	for i := len(tx.undo) - 1; i >= sp.n; i-- {
 		ent := tx.undo[i]
 		// An in-memory undo failure is counted (UndoFailures) and reported,
-		// but — exactly like abort() — it must NOT stop the CLR logging:
-		// the remaining entries' compensations still have to reach the log,
-		// or a later durable abort record would mark the rollback complete
-		// with uncompensated records in it. Only a log failure stops
+		// but it must NOT stop the CLR logging: the remaining entries'
+		// compensations still have to reach the log, or a later durable
+		// commit or abort record would close the transaction with
+		// uncompensated records in it. Only a log failure stops
 		// appending (the log is wedged; recovery finishes the rollback from
 		// the durable prefix).
 		if err := tx.applyUndo(ent.clr); err != nil && retErr == nil {

@@ -20,7 +20,7 @@ import (
 //   - a receive or select case on a stop-like channel (a name containing
 //     stop, done, quit, exit, close, shutdown or drain) or on ctx.Done()
 //   - a range over a channel (the loop ends when the producer closes it —
-//     the ackerLoop pattern)
+//     a consumer draining a queue its producer closes on shutdown)
 //   - a sync.Cond Wait loop (the flusher's closed-flag + Wait pattern,
 //     where Broadcast on close wakes the loop to observe the flag)
 //   - no unbounded `for {}` loop at all: a goroutine that provably falls

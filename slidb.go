@@ -58,8 +58,8 @@
 // (applying SLI) as soon as its commit record is appended, and the separate
 // Config.EarlyLockReleaseAborts applies the same policy to rollbacks (locks
 // released at abort-record append), each shrinking lock hold times by the
-// entire flush latency; Config.AsyncCommit lets each agent run ahead of the
-// log force with a bounded window of in-flight pre-committed transactions.
+// entire flush latency; Config.AsyncCommit frees each agent at pre-commit,
+// so it runs its next transaction while the caller waits for the log force.
 // Exec still blocks until the commit is durable; Engine.ExecAsync returns a
 // durable-ack future instead. Acks are delivered in commit (LSN) order, so
 // an updating transaction that observed another's pre-committed writes is
