@@ -148,7 +148,7 @@ func OpenAt(dir string, cfg Config) (*Engine, error) {
 	e.recStats.RollbacksResumed = undo.Resumed
 	e.recStats.DDLReplayed = redo.DDL
 
-	e.SetConcurrency(cfg.Agents)
+	e.startAgents()
 	return e, nil
 }
 

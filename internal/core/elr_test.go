@@ -219,54 +219,72 @@ func TestExecAsyncAckOrderingUnderLoad(t *testing.T) {
 }
 
 // TestExecDoesNotHangOnConcurrentClose is the regression test for the
-// Exec/Close race: Exec used to check closed and then block forever sending
-// on the jobs channel if Close drained the workers in between. Now it must
-// return ErrClosed (or complete normally if a worker picked it up first).
+// Exec/stop race, on both stop paths: Exec used to check closed and then
+// block forever sending on the jobs channel if the stop drained the workers
+// in between. Now it must return ErrClosed (or complete normally if a worker
+// picked it up first), and the stop must join the agents.
 func TestExecDoesNotHangOnConcurrentClose(t *testing.T) {
-	e := Open(Config{Agents: 1})
-	schema := record.MustSchema(record.Column{Name: "id", Type: record.TypeInt})
-	if err := e.CreateTable("t", schema, []string{"id"}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Occupy the single worker so further Execs block on the jobs channel.
-	blockerStarted := make(chan struct{})
-	release := make(chan struct{})
-	blockerDone := make(chan error, 1)
-	go func() {
-		blockerDone <- e.Exec(func(tx *Tx) error {
-			close(blockerStarted)
-			<-release
-			return nil
-		})
-	}()
-	<-blockerStarted
-
-	// This Exec cannot be picked up: the only worker is busy.
-	stuck := make(chan error, 1)
-	go func() {
-		stuck <- e.Exec(func(tx *Tx) error { return nil })
-	}()
-
-	// Close concurrently, then release the blocker so the worker can drain.
-	closeDone := make(chan error, 1)
-	go func() { closeDone <- e.Close() }()
-	time.Sleep(10 * time.Millisecond)
-	close(release)
-
-	for name, ch := range map[string]chan error{"stuck Exec": stuck, "blocker": blockerDone, "Close": closeDone} {
-		select {
-		case err := <-ch:
-			if name == "stuck Exec" && err != nil && !errors.Is(err, ErrClosed) {
-				t.Fatalf("%s returned unexpected error: %v", name, err)
+	for _, stop := range []struct {
+		name string
+		fn   func(*Engine) error
+	}{
+		{"Close", (*Engine).Close},
+		{"SimulateCrash", func(e *Engine) error { e.SimulateCrash(); return nil }},
+	} {
+		t.Run(stop.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := Open(Config{Agents: 1})
+			schema := record.MustSchema(record.Column{Name: "id", Type: record.TypeInt})
+			if err := e.CreateTable("t", schema, []string{"id"}); err != nil {
+				t.Fatal(err)
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s did not return within 5s (Exec/Close race)", name)
-		}
-	}
-	// Exec on the closed engine fails fast.
-	if err := e.Exec(func(tx *Tx) error { return nil }); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Exec after Close = %v, want ErrClosed", err)
+
+			// Occupy the single worker so further Execs block on the jobs channel.
+			blockerStarted := make(chan struct{})
+			release := make(chan struct{})
+			blockerDone := make(chan error, 1)
+			go func() {
+				blockerDone <- e.Exec(func(tx *Tx) error {
+					close(blockerStarted)
+					<-release
+					return nil
+				})
+			}()
+			<-blockerStarted
+
+			// This Exec cannot be picked up: the only worker is busy.
+			stuck := make(chan error, 1)
+			go func() {
+				stuck <- e.Exec(func(tx *Tx) error { return nil })
+			}()
+
+			// Stop concurrently, then release the blocker so the worker can drain.
+			stopDone := make(chan error, 1)
+			go func() { stopDone <- stop.fn(e) }()
+			time.Sleep(10 * time.Millisecond)
+			close(release)
+
+			for name, ch := range map[string]chan error{"stuck Exec": stuck, "blocker": blockerDone, stop.name: stopDone} {
+				select {
+				case err := <-ch:
+					if name == "stuck Exec" && err != nil && !errors.Is(err, ErrClosed) {
+						t.Fatalf("%s returned unexpected error: %v", name, err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%s did not return within 5s (Exec/%s race)", name, stop.name)
+				}
+			}
+			// Exec on the stopped engine fails fast.
+			if err := e.Exec(func(tx *Tx) error { return nil }); !errors.Is(err, ErrClosed) {
+				t.Fatalf("Exec after %s = %v, want ErrClosed", stop.name, err)
+			}
+			// The stop joined the agent; the WAL flusher exits on its own.
+			for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines 1s after %s, %d before Open", runtime.NumGoroutine(), stop.name, before)
+				}
+			}
+		})
 	}
 }
 

@@ -48,8 +48,8 @@ type Config struct {
 	// uses the default (page level, per criterion 1).
 	SLIMinLevel lockmgr.Level
 	// Agents is the number of agent worker goroutines ("hardware contexts"
-	// in the paper's terms). Zero means transactions run inline on the
-	// calling goroutine without an agent (no SLI).
+	// in the paper's terms), fixed at Open/OpenAt. Zero or negative runs
+	// transactions inline on the calling goroutine, without an agent (no SLI).
 	Agents int
 	// BufferFrames is the simulated resident set, in pages (default 4096).
 	// Every page stays in memory; a fetch of a page outside the resident
@@ -102,6 +102,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	c.Agents = max(c.Agents, 0)
 	if c.BufferFrames <= 0 {
 		c.BufferFrames = 4096
 	}
@@ -137,12 +138,10 @@ type Engine struct {
 
 	nextXID atomic.Uint64
 
-	jobs      chan job
-	stopping  chan struct{} // closed by Close/SimulateCrash; unblocks Exec senders
-	workersMu sync.Mutex
-	workers   []*worker
-	nworkers  atomic.Int32 // len(workers), stored under workersMu; Exec reads it lock-free
-	closed    atomic.Bool
+	jobs     chan job
+	stopping chan struct{}  // closed by Close/SimulateCrash: the agents exit, Exec senders give up
+	agents   sync.WaitGroup // the running workerLoops; Close and SimulateCrash wait for them
+	closed   atomic.Bool
 
 	// ackProf takes the LogFlush time of the durability waits Exec callers
 	// make under AsyncCommit (see waitAsync). nil when profiling is off.
@@ -186,8 +185,6 @@ type reply struct {
 type worker struct {
 	agent   *lockmgr.Agent
 	prof    *profiler.Handle
-	quit    chan struct{}
-	done    chan struct{}
 	ackedTo atomic.Int64 // how far past clockBase waitAsync has charged this agent's commits
 }
 
@@ -197,7 +194,7 @@ var clockBase = time.Now() // anchors worker.ackedTo's monotonic timestamps
 // For a disk-backed engine with crash recovery, use OpenAt.
 func Open(cfg Config) *Engine {
 	e := newEngine(cfg.withDefaults(), nil, 0)
-	e.SetConcurrency(e.cfg.Agents)
+	e.startAgents()
 	return e
 }
 
@@ -245,7 +242,7 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	close(e.stopping)
-	e.SetConcurrency(0)
+	e.agents.Wait()
 	// Run every teardown step even when an earlier one fails — the segment
 	// files in particular must be synced and closed regardless — and report
 	// the first error.
@@ -327,7 +324,7 @@ func (e *Engine) SimulateCrash() {
 	if e.segs != nil {
 		e.segs.Crash()
 	}
-	e.SetConcurrency(0)
+	e.agents.Wait()
 }
 
 // SetSLI toggles Speculative Lock Inheritance at runtime.
@@ -336,51 +333,29 @@ func (e *Engine) SetSLI(enabled bool) { e.lm.SetSLI(enabled) }
 // SLIEnabled reports whether SLI is active.
 func (e *Engine) SLIEnabled() bool { return e.lm.SLIEnabled() }
 
-// Concurrency returns the current number of agent workers.
-func (e *Engine) Concurrency() int { return int(e.nworkers.Load()) }
+// Concurrency returns the agent count fixed at Open/OpenAt; 0 runs inline.
+func (e *Engine) Concurrency() int { return e.cfg.Agents }
 
-// SetConcurrency resizes the agent pool to n workers. It blocks until
-// removed workers have drained their current transaction.
-func (e *Engine) SetConcurrency(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.workersMu.Lock()
-	defer e.workersMu.Unlock()
-	for len(e.workers) < n {
-		w := &worker{
-			agent: e.lm.NewAgent(),
-			prof:  e.prof.NewHandle(),
-			quit:  make(chan struct{}),
-			done:  make(chan struct{}),
-		}
-		e.workers = append(e.workers, w)
-		go e.workerLoop(w)
-	}
-	var stopped []*worker
-	for len(e.workers) > n {
-		w := e.workers[len(e.workers)-1]
-		e.workers = e.workers[:len(e.workers)-1]
-		close(w.quit)
-		stopped = append(stopped, w)
-	}
-	e.nworkers.Store(int32(len(e.workers)))
-	for _, w := range stopped {
-		<-w.done
+// startAgents starts the fixed pool of Config.Agents workers, after restart.
+func (e *Engine) startAgents() {
+	e.agents.Add(e.cfg.Agents)
+	for range e.cfg.Agents {
+		go e.workerLoop(&worker{agent: e.lm.NewAgent(), prof: e.prof.NewHandle()})
 	}
 }
 
-// workerLoop is one agent thread: it runs one transaction at a time and
-// replies as soon as the transaction's outcome is decided. A pre-committed
-// transaction's force is waited for here, unless AsyncCommit hands that wait
-// to the Exec caller so the agent can start its next transaction (flush
-// pipelining). Without EarlyLockRelease preCommit forces synchronously and
-// yields no ack, so AsyncCommit changes nothing there.
+// workerLoop is one agent of the fixed pool: it runs one transaction at a
+// time and replies as soon as the transaction's outcome is decided, until
+// Close or SimulateCrash closes e.stopping. A pre-committed transaction's
+// force is waited for here, unless AsyncCommit hands that wait to the Exec
+// caller so the agent can start its next transaction (flush pipelining).
+// Without EarlyLockRelease preCommit forces synchronously and yields no
+// ack, so AsyncCommit changes nothing there.
 func (e *Engine) workerLoop(w *worker) {
-	defer close(w.done)
+	defer e.agents.Done()
 	for {
 		select {
-		case <-w.quit:
+		case <-e.stopping:
 			return
 		case j := <-e.jobs:
 			ack, err := e.runTxn(w, j.fn)
@@ -408,9 +383,9 @@ func (e *Engine) waitDurable(prof *profiler.Handle, ack <-chan error) error {
 }
 
 // Exec runs fn as one transaction and returns once its outcome is decided
-// and durable. If the engine has agent workers the transaction is queued to
-// the pool (and benefits from SLI); otherwise it runs inline on the calling
-// goroutine. Either way the caller makes the durability wait the agent left
+// and durable. If the engine was opened with agents the transaction is
+// queued to the pool (and benefits from SLI); otherwise it runs inline on
+// the calling goroutine. Either way the caller makes the durability wait the agent left
 // to it. Deadlock victims are retried up to maxDeadlockRetries times. A
 // non-nil error returned by fn aborts the transaction and is returned to the
 // caller. Exec returns ErrClosed — rather than blocking forever — when the
@@ -420,7 +395,7 @@ func (e *Engine) Exec(fn func(*Tx) error) error {
 		return ErrClosed
 	}
 	var r reply
-	if e.Concurrency() == 0 {
+	if e.cfg.Agents == 0 {
 		r.ack, r.err = e.runTxn(nil, fn)
 	} else {
 		done := make(chan reply, 1)

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"slidb/internal/lockmgr"
 	"slidb/internal/record"
@@ -481,36 +482,35 @@ func TestSLIEngineTogglesAndStats(t *testing.T) {
 	}
 }
 
-func TestSetConcurrencyResizesPool(t *testing.T) {
-	e := newBankEngine(t, Config{Agents: 2}, 10)
-	if e.Concurrency() != 2 {
-		t.Fatalf("concurrency = %d, want 2", e.Concurrency())
-	}
-	e.SetConcurrency(6)
-	if e.Concurrency() != 6 {
-		t.Fatalf("concurrency = %d, want 6", e.Concurrency())
-	}
-	e.SetConcurrency(1)
-	if e.Concurrency() != 1 {
-		t.Fatalf("concurrency = %d, want 1", e.Concurrency())
-	}
-	// Work still executes after resizing.
-	if err := e.Exec(func(tx *Tx) error {
-		_, _, err := tx.Get("accounts", record.Int(1))
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	e.SetConcurrency(-5)
-	if e.Concurrency() != 0 {
-		t.Fatal("negative concurrency should clamp to zero")
-	}
-	// Inline execution still works with zero agents.
-	if err := e.Exec(func(tx *Tx) error {
-		_, _, err := tx.Get("accounts", record.Int(1))
-		return err
-	}); err != nil {
-		t.Fatal(err)
+// TestAgentsFixedAtOpen pins the agent count Open fixes: Concurrency reports
+// it, a negative count runs inline as zero does, and Exec works either way.
+func TestAgentsFixedAtOpen(t *testing.T) {
+	for _, tc := range []struct{ agents, want int }{{2, 2}, {0, 0}, {-5, 0}} {
+		t.Run(fmt.Sprintf("agents=%d", tc.agents), func(t *testing.T) {
+			e := Open(Config{Agents: tc.agents})
+			t.Cleanup(func() { e.Close() })
+			if got := e.Concurrency(); got != tc.want {
+				t.Fatalf("Concurrency() = %d, want %d", got, tc.want)
+			}
+			if err := e.CreateTable("accounts", accountSchema(), []string{"id"}); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				done <- e.Exec(func(tx *Tx) error {
+					_, _, err := tx.Get("accounts", record.Int(1))
+					return err
+				})
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Exec of a Get did not return within 5s")
+			}
+		})
 	}
 }
 

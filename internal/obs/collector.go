@@ -30,7 +30,7 @@ type EngineSource interface {
 	// ProfileLifetime is the engine-lifetime profiler breakdown (monotonic
 	// across Profiler.Reset calls — see profiler.Lifetime).
 	ProfileLifetime() profiler.Breakdown
-	// Concurrency is the current agent worker count.
+	// Concurrency is the configured agent worker count.
 	Concurrency() int
 	// LogTail is the log tail snapshot (flush cycles, physical sink writes,
 	// publish-fence and append waits).
@@ -101,7 +101,7 @@ func RegisterEngine(r *Registry, e EngineSource) {
 			return 0
 		})
 	r.GaugeFunc("slidb_agents",
-		"Current agent worker count.",
+		"Configured agent worker count.",
 		func() float64 { return float64(e.Concurrency()) })
 
 	// Log-tail surface: the vectored sink's writes-per-cycle inputs, and the
