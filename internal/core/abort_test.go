@@ -184,6 +184,54 @@ func TestELRAbortReleasesLocksBeforeDurable(t *testing.T) {
 	}
 }
 
+// TestELRReleasesCountCommitsOnly pins the split of the two early-release
+// counters: the lock manager's ELRReleases (slidb_elr_releases_total) counts
+// commits released at commit-record append, and an abort released early is
+// counted once, in the engine's ELRAborts.
+func TestELRReleasesCountCommitsOnly(t *testing.T) {
+	cases := []struct {
+		name                    string
+		cfg                     Config
+		commits, aborts         int
+		wantReleases, wantAbort uint64
+	}{
+		{"aborts only", Config{Agents: 1, EarlyLockReleaseAborts: true}, 0, 5, 0, 5},
+		{"both knobs", Config{Agents: 1, EarlyLockRelease: true, EarlyLockReleaseAborts: true}, 1, 1, 1, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := openELREngine(t, tc.cfg)
+			releases, elrAborts := e.LockStats().ELRReleases, e.ELRAborts()
+			id := int64(1)
+			insert := func(result error) error {
+				id++
+				return e.Exec(func(tx *Tx) error {
+					if err := tx.Insert("t", record.Row{record.Int(id), record.Int(0)}); err != nil {
+						return err
+					}
+					return result
+				})
+			}
+			for i := 0; i < tc.commits; i++ {
+				if err := insert(nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < tc.aborts; i++ {
+				if err := insert(Abort); !errors.Is(err, Abort) {
+					t.Fatalf("err = %v, want Abort", err)
+				}
+			}
+			if got := e.LockStats().ELRReleases - releases; got != tc.wantReleases {
+				t.Errorf("ELRReleases = %d, want %d", got, tc.wantReleases)
+			}
+			if got := e.ELRAborts() - elrAborts; got != tc.wantAbort {
+				t.Errorf("ELRAborts = %d, want %d", got, tc.wantAbort)
+			}
+		})
+	}
+}
+
 // TestStrictAbortWaitsForDurability pins the baseline the high-abort
 // ablation measures against: without ELR an aborting transaction blocks on
 // the force of its abort record while still holding its locks, and that

@@ -38,12 +38,6 @@ func (e *Engine) LogTail() obs.LogTailStats {
 	return lt
 }
 
-// ProfileLifetime returns the engine-lifetime per-category profiler
-// breakdown: monotonic across Profiler.Reset calls (the benchmark harness
-// resets the interval view around each measurement), which is what lets the
-// metrics exporter publish the categories as Prometheus counters.
-func (e *Engine) ProfileLifetime() profiler.Breakdown { return e.prof.Lifetime() }
-
 // TxCompletion describes one finished transaction attempt, delivered to the
 // observability hook installed by Observe. Attempts are reported when their
 // outcome is decided — for a commit under Early Lock Release that is the

@@ -201,17 +201,17 @@ func (tx *Tx) abort() {
 				// be registered: the flusher only wakes for subscriptions (or
 				// a full buffer), so without it an abort on an otherwise idle
 				// engine would sit in the volatile buffer indefinitely.
+				// The release below is counted here only, not in the lock
+				// manager's ELRReleases, which counts commits.
 				//slint:ignore errwedge nothing waits on an abort's durability; the subscription only forces a flusher wakeup
 				_ = tx.e.log.FlushAsync(tx.lastLSN)
 				tx.e.elrAborts.Add(1)
-				tx.owner.ReleaseAllEarly()
-				tx.undo = nil
-				return
+			} else {
+				flushStart := time.Now()
+				//slint:ignore errwedge abort is already the failure path; a wedged log here surfaces on the next append
+				_ = tx.e.log.Flush(tx.lastLSN)
+				tx.prof.Add(profiler.LogFlush, time.Since(flushStart))
 			}
-			flushStart := time.Now()
-			//slint:ignore errwedge abort is already the failure path; a wedged log here surfaces on the next append
-			_ = tx.e.log.Flush(tx.lastLSN)
-			tx.prof.Add(profiler.LogFlush, time.Since(flushStart))
 		}
 	}
 	tx.owner.ReleaseAll()

@@ -284,7 +284,7 @@ func AblationAbortELR(o Options) (Table, error) {
 			return t, err
 		}
 		res, err := o.run(e, workload.WithAbortRate(gen, forcedAbortRate), clientsPerAgent*o.PeakAgents)
-		elrAborts, undoFailures := e.ELRAborts(), e.UndoFailures()
+		undoFailures := e.UndoFailures()
 		e.Close()
 		if err != nil {
 			return t, err
@@ -301,7 +301,7 @@ func AblationAbortELR(o Options) (Table, error) {
 			100 * res.FailureRate(),
 			lockWaitMsPerXct(res),
 			100 * res.Breakdown.GroupedShares().LogFlush,
-			per1k(elrAborts, res.LockStats),
+			per1k(res.ELRAborts, res.LockStats),
 		}})
 	}
 	return t, nil

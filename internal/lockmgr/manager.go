@@ -327,10 +327,11 @@ func recycle(r *Request) {
 }
 
 // ReleaseAllEarly is ReleaseAll invoked under Early Lock Release once the
-// transaction's outcome record (commit, or abort after a compensation-logged
-// rollback) is appended to the log but not yet durable. The release path is
-// identical, SLI included; the event is counted separately so ablations and
-// tests can verify that no lock is held across a log flush.
+// transaction's commit record is appended to the log but not yet durable.
+// The release path is identical, SLI included; the event is counted in
+// ELRReleases so ablations and tests can verify that no lock is held across
+// a log flush. An abort released early calls ReleaseAll: the engine counts
+// those itself.
 func (o *Owner) ReleaseAllEarly() {
 	if o.finished {
 		return

@@ -27,9 +27,8 @@ type EngineSource interface {
 	LogErr() error
 	// LockStats is a snapshot of the lock manager's cumulative counters.
 	LockStats() lockmgr.StatsSnapshot
-	// ProfileLifetime is the engine-lifetime profiler breakdown (monotonic
-	// across Profiler.Reset calls — see profiler.Lifetime).
-	ProfileLifetime() profiler.Breakdown
+	// Profiler is the engine's profiler, whose Aggregate only goes up.
+	Profiler() *profiler.Profiler
 	// Concurrency is the configured agent worker count.
 	Concurrency() int
 	// LogTail is the log tail snapshot (flush cycles, physical sink writes,
@@ -213,7 +212,7 @@ func RegisterEngine(r *Registry, e EngineSource) {
 	r.LabeledCounterFunc("slidb_profile_seconds_total",
 		"Engine-lifetime profiler time attribution by category (seconds). Zero when profiling is disabled.", "category",
 		func() []Sample {
-			b := e.ProfileLifetime()
+			b := e.Profiler().Aggregate()
 			out := make([]Sample, 0, len(b))
 			for c := profiler.Category(0); int(c) < len(b); c++ {
 				out = append(out, Sample{Label: c.String(), Value: b.Get(c).Seconds()})
@@ -230,19 +229,14 @@ type ObserverOptions struct {
 	// SlowTxWindow is the trailing window slow traces are kept for
 	// (default 5 minutes).
 	SlowTxWindow time.Duration
-	// LatencyBuckets are the transaction-duration histogram's bucket upper
-	// bounds in seconds (default: exponential 100µs .. 10s).
-	LatencyBuckets []float64
 }
 
-// DefaultLatencyBuckets is the default transaction-duration histogram
-// bucketing: exponential from 100µs to 10s, covering in-memory transactions
-// through group-commit-bound durable ones.
-func DefaultLatencyBuckets() []float64 {
-	return []float64{
-		0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-		0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-	}
+// latencyBuckets are the transaction-duration histogram's bucket upper
+// bounds in seconds: exponential from 100µs to 10s, covering in-memory
+// transactions through group-commit-bound durable ones.
+var latencyBuckets = []float64{
+	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
+	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
 // Observer bundles an engine's observability surface: the metrics registry
@@ -258,9 +252,6 @@ type Observer struct {
 // NewObserver builds an Observer over the engine: a registry with the engine
 // collector registered, plus the histogram and tracer fed by ObserveTx.
 func NewObserver(e EngineSource, o ObserverOptions) *Observer {
-	if o.LatencyBuckets == nil {
-		o.LatencyBuckets = DefaultLatencyBuckets()
-	}
 	reg := NewRegistry()
 	RegisterEngine(reg, e)
 	obs := &Observer{
@@ -269,7 +260,7 @@ func NewObserver(e EngineSource, o ObserverOptions) *Observer {
 	}
 	obs.txDur = reg.Histogram("slidb_txn_duration_seconds",
 		"Transaction attempt execution time (outcome decided; excludes asynchronous durable-ack waits).",
-		o.LatencyBuckets)
+		latencyBuckets)
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
 	mux.Handle("/debug/slowtx", obs.tracer)
@@ -280,9 +271,6 @@ func NewObserver(e EngineSource, o ObserverOptions) *Observer {
 // Registry returns the observer's metrics registry, so embedders (slidbd, a
 // benchmark harness) can register their own families alongside the engine's.
 func (o *Observer) Registry() *Registry { return o.reg }
-
-// Tracer returns the slow-transaction tracer.
-func (o *Observer) Tracer() *SlowTxTracer { return o.tracer }
 
 // ObserveTx feeds one completed transaction attempt into the duration
 // histogram and the slow-transaction tracer. It is wait-free unless the

@@ -11,9 +11,9 @@
 // sees the engine only through the small EngineSource interface.
 //
 // Scrapes are wait-free with respect to the transaction hot path: every
-// sample is read from an atomic counter or computed by a snapshot callback at
-// scrape time, so collecting metrics never adds a lock acquisition to the
-// commit path. Cross-metric consistency is NOT guaranteed (a scrape is not a
+// family except the transaction-duration histogram is a *Func whose callback
+// reads the engine's own monotonic counters at scrape time, so collecting
+// metrics never adds a lock acquisition to the commit path. Cross-metric consistency is NOT guaranteed (a scrape is not a
 // transaction); each individual sample is a consistent atomic read.
 package obs
 
@@ -136,61 +136,6 @@ func (r *Registry) register(f *family) {
 	sort.Slice(r.families, func(i, j int) bool { return r.families[i].name < r.families[j].name })
 }
 
-// Counter is a monotonically increasing float64 metric backed by an atomic.
-type Counter struct {
-	bits atomic.Uint64
-}
-
-// Add increments the counter by v; negative increments are ignored (counters
-// only go up).
-func (c *Counter) Add(v float64) {
-	if v <= 0 {
-		return
-	}
-	for {
-		old := c.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if c.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
-
-// Gauge is a settable float64 metric backed by an atomic.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Counter registers and returns a settable counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.register(&family{name: name, help: help, kind: kindCounter, write: func(w *bufio.Writer) {
-		fmt.Fprintf(w, "%s %s\n", name, formatValue(c.Value()))
-	}})
-	return c
-}
-
-// Gauge registers and returns a settable gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(&family{name: name, help: help, kind: kindGauge, write: func(w *bufio.Writer) {
-		fmt.Fprintf(w, "%s %s\n", name, formatValue(g.Value()))
-	}})
-	return g
-}
-
 // CounterFunc registers a counter whose value is read by fn at scrape time —
 // the snapshot pattern used to export the engine's existing atomic counters
 // without duplicating them.
@@ -210,19 +155,10 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 // LabeledCounterFunc registers a counter family with a single label whose
 // samples are produced by fn at scrape time, in the order fn returns them.
 func (r *Registry) LabeledCounterFunc(name, help, label string, fn func() []Sample) {
-	r.labeledFunc(name, help, label, kindCounter, fn)
-}
-
-// LabeledGaugeFunc is LabeledCounterFunc for a gauge family.
-func (r *Registry) LabeledGaugeFunc(name, help, label string, fn func() []Sample) {
-	r.labeledFunc(name, help, label, kindGauge, fn)
-}
-
-func (r *Registry) labeledFunc(name, help, label string, kind metricKind, fn func() []Sample) {
 	if !validLabelName(label) {
 		panic(fmt.Sprintf("obs: invalid label name %q", label))
 	}
-	r.register(&family{name: name, help: help, kind: kind, write: func(w *bufio.Writer) {
+	r.register(&family{name: name, help: help, kind: kindCounter, write: func(w *bufio.Writer) {
 		for _, s := range fn() {
 			fmt.Fprintf(w, "%s{%s=\"%s\"} %s\n", name, label, escapeLabelValue(s.Label), formatValue(s.Value))
 		}

@@ -19,11 +19,10 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // deterministic.
 func goldenRegistry() *Registry {
 	r := NewRegistry()
-	ops := r.Counter("golden_ops_total", "Operations performed.")
-	ops.Add(41)
-	ops.Inc()
-	temp := r.Gauge("golden_temperature_celsius", "Current temperature.")
-	temp.Set(36.5)
+	r.CounterFunc("golden_ops_total", "Operations performed.",
+		func() float64 { return 42 })
+	r.GaugeFunc("golden_temperature_celsius", "Current temperature.",
+		func() float64 { return 36.5 })
 	r.CounterFunc("golden_snapshot_total", "Counter read from a snapshot callback.",
 		func() float64 { return 7 })
 	r.GaugeFunc("golden_depth", "Gauge read from a snapshot callback.",
@@ -82,15 +81,6 @@ func TestHandlerContentType(t *testing.T) {
 	}
 }
 
-func TestCounterIgnoresNegative(t *testing.T) {
-	var c Counter
-	c.Add(5)
-	c.Add(-3)
-	if got := c.Value(); got != 5 {
-		t.Errorf("counter value %v after negative add, want 5", got)
-	}
-}
-
 func TestHistogramBucketsAndCount(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("h_seconds", "h", []float64{1, 2})
@@ -119,19 +109,20 @@ func TestHistogramBucketsAndCount(t *testing.T) {
 }
 
 func TestRegistrationPanics(t *testing.T) {
+	zero := func() float64 { return 0 }
 	cases := []struct {
 		name string
 		fn   func(r *Registry)
 	}{
-		{"invalid name", func(r *Registry) { r.Counter("bad-name", "h") }},
-		{"leading digit", func(r *Registry) { r.Counter("0bad", "h") }},
-		{"empty name", func(r *Registry) { r.Gauge("", "h") }},
-		{"duplicate", func(r *Registry) { r.Counter("dup_total", "h"); r.Gauge("dup_total", "h") }},
+		{"invalid name", func(r *Registry) { r.CounterFunc("bad-name", "h", zero) }},
+		{"leading digit", func(r *Registry) { r.CounterFunc("0bad", "h", zero) }},
+		{"empty name", func(r *Registry) { r.GaugeFunc("", "h", zero) }},
+		{"duplicate", func(r *Registry) { r.CounterFunc("dup_total", "h", zero); r.GaugeFunc("dup_total", "h", zero) }},
 		{"invalid label", func(r *Registry) {
 			r.LabeledCounterFunc("ok_total", "h", "bad-label", func() []Sample { return nil })
 		}},
 		{"colon label", func(r *Registry) {
-			r.LabeledGaugeFunc("ok2", "h", "a:b", func() []Sample { return nil })
+			r.LabeledCounterFunc("ok2", "h", "a:b", func() []Sample { return nil })
 		}},
 		{"unsorted buckets", func(r *Registry) { r.Histogram("h_x", "h", []float64{1, 1}) }},
 	}

@@ -30,71 +30,11 @@ type SlowTx struct {
 	BreakdownSeconds map[string]float64 `json:"breakdown_seconds,omitempty"`
 }
 
-// slowEntry is the internal min-heap element: the stored trace plus its raw
+// slowEntry is one member of the slow set: the stored trace plus its raw
 // duration for ordering.
 type slowEntry struct {
 	d  time.Duration
 	tx SlowTx
-}
-
-// slowHeap is a min-heap by duration, so the root is the cheapest entry to
-// evict when the tracer is at capacity. It is hand-rolled rather than built
-// on container/heap: heap.Push takes its element as `any`, which boxes every
-// slowEntry on insert — an allocation on a path reachable from the
-// //slint:hotpath ObserveTx (hotalloc flags it).
-type slowHeap []slowEntry
-
-func (h slowHeap) less(i, j int) bool { return h[i].d < h[j].d }
-
-func (h *slowHeap) push(e slowEntry) {
-	*h = append(*h, e)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-// popMin removes and returns the root (cheapest) entry.
-func (h *slowHeap) popMin() slowEntry {
-	s := *h
-	n := len(s) - 1
-	root := s[0]
-	s[0] = s[n]
-	s[n] = slowEntry{}
-	*h = s[:n]
-	(*h).siftDown(0)
-	return root
-}
-
-func (h slowHeap) siftDown(i int) {
-	n := len(h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && h.less(l, min) {
-			min = l
-		}
-		if r < n && h.less(r, min) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-}
-
-// reinit restores the heap property after bulk mutation (pruning).
-func (h slowHeap) reinit() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
 }
 
 // SlowTxTracer keeps the N slowest transactions of the recent window
@@ -113,8 +53,10 @@ type SlowTxTracer struct {
 	// stale-low floor only costs a mutex acquisition, never a lost trace.
 	floor atomic.Int64
 
-	mu sync.Mutex
-	h  slowHeap
+	// set holds at most capacity entries in no particular order; the slow
+	// path finds its minimum by a linear scan under mu.
+	mu  sync.Mutex
+	set []slowEntry
 }
 
 // NewSlowTxTracer creates a tracer keeping the capacity slowest transactions
@@ -149,33 +91,43 @@ func (t *SlowTxTracer) Observe(xid uint64, start time.Time, d time.Duration, com
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.pruneLocked(time.Now())
-	t.h.push(slowEntry{d: d, tx: tx})
-	if len(t.h) > t.capacity {
-		t.h.popMin()
+	e := slowEntry{d: d, tx: tx}
+	if len(t.set) < t.capacity {
+		t.set = append(t.set, e)
+	} else if i := t.minLocked(); d > t.set[i].d {
+		t.set[i] = e
 	}
 	t.updateFloorLocked()
+}
+
+// minLocked returns the index of the cheapest entry of a non-empty set.
+func (t *SlowTxTracer) minLocked() int {
+	m := 0
+	for i := range t.set {
+		if t.set[i].d < t.set[m].d {
+			m = i
+		}
+	}
+	return m
 }
 
 // pruneLocked drops entries whose start has aged out of the window.
 func (t *SlowTxTracer) pruneLocked(now time.Time) {
 	cutoff := now.Add(-t.window)
-	kept := t.h[:0]
-	for _, e := range t.h {
+	kept := t.set[:0]
+	for _, e := range t.set {
 		if e.tx.Start.After(cutoff) {
 			kept = append(kept, e)
 		}
 	}
-	if len(kept) != len(t.h) {
-		t.h = kept
-		t.h.reinit()
-	}
+	t.set = kept
 }
 
-// updateFloorLocked recomputes the admission cutoff: the heap minimum when
+// updateFloorLocked recomputes the admission cutoff: the set minimum when
 // full, zero (admit everything) when there is still room.
 func (t *SlowTxTracer) updateFloorLocked() {
-	if len(t.h) >= t.capacity {
-		t.floor.Store(int64(t.h[0].d))
+	if len(t.set) >= t.capacity {
+		t.floor.Store(int64(t.set[t.minLocked()].d))
 	} else {
 		t.floor.Store(0)
 	}
@@ -187,8 +139,8 @@ func (t *SlowTxTracer) Snapshot() []SlowTx {
 	t.mu.Lock()
 	t.pruneLocked(time.Now())
 	t.updateFloorLocked()
-	out := make([]slowEntry, len(t.h))
-	copy(out, t.h)
+	out := make([]slowEntry, len(t.set))
+	copy(out, t.set)
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].d > out[j].d })
 	txs := make([]SlowTx, len(out))

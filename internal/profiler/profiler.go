@@ -124,7 +124,7 @@ func (c Category) String() string {
 
 // Handle accumulates time for a single agent thread. A Handle may be shared
 // across goroutines (the counters are atomic) but is normally owned by one
-// agent.
+// agent. Its counters are never reset.
 type Handle struct {
 	nanos [numCategories]atomic.Int64
 }
@@ -137,17 +137,6 @@ func (h *Handle) Add(c Category, d time.Duration) {
 	h.nanos[c].Add(int64(d))
 }
 
-// Timed runs fn and attributes its elapsed time to category c.
-func (h *Handle) Timed(c Category, fn func()) {
-	if h == nil {
-		fn()
-		return
-	}
-	start := time.Now()
-	fn()
-	h.nanos[c].Add(int64(time.Since(start)))
-}
-
 // Snapshot returns the per-category durations accumulated so far.
 func (h *Handle) Snapshot() Breakdown {
 	var b Breakdown
@@ -158,16 +147,6 @@ func (h *Handle) Snapshot() Breakdown {
 		b[c] = time.Duration(h.nanos[c].Load())
 	}
 	return b
-}
-
-// Reset zeroes all counters.
-func (h *Handle) Reset() {
-	if h == nil {
-		return
-	}
-	for c := Category(0); c < numCategories; c++ {
-		h.nanos[c].Store(0)
-	}
 }
 
 // Breakdown is a per-category accounting of time.
@@ -255,12 +234,6 @@ type Profiler struct {
 	mu      sync.Mutex
 	handles []*Handle
 	enabled bool
-	// base accumulates the time folded out of the handles by Reset, so that
-	// Lifetime stays monotonic across measurement-interval resets — the
-	// snapshot-diff that lets the metrics exporter publish the categories as
-	// Prometheus counters while benchmark harnesses keep resetting the
-	// per-interval view.
-	base Breakdown
 }
 
 // New creates a Profiler. When enabled is false, NewHandle returns nil
@@ -269,9 +242,6 @@ type Profiler struct {
 func New(enabled bool) *Profiler {
 	return &Profiler{enabled: enabled}
 }
-
-// Enabled reports whether the profiler is collecting data.
-func (p *Profiler) Enabled() bool { return p != nil && p.enabled }
 
 // NewHandle registers and returns a new per-agent Handle, or nil if the
 // profiler is disabled or nil.
@@ -286,7 +256,10 @@ func (p *Profiler) NewHandle() *Handle {
 	return h
 }
 
-// Aggregate sums the breakdowns of every registered handle.
+// Aggregate sums the breakdowns of every registered handle. The counters
+// only go up, so Aggregate is monotonic over the engine's lifetime: the
+// metrics exporter publishes it as-is, and a measured interval is the Sub of
+// two Aggregate snapshots.
 func (p *Profiler) Aggregate() Breakdown {
 	var b Breakdown
 	if p == nil {
@@ -294,41 +267,6 @@ func (p *Profiler) Aggregate() Breakdown {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, h := range p.handles {
-		b = b.Add(h.Snapshot())
-	}
-	return b
-}
-
-// Reset zeroes every registered handle, folding the accumulated time into
-// the lifetime baseline first so Lifetime never goes backwards. Increments
-// that land between a handle's snapshot and its zeroing are lost from both
-// views — an accepted sliver of undercount, never a double count.
-func (p *Profiler) Reset() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, h := range p.handles {
-		p.base = p.base.Add(h.Snapshot())
-		h.Reset()
-	}
-}
-
-// Lifetime returns the total per-category time accumulated since the
-// profiler was created, unaffected by Reset: the sum of everything Reset has
-// folded into the baseline plus the live handles. It is the monotonic view
-// the metrics exporter publishes; Aggregate remains the interval-scoped view
-// the benchmark harness resets around each measurement.
-func (p *Profiler) Lifetime() Breakdown {
-	var b Breakdown
-	if p == nil {
-		return b
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	b = p.base
 	for _, h := range p.handles {
 		b = b.Add(h.Snapshot())
 	}

@@ -28,18 +28,8 @@ func TestHandleAddAndSnapshot(t *testing.T) {
 func TestNilHandleIsSafe(t *testing.T) {
 	var h *Handle
 	h.Add(LockMgrWork, time.Second) // must not panic
-	h.Timed(TxWork, func() {})
-	h.Reset()
 	if h.Snapshot().Total() != 0 {
 		t.Fatal("nil handle must report empty breakdown")
-	}
-}
-
-func TestTimedAttributesElapsed(t *testing.T) {
-	var h Handle
-	h.Timed(BufferWork, func() { time.Sleep(2 * time.Millisecond) })
-	if h.Snapshot().Get(BufferWork) < time.Millisecond {
-		t.Fatalf("Timed recorded %v, want >= 1ms", h.Snapshot().Get(BufferWork))
 	}
 }
 
@@ -103,20 +93,16 @@ func TestProfilerDisabledReturnsNilHandles(t *testing.T) {
 	if p.NewHandle() != nil {
 		t.Fatal("disabled profiler must hand out nil handles")
 	}
-	if p.Enabled() {
-		t.Fatal("profiler should report disabled")
-	}
 	var nilP *Profiler
-	if nilP.NewHandle() != nil || nilP.Enabled() {
+	if nilP.NewHandle() != nil {
 		t.Fatal("nil profiler must behave as disabled")
 	}
-	nilP.Reset()
 	if nilP.Aggregate().Total() != 0 {
 		t.Fatal("nil profiler aggregate should be empty")
 	}
 }
 
-func TestProfilerAggregateAndReset(t *testing.T) {
+func TestProfilerAggregate(t *testing.T) {
 	p := New(true)
 	h1 := p.NewHandle()
 	h2 := p.NewHandle()
@@ -130,9 +116,9 @@ func TestProfilerAggregateAndReset(t *testing.T) {
 	if agg.Get(LockWait) != time.Second {
 		t.Fatalf("aggregate LockWait = %v, want 1s", agg.Get(LockWait))
 	}
-	p.Reset()
-	if p.Aggregate().Total() != 0 {
-		t.Fatal("aggregate after reset should be zero")
+	h1.Add(LockMgrWork, 3*time.Millisecond)
+	if d := p.Aggregate().Sub(agg).Get(LockMgrWork); d != 3*time.Millisecond {
+		t.Fatalf("interval LockMgrWork = %v, want 3ms", d)
 	}
 }
 

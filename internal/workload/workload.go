@@ -131,6 +131,9 @@ type Result struct {
 	Breakdown profiler.Breakdown
 	// LockStats is the lock-manager counter delta over the measured interval.
 	LockStats lockmgr.StatsSnapshot
+	// ELRAborts is the delta of the engine's ELRAborts over the measured
+	// interval.
+	ELRAborts uint64
 }
 
 // Run drives the engine with the generator according to opts and returns the
@@ -189,17 +192,15 @@ func Run(e *core.Engine, gen Generator, opts Options) Result {
 	if opts.Warmup > 0 {
 		time.Sleep(opts.Warmup)
 	}
-	// Start the measurement interval: reset the profiler and snapshot the
-	// lock-manager counters so the result reflects only this interval.
-	e.Profiler().Reset()
-	lockBefore := e.LockStats()
+	// Every engine counter only goes up, so the result is the difference of
+	// snapshots taken at the two ends of the measured interval.
+	profBefore, lockBefore, elrBefore := e.Profiler().Aggregate(), e.LockStats(), e.ELRAborts()
 	measuring.Store(true)
 	start := time.Now()
 	time.Sleep(opts.Duration)
 	measuring.Store(false)
 	elapsed := time.Since(start)
-	breakdown := e.Profiler().Aggregate()
-	lockAfter := e.LockStats()
+	profAfter, lockAfter, elrAfter := e.Profiler().Aggregate(), e.LockStats(), e.ELRAborts()
 	stop.Store(true)
 	wg.Wait()
 
@@ -209,8 +210,9 @@ func Run(e *core.Engine, gen Generator, opts Options) Result {
 		Committed:  committed.Load(),
 		Failed:     failed.Load(),
 		Errors:     errCount.Load(),
-		Breakdown:  breakdown,
+		Breakdown:  profAfter.Sub(profBefore),
 		LockStats:  lockAfter.Diff(lockBefore),
+		ELRAborts:  elrAfter - elrBefore,
 		Throughput: float64(completed) / elapsed.Seconds(),
 	}
 	if completed > 0 {

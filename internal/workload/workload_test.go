@@ -3,10 +3,14 @@ package workload
 import (
 	"errors"
 	"math/rand"
+	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"slidb/internal/core"
+	"slidb/internal/profiler"
 	"slidb/internal/record"
 )
 
@@ -121,5 +125,75 @@ func TestRunDefaultsClientsToAgents(t *testing.T) {
 	res := Run(e, gen, Options{Duration: 50 * time.Millisecond})
 	if res.Committed == 0 {
 		t.Fatal("no transactions committed with defaulted client count")
+	}
+}
+
+// scrapeProfile returns the slidb_profile_seconds_total samples of one
+// /metrics scrape, keyed by category.
+func scrapeProfile(t *testing.T, e *core.Engine) map[string]float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	e.ObsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	const prefix = `slidb_profile_seconds_total{category="`
+	out := map[string]float64{}
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, prefix)
+		if !ok {
+			continue
+		}
+		cat, val, ok := strings.Cut(rest, `"} `)
+		if !ok {
+			t.Fatalf("malformed sample %q", line)
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		out[cat] = v
+	}
+	return out
+}
+
+// TestProfileCountersNeverDecrease pins that the profiler is one monotonic
+// sum: a measured interval leaves every exported profile sample and every
+// Aggregate category at or above its value before the interval, and the
+// interval's Breakdown is the difference of the two Aggregates.
+func TestProfileCountersNeverDecrease(t *testing.T) {
+	e := testEngine(t)
+	gen := Mix{{Name: "update", Weight: 1, Make: func(rng *rand.Rand) TxFunc {
+		id := rng.Int63n(100)
+		return func(tx *core.Tx) error {
+			return tx.Update("t", []record.Value{record.Int(id)}, func(r record.Row) (record.Row, error) {
+				r[1] = record.Int(r[1].AsInt() + 1)
+				return r, nil
+			})
+		}
+	}}}
+	opts := Options{Clients: 2, Duration: 50 * time.Millisecond, Warmup: 20 * time.Millisecond, Seed: 1}
+	Run(e, gen, opts) // so the counters are non-zero before the measured run
+	scraped, agg := scrapeProfile(t, e), e.Profiler().Aggregate()
+	if agg.Total() == 0 {
+		t.Fatal("profiler aggregate empty despite profiling enabled")
+	}
+	res := Run(e, gen, opts)
+	scrapedAfter, aggAfter := scrapeProfile(t, e), e.Profiler().Aggregate()
+	if len(scraped) != len(agg) || len(scrapedAfter) != len(agg) {
+		t.Fatalf("scrapes have %d and %d categories, want %d", len(scraped), len(scrapedAfter), len(agg))
+	}
+	for cat, v := range scraped {
+		if scrapedAfter[cat] < v {
+			t.Errorf("slidb_profile_seconds_total{category=%q} went from %v to %v", cat, v, scrapedAfter[cat])
+		}
+	}
+	for c := profiler.Category(0); int(c) < len(agg); c++ {
+		if aggAfter.Get(c) < agg.Get(c) {
+			t.Errorf("Aggregate %v went from %v to %v", c, agg.Get(c), aggAfter.Get(c))
+		}
+		if res.Breakdown.Get(c) > aggAfter.Get(c)-agg.Get(c) {
+			t.Errorf("interval %v = %v, more than the %v the aggregate grew by", c, res.Breakdown.Get(c), aggAfter.Get(c)-agg.Get(c))
+		}
+	}
+	if res.Breakdown.Total() == 0 {
+		t.Fatal("interval breakdown empty despite profiling enabled")
 	}
 }
